@@ -128,9 +128,8 @@ def simulate(config_path, output_dir, fmt) -> None:
 @main.command()
 @config_option
 @output_option
-@format_option
-def verify(config_path, output_dir, fmt) -> None:
-    """Run every verification channel; exit 0 only if all pass."""
+def verify(config_path, output_dir) -> None:
+    """Run every verification channel, write verify.json; exit 0 only if all pass."""
     try:
         cfg = _load(config_path)
         report = experiments.verify_report(cfg)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SchemaError, ValidationError
 from .lattice import MomentPolynomial, VelocitySet, default_basis
-from .scheme import SchemeSpec, VelocityShift
+from .scheme import SchemeSpec, VelocityShift, _grid_spacing
 
 DEFAULT_ORDER = 3
 DEFAULT_LEVELS = 10
@@ -140,17 +140,10 @@ def _parse_scheme(raw, path: str) -> SchemeSpec:
             raise ValidationError(
                 f"q = {q_declared} does not match the {len(vel_raw)} velocities given"
             )
-    vectors = []
-    for j, v in enumerate(vel_raw):
-        vec = _number_vector(v, f"{path}/velocities/{j}", dim)
-        for a, comp in enumerate(vec):
-            if comp != int(comp):
-                raise ValidationError(
-                    f"velocity v_{j} = {list(vec)} is not an integer lattice vector "
-                    f"(component {a} = {comp!r})"
-                )
-        vectors.append(tuple(int(c) for c in vec))
-    vset = VelocitySet(dim, lam, tuple(vectors))
+    vectors = tuple(
+        _number_vector(v, f"{path}/velocities/{j}", dim) for j, v in enumerate(vel_raw)
+    )
+    vset = VelocitySet(dim, lam, vectors)
 
     polys_raw = _get(raw, "polynomials", path, required=False)
     basis = (
@@ -221,9 +214,7 @@ def load_config(text: str) -> ExperimentConfig:
             "/grid/length",
             dim,
         )
-    spacings = [length / n for n, length in zip(grid_sizes, box_lengths)]
-    if any(abs(sp - spacings[0]) > 1e-9 * spacings[0] for sp in spacings):
-        raise ValidationError(f"grid spacing differs across axes: {spacings}")
+    _grid_spacing(grid_sizes, box_lengths)
 
     init_raw = _get(raw, "initial", "", required=False)
     if init_raw is None:

@@ -343,10 +343,6 @@ def _symmetric_tensor(op: DifferentialOperator, rank: int, dim: int) -> np.ndarr
     return out
 
 
-def _sigma_or_fail(spec: SchemeSpec) -> HenonVector:
-    return henon_sigma(spec.s)
-
-
 def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquation:
     """Build the equivalent equation of `spec` up to the requested Delta order.
 
@@ -373,7 +369,7 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
     if order == 1:
         return EquivalentEquation(d, 1, (a0,), c, None, None, None)
 
-    sigma = _sigma_or_fail(spec)
+    sigma = henon_sigma(spec.s)
     theta0 = conservation_defaults(spec, TimeSubstitution((a0,)))
     a1 = DifferentialOperator.zero(d)
     for b in range(1, d + 1):
@@ -478,9 +474,9 @@ def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
         raise NonConstantShift("transition prediction requires a constant shift")
     d = spec.dim
     q = spec.q
-    eq = derive_equivalent_equation(spec, order)
+    eq = derive_equivalent_equation(spec, 2)  # only A_0 and A_1 are read
     a0 = eq.ops[0]
-    sigma = _sigma_or_fail(spec)
+    sigma = henon_sigma(spec.s)
     u = spec.u_tilde.constant_vector(d)
     mm = build_moment_matrix(spec.basis, spec.vset, u)
     e = mm.m @ np.asarray(spec.equilibrium)
@@ -532,7 +528,7 @@ def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dic
     q = spec.q
     eq = derive_equivalent_equation(spec, 3)
     a0, a1, a2_direct = eq.ops
-    sigma = _sigma_or_fail(spec)
+    sigma = henon_sigma(spec.s)
     theta0 = conservation_defaults(spec, TimeSubstitution((a0,)))
     lam = momentum_velocity_tensor(spec)
     c = eq.c

@@ -155,6 +155,19 @@ def refinement_study(
     return out
 
 
+def _transition_pass(study: dict) -> bool:
+    """Third-order gate: the transition slope and every refinement ratio in range."""
+    slope = study["transition_slope"]
+    ratios = [r for r in study["transition_ratios"] if r is not None]
+    return bool(
+        slope == "floor"
+        or (
+            TRANSITION_SLOPE_RANGE[0] <= slope <= TRANSITION_SLOPE_RANGE[1]
+            and all(TRANSITION_RATIO_RANGE[0] <= r <= TRANSITION_RATIO_RANGE[1] for r in ratios)
+        )
+    )
+
+
 def _sweep_specs(spec: SchemeSpec, u_sweep) -> list[tuple[float, SchemeSpec]]:
     lam = spec.vset.lam
     out = []
@@ -220,15 +233,7 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     study = refinement_study(
         cfg.spec, cfg.box_lengths, cfg.grids[:3], _transition_initial(cfg), cfg.warmup
     )
-    slope = study["transition_slope"]
-    ratios = [r for r in study["transition_ratios"] if r is not None]
-    scaling_pass = bool(
-        slope == "floor"
-        or (
-            TRANSITION_SLOPE_RANGE[0] <= slope <= TRANSITION_SLOPE_RANGE[1]
-            and all(TRANSITION_RATIO_RANGE[0] <= r <= TRANSITION_RATIO_RANGE[1] for r in ratios)
-        )
-    )
+    scaling_pass = _transition_pass(study)
 
     spec_zero = replace(cfg.spec, u_tilde=VelocityShift.zero())
     try:
@@ -319,15 +324,7 @@ def convergence_payload(cfg: ExperimentConfig) -> dict:
         slope == "floor"
         or EQUILIBRIUM_SLOPE_RANGE[0] <= slope <= EQUILIBRIUM_SLOPE_RANGE[1]
     )
-    tslope = study["transition_slope"]
-    ratios = [r for r in study["transition_ratios"] if r is not None]
-    study["transition_pass"] = bool(
-        tslope == "floor"
-        or (
-            TRANSITION_SLOPE_RANGE[0] <= tslope <= TRANSITION_SLOPE_RANGE[1]
-            and all(TRANSITION_RATIO_RANGE[0] <= r <= TRANSITION_RATIO_RANGE[1] for r in ratios)
-        )
-    )
+    study["transition_pass"] = _transition_pass(study)
     study["overall_pass"] = study["equilibrium_pass"] and study["transition_pass"]
     return study
 

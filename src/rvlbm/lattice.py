@@ -9,16 +9,14 @@ row 0 is all ones for any shift and the first moment is the density.
 from __future__ import annotations
 
 import itertools
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NonLatticeVelocity, SingularMatrix, ValidationError
 
-# Relative pivot size below which a moment matrix is declared singular.
-SINGULAR_PIVOT_RTOL = 1e-12
+# 1-norm condition number above which a moment matrix is declared singular.
+MAX_CONDITION = 1e12
 
 
 def _graded_lex_key(exponents: tuple[int, ...]) -> tuple:
@@ -140,7 +138,8 @@ class VelocitySet:
             for comp in n:
                 if not float(comp).is_integer():
                     raise NonLatticeVelocity(
-                        f"velocity {j} = {tuple(n)} is not an integer multiple of lam per axis"
+                        f"velocity {j} = {tuple(n)} is not an integer lattice vector "
+                        "(an integer multiple of lam per axis)"
                     )
             vecs.append(tuple(int(c) for c in n))
         if len(set(vecs)) != len(vecs):
@@ -163,12 +162,15 @@ class VelocitySet:
 
 @dataclass(frozen=True, eq=False)
 class MomentMatrix:
-    """Moment matrix M(u) together with its inverse, as immutable arrays."""
+    """Moment matrix M(u) together with its inverse, as immutable arrays.
+
+    For a stack of n shifts, m and m_inv have shape (n, q, q) and
+    cond_estimate is the largest 1-norm condition number in the stack.
+    """
 
     m: np.ndarray
     m_inv: np.ndarray
     cond_estimate: float
-    u_tilde: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         for arr in (self.m, self.m_inv):
@@ -176,7 +178,7 @@ class MomentMatrix:
 
     @property
     def q(self) -> int:
-        return self.m.shape[0]
+        return self.m.shape[-1]
 
 
 def validate_basis(basis, dim: int, q: int) -> None:
@@ -193,38 +195,47 @@ def validate_basis(basis, dim: int, q: int) -> None:
             raise ValidationError(f"basis[{k}] must be the coordinate polynomial X_{k}")
 
 
-def build_moment_matrix(basis, vset: VelocitySet, u_tilde) -> MomentMatrix:
-    """Build M(u) with entries P_k(v_j - u) and invert it by pivoted LU.
+def _one_norm(a: np.ndarray) -> np.ndarray:
+    """Largest absolute column sum of each matrix in a (..., q, q) array."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
 
-    Raises SingularMatrix when the smallest pivot falls below
-    SINGULAR_PIVOT_RTOL times the largest matrix entry.
+
+def build_moment_matrix(basis, vset: VelocitySet, u_tilde) -> MomentMatrix:
+    """Build M(u) with entries P_k(v_j - u) and invert it.
+
+    u_tilde is one shift of length dim or a (dim, n) stack of shifts; a stack
+    gives (n, q, q) arrays.  Raises SingularMatrix when the inversion meets a
+    zero pivot or a 1-norm condition number exceeds MAX_CONDITION.
     """
-    u = np.asarray(u_tilde, dtype=float).reshape(-1)
-    if u.shape[0] != vset.dim:
-        raise DimensionMismatch(f"shift has dimension {u.shape[0]}, expected {vset.dim}")
-    validate_basis(basis, vset.dim, vset.q)
-    shifted = (vset.velocities - u).T  # (dim, q)
-    m = np.empty((vset.q, vset.q))
-    for k, p in enumerate(basis):
-        m[k, :] = p.evaluate(shifted)
-    scale = np.abs(m).max()
-    if scale == 0.0:
-        raise SingularMatrix("moment matrix is identically zero")
-    with warnings.catch_warnings():
-        # the pivot check below turns singularity into a typed error
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < SINGULAR_PIVOT_RTOL * scale:
-        raise SingularMatrix(
-            f"moment matrix singular at shift {tuple(u)}: "
-            f"pivot {pivots.min():.3e} below {SINGULAR_PIVOT_RTOL:g} * {scale:.3e}"
+    u = np.asarray(u_tilde, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[0] != vset.dim:
+        raise DimensionMismatch(
+            f"shift has shape {u.shape}, expected ({vset.dim},) or ({vset.dim}, n)"
         )
-    m_inv = scipy.linalg.lu_solve((lu, piv), np.eye(vset.q), check_finite=False)
-    cond = float(
-        np.abs(m).sum(axis=0).max() * np.abs(m_inv).sum(axis=0).max()
-    )
-    return MomentMatrix(m=m, m_inv=m_inv, cond_estimate=cond, u_tilde=tuple(u))
+    validate_basis(basis, vset.dim, vset.q)
+    v = vset.velocities.T  # (dim, q)
+    if u.ndim == 2:
+        v = v[:, :, None]  # broadcast against (dim, 1, n)
+    m = np.stack([p.evaluate(v - u[:, None]) for p in basis])  # (q, q[, n])
+    if u.ndim == 2:
+        # keep the cell axis fastest: collide's per-cell einsum rounds differently on a
+        # contiguous (n, q, q) copy
+        m = np.moveaxis(m, -1, 0)
+    try:
+        m_inv = np.linalg.inv(m)
+        cond = _one_norm(m) * _one_norm(m_inv)
+    except np.linalg.LinAlgError:
+        # a zero pivot: point at the shifts whose determinant vanishes
+        m_inv, cond = None, np.where(np.linalg.det(m) == 0.0, np.inf, 0.0)
+    worst = float(np.max(cond))
+    if m_inv is None or not worst <= MAX_CONDITION:
+        cell = np.unravel_index(np.argmax(cond), np.shape(cond))
+        shift = tuple(u[(slice(None),) + cell].tolist())
+        raise SingularMatrix(
+            f"moment matrix singular at shift {shift}: "
+            f"condition number {worst:.3e} above {MAX_CONDITION:g}"
+        )
+    return MomentMatrix(m=m, m_inv=m_inv, cond_estimate=worst)
 
 
 def shift_conjugation(basis, vset: VelocitySet, u_tilde) -> np.ndarray:

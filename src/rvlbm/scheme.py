@@ -267,18 +267,11 @@ def _constant_matrices(spec: SchemeSpec) -> MomentMatrix:
 @lru_cache(maxsize=16)
 def _field_matrices(spec: SchemeSpec, grid_sizes, box_lengths):
     """Per-cell matrix pair for a field shift, built once per grid and reused."""
-    u = spec.u_tilde.field(grid_sizes, box_lengths)  # (dim, *grid)
-    shifted = spec.vset.velocities[:, :, None] - u.reshape(spec.dim, -1)[None, :, :]
-    m = np.empty((spec.q, spec.q, shifted.shape[2]))
-    for k, p in enumerate(spec.basis):
-        # evaluate expects the point axis first
-        m[k] = p.evaluate(np.moveaxis(shifted, 1, 0))
-    m_cells = np.moveaxis(m, 2, 0)  # (cells, q, q)
-    m_inv_cells = np.linalg.inv(m_cells)
-    e_cells = m_cells @ np.asarray(spec.equilibrium)  # (cells, q)
-    for arr in (m_cells, m_inv_cells, e_cells):
-        arr.setflags(write=False)
-    return m_cells, m_inv_cells, e_cells
+    u = spec.u_tilde.field(grid_sizes, box_lengths).reshape(spec.dim, -1)
+    matrix = build_moment_matrix(spec.basis, spec.vset, u)  # (cells, q, q)
+    e_cells = matrix.m @ np.asarray(spec.equilibrium)  # (cells, q)
+    e_cells.setflags(write=False)
+    return matrix.m, matrix.m_inv, e_cells
 
 
 def collide(state: StateField, spec: SchemeSpec) -> StateField:

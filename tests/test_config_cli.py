@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -280,6 +284,54 @@ class TestCli:
         result = runner.invoke(main, ["analyze", "--config", str(path)])
         assert result.exit_code == 2
         assert "error:" in result.output
+
+    def test_singular_cell_shift_exits_two(self, runner, tmp_path):
+        # basis (1, x, x^3) is singular at u = 0, which the sine shift hits at cell 0
+        scheme = {
+            **BASE["scheme"],
+            "q": 3,
+            "velocities": [[0], [1], [-1]],
+            "polynomials": [
+                [{"exps": [0], "coef": 1.0}],
+                [{"exps": [1], "coef": 1.0}],
+                [{"exps": [3], "coef": 1.0}],
+            ],
+            "relaxation": [0.0, 1.2, 1.6],
+            "equilibrium": [0.5, 0.3, 0.2],
+            "u_tilde": {"mode": "sine", "value": [0.2]},
+        }
+        path = tmp_path / "singular.json"
+        path.write_text(config_text(scheme=scheme))
+        result = runner.invoke(main, ["simulate", "--config", str(path),
+                                      "--output", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "singular" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_runs_without_scipy(self, tmp_path):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        probe = subprocess.run(
+            [sys.executable, "-c", "import sys, rvlbm; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True,
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "False"
+
+        path = tmp_path / "d1q2.json"
+        path.write_text(reference_config("d1q2"))
+        blocked = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from rvlbm.cli import main\n"
+            "main(['verify', '--config', sys.argv[1], '--output', sys.argv[2]])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", blocked, str(path), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert (tmp_path / "out" / "verify.json").exists()
 
     def test_reference_config_runs_end_to_end(self, runner, tmp_path):
         path = tmp_path / "d1q3.json"

@@ -144,6 +144,36 @@ class TestBuildMomentMatrix:
         m = build_moment_matrix(basis, vset, (ux, uy))
         np.testing.assert_array_equal(m.m[0], np.ones(5))
 
+    def test_stack_matches_single_shift_builds(self):
+        vset = VelocitySet(2, 1.0, ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)))
+        basis = (
+            MomentPolynomial.constant(2),
+            MomentPolynomial.coordinate(2, 0),
+            MomentPolynomial.coordinate(2, 1),
+            MomentPolynomial.from_terms(2, {(2, 0): 1.0, (0, 2): 1.0}),
+            MomentPolynomial.from_terms(2, {(2, 0): 1.0, (0, 2): -1.0}),
+        )
+        shifts = np.array([[0.0, 0.3, -0.2, 0.45], [0.1, -0.25, 0.0, 0.2]])
+        stack = build_moment_matrix(basis, vset, shifts)
+        assert stack.m.shape == stack.m_inv.shape == (4, 5, 5)
+        conds = []
+        for c in range(shifts.shape[1]):
+            single = build_moment_matrix(basis, vset, shifts[:, c])
+            np.testing.assert_array_equal(stack.m[c], single.m)
+            np.testing.assert_allclose(stack.m_inv[c], single.m_inv, rtol=1e-14, atol=1e-14)
+            conds.append(single.cond_estimate)
+        assert stack.cond_estimate == pytest.approx(max(conds), rel=1e-12)
+
+    def test_singular_cell_in_stack_rejected(self):
+        # (1, x, x^3) on d1q3 is singular exactly at u = 0
+        basis = (
+            MomentPolynomial.constant(1),
+            MomentPolynomial.coordinate(1, 0),
+            MomentPolynomial.from_terms(1, {(3,): 1.0}),
+        )
+        with pytest.raises(SingularMatrix, match=r"\(0\.0,\)"):
+            build_moment_matrix(basis, d1q3_vset(), np.array([[0.3, 0.0, -0.2]]))
+
     def test_rest_frame_is_classical_matrix(self):
         # entry (k, j) = P_k(v_j) when the shift vanishes
         vset = d1q3_vset()

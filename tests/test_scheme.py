@@ -24,7 +24,7 @@ from rvlbm import (
     step,
     stream,
 )
-from rvlbm.errors import DimensionMismatch, NonConstantShift, ValidationError
+from rvlbm.errors import DimensionMismatch, NonConstantShift, SingularMatrix, ValidationError
 from rvlbm.scheme import _constant_matrices
 
 
@@ -43,6 +43,18 @@ def d1q3_spec(s=(0.0, 1.2, 1.6), e=(0.5, 0.3, 0.2), u=None):
     )
     shift = VelocityShift.zero() if u is None else VelocityShift.constant((u,))
     return SchemeSpec(vset, basis, s, e, shift)
+
+
+def cubic_d1q3_spec(amplitude):
+    """d1q3 with basis (1, x, x^3), whose M(u) is singular exactly at u = 0."""
+    vset = VelocitySet(1, 1.0, ((0,), (1,), (-1,)))
+    basis = (
+        MomentPolynomial.constant(1),
+        MomentPolynomial.coordinate(1, 0),
+        MomentPolynomial.from_terms(1, {(3,): 1.0}),
+    )
+    return SchemeSpec(vset, basis, (0.0, 1.2, 1.6), (0.5, 0.3, 0.2),
+                      VelocityShift.sine((amplitude,)))
 
 
 class TestSpecValidation:
@@ -290,6 +302,22 @@ class TestStep:
         total = state.f.sum()
         out = run(state, spec, 50)
         assert abs(out.f.sum() - total) <= 1e-13 * abs(total)
+
+    def test_singular_cell_raises_typed_error(self):
+        # the sine shift vanishes at cell 0, where M(u) has two equal rows
+        spec = cubic_d1q3_spec(0.2)
+        state = equilibrium_state(spec, (16,), (1.0,), 1.0)
+        with pytest.raises(SingularMatrix):
+            collide(state, spec)
+
+    def test_zero_amplitude_sine_matches_zero_shift(self):
+        rho = sine_density((32,), (1.0,), 1.0, 0.1, (1,))
+        spec = d1q3_spec()
+        out = {}
+        for shift in (VelocityShift.zero(), VelocityShift.sine((0.0,))):
+            spec_u = replace(spec, u_tilde=shift)
+            out[shift.mode] = run(equilibrium_state(spec_u, (32,), (1.0,), rho), spec_u, 200).f
+        np.testing.assert_array_equal(out["sine"], out["zero"])
 
     def test_collide_leaves_density_pointwise(self):
         spec = d1q3_spec(u=0.2)
