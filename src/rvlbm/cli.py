@@ -27,6 +27,16 @@ def _out_dir(cfg: ExperimentConfig, override: str | None) -> pathlib.Path:
     return path
 
 
+def _write_report(cfg, output_dir, fmt, name, payload: dict, csv_rows) -> pathlib.Path:
+    """Write `payload` as <name>.json, or csv_rows() as <name>.csv; return the path."""
+    path = _out_dir(cfg, output_dir) / f"{name}.{fmt or cfg.output_format}"
+    if path.suffix == ".csv":
+        experiments.write_csv(csv_rows(), path)
+    else:
+        experiments.write_json(payload, path)
+    return path
+
+
 def _config_error(exc: SchemeError) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(2)
@@ -64,16 +74,12 @@ def analyze(config_path, output_dir, fmt, order) -> None:
     try:
         cfg = _load(config_path)
         payload = experiments.analyze_payload(cfg, order)
-        out = _out_dir(cfg, output_dir)
-        fmt = fmt or cfg.output_format
-        if fmt == "csv":
-            experiments.write_csv(experiments.analyze_csv_rows(payload), out / "analyze.csv")
-        else:
-            experiments.write_json(payload, out / "analyze.json")
+        path = _write_report(cfg, output_dir, fmt, "analyze", payload,
+                             lambda: experiments.analyze_csv_rows(payload))
     except SchemeError as exc:
         _config_error(exc)
     click.echo(payload["pretty"])
-    click.echo(f"wrote {out / ('analyze.' + fmt)}")
+    click.echo(f"wrote {path}")
 
 
 @main.command()
@@ -86,16 +92,12 @@ def dispersion(config_path, output_dir, fmt, order) -> None:
     try:
         cfg = _load(config_path)
         report = experiments.dispersion_payload(cfg, order)
-        out = _out_dir(cfg, output_dir)
-        fmt = fmt or cfg.output_format
-        if fmt == "csv":
-            experiments.write_csv(report.csv_rows(), out / "dispersion.csv")
-        else:
-            experiments.write_json(report.to_json_dict(), out / "dispersion.json")
+        path = _write_report(cfg, output_dir, fmt, "dispersion", report.to_json_dict(),
+                             report.csv_rows)
     except SchemeError as exc:
         _config_error(exc)
     click.echo(f"{len(report.records)} wavevectors, pass={report.passed}")
-    click.echo(f"wrote {out / ('dispersion.' + fmt)}")
+    click.echo(f"wrote {path}")
     if not report.passed:
         sys.exit(1)
 
@@ -109,12 +111,9 @@ def simulate(config_path, output_dir, fmt) -> None:
     try:
         cfg = _load(config_path)
         payload, state = experiments.simulate_payload(cfg)
-        out = _out_dir(cfg, output_dir)
-        fmt = fmt or cfg.output_format
-        if fmt == "csv":
-            experiments.write_csv(experiments.simulate_csv_rows(payload), out / "simulate.csv")
-        else:
-            experiments.write_json(payload, out / "simulate.json")
+        path = _write_report(cfg, output_dir, fmt, "simulate", payload,
+                             lambda: experiments.simulate_csv_rows(payload))
+        out = path.parent
         save_snapshot(state, cfg.spec, out / "snapshot.csv", out / "snapshot_meta.json",
                       cfg.steps)
     except SchemeError as exc:
@@ -122,7 +121,7 @@ def simulate(config_path, output_dir, fmt) -> None:
     click.echo(
         f"{cfg.steps} steps, mass drift {payload['mass_relative_drift']:.3e}"
     )
-    click.echo(f"wrote {out / ('simulate.' + fmt)} and {out / 'snapshot.csv'}")
+    click.echo(f"wrote {path} and {out / 'snapshot.csv'}")
 
 
 @main.command()
@@ -160,19 +159,15 @@ def convergence(config_path, output_dir, fmt) -> None:
     try:
         cfg = _load(config_path)
         study = experiments.convergence_payload(cfg)
-        out = _out_dir(cfg, output_dir)
-        fmt = fmt or cfg.output_format
-        if fmt == "csv":
-            experiments.write_csv(experiments.convergence_csv_rows(study), out / "convergence.csv")
-        else:
-            experiments.write_json(study, out / "convergence.json")
+        path = _write_report(cfg, output_dir, fmt, "convergence", study,
+                             lambda: experiments.convergence_csv_rows(study))
     except SchemeError as exc:
         _config_error(exc)
     click.echo(
         f"equilibrium slope {study['equilibrium_slope']}, "
         f"transition slope {study['transition_slope']}"
     )
-    click.echo(f"wrote {out / ('convergence.' + fmt)}")
+    click.echo(f"wrote {path}")
     if not study["overall_pass"]:
         sys.exit(1)
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchAmbiguity, NonConstantShift, PoorFit, ValidationError
-from .lattice import build_moment_matrix
 from .scheme import SchemeSpec
 
 POOR_FIT_FACTOR = 1e-8
@@ -73,8 +72,7 @@ def amplification_matrix(spec: SchemeSpec, k, dt: float) -> AmplificationMatrix:
     k = np.asarray(k, dtype=float)
     if k.shape != (spec.dim,):
         raise ValidationError(f"wavevector shape {k.shape}, expected ({spec.dim},)")
-    u = spec.u_tilde.constant_vector(spec.dim)
-    mm = build_moment_matrix(spec.basis, spec.vset, u)
+    mm = spec.moment_matrix
     s = np.asarray(spec.s)
     e_moments = mm.m @ np.asarray(spec.equilibrium)
     collision = mm.m_inv @ ((1.0 - s)[:, None] * mm.m + np.outer(s * e_moments, np.ones(spec.q)))

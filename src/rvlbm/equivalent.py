@@ -17,7 +17,7 @@ on the momentum-velocity tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import _graded_lex_key, build_moment_matrix
-from .scheme import SchemeSpec
+from .scheme import SchemeSpec, VelocityShift
 
 CROSSCHECK_RTOL = 1e-10
 
@@ -227,16 +227,14 @@ def advection_vector(spec: SchemeSpec) -> np.ndarray:
     return np.asarray(spec.equilibrium) @ spec.vset.velocities
 
 
-def conservation_defaults(spec: SchemeSpec, subst: TimeSubstitution, *, shift=None) -> ThetaSet:
+def conservation_defaults(spec: SchemeSpec, subst: TimeSubstitution) -> ThetaSet:
     """theta_k = Sum_j M_kj(u) E_j (d_t + v_j . grad) with d_t replaced by subst.
 
     The order-0 part collects e_k(u) subst[0] + Sum_b g_k^b d_b with
-    g_k^b = Sum_j M_kj(u) E_j v_j^b; order l >= 1 is e_k(u) subst[l].  `shift`
-    overrides the scheme's constant shift (used for the zero-shift variant).
+    g_k^b = Sum_j M_kj(u) E_j v_j^b; order l >= 1 is e_k(u) subst[l].
     """
     d = spec.dim
-    u = spec.u_tilde.constant_vector(d) if shift is None else tuple(shift)
-    mm = build_moment_matrix(spec.basis, spec.vset, u)
+    mm = spec.moment_matrix
     ew = np.asarray(spec.equilibrium)
     vel = spec.vset.velocities
     e = mm.m @ ew
@@ -248,6 +246,17 @@ def conservation_defaults(spec: SchemeSpec, subst: TimeSubstitution, *, shift=No
             order0 = order0 + g[k, b] * DifferentialOperator.partial(d, b)
         rows.append((order0,) + tuple(e[k] * op for op in subst.series[1:]))
     return ThetaSet(tuple(rows))
+
+
+def _transport_sum(weights, a0: DifferentialOperator, vel: np.ndarray) -> DifferentialOperator:
+    """Sum_j w_j (A_0 + v_j . grad) over the velocities, skipping exact-zero weights."""
+    d = a0.dim
+    out = DifferentialOperator.zero(d)
+    for j, w in enumerate(weights):
+        if w == 0.0:
+            continue
+        out = out + w * (a0 + DifferentialOperator.gradient_dot(d, vel[j]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -379,10 +388,9 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
         return EquivalentEquation(d, 2, (a0, a1), c, D, None, None)
 
     subst = TimeSubstitution((a0, a1))
-    theta_z = conservation_defaults(spec, subst, shift=(0.0,) * d)
+    theta_z = conservation_defaults(replace(spec, u_tilde=VelocityShift.zero()), subst)
     theta_u = conservation_defaults(spec, subst)
-    u = spec.u_tilde.constant_vector(d)
-    mm = build_moment_matrix(spec.basis, spec.vset, u)
+    m_inv = spec.moment_matrix.m_inv
 
     # order-1 correction of the Delta term, zero-shift theta convention
     delta_corr_z = DifferentialOperator.zero(d)
@@ -397,12 +405,7 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
     for b in range(1, d + 1):
         pb = DifferentialOperator.partial(d, b - 1)
         for l in range(1, q):
-            inner = DifferentialOperator.zero(d)
-            for j in range(q):
-                w = vel[j, b - 1] * mm.m_inv[j, l]
-                if w == 0.0:
-                    continue
-                inner = inner + w * (a0 + DifferentialOperator.gradient_dot(d, vel[j]))
+            inner = _transport_sum(vel[:, b - 1] * m_inv[:, l], a0, vel)
             sigma_group = sigma_group + (sigma[b] * sigma[l]) * (
                 pb @ inner @ theta0.operator(l)
             )
@@ -477,8 +480,7 @@ def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
     eq = derive_equivalent_equation(spec, 2)  # only A_0 and A_1 are read
     a0 = eq.ops[0]
     sigma = henon_sigma(spec.s)
-    u = spec.u_tilde.constant_vector(d)
-    mm = build_moment_matrix(spec.basis, spec.vset, u)
+    mm = spec.moment_matrix
     e = mm.m @ np.asarray(spec.equilibrium)
     vel = spec.vset.velocities
 
@@ -493,12 +495,7 @@ def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
     for k in range(q):
         psi = DifferentialOperator.zero(d)
         for l in range(1, q):
-            inner = DifferentialOperator.zero(d)
-            for j in range(q):
-                w = mm.m[k, j] * mm.m_inv[j, l]
-                if w == 0.0:
-                    continue
-                inner = inner + w * (a0 + DifferentialOperator.gradient_dot(d, vel[j]))
+            inner = _transport_sum(mm.m[k] * mm.m_inv[:, l], a0, vel)
             psi = psi + sigma[l] * (inner @ theta.operator(l))
         xi_rows.append((theta.operator(k), theta.operator(k, 1) - psi))
     return XiPrediction(d, 3, tuple(e), sigma, tuple(xi_rows))

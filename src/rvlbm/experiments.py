@@ -25,7 +25,7 @@ from .equivalent import (
     dhumieres_crosscheck,
     transition_prediction,
 )
-from .errors import MismatchBeyondTolerance
+from .errors import MismatchBeyondTolerance, ValidationError
 from .scheme import (
     SchemeSpec,
     StateField,
@@ -96,7 +96,7 @@ def residual_pair(
     r_eq = float(np.max(np.abs(state.f - f_eq)))
 
     prediction = transition_prediction(spec, order)
-    m = moment_field(state, spec).m
+    m = moment_field(state, spec)
     dt = state.dt
     r_tr = 0.0
     for k in range(1, spec.q):
@@ -286,8 +286,14 @@ def mode_coefficient(rho: np.ndarray, mode) -> complex:
     return complex(spectrum[tuple(m % n for m, n in zip(mode, rho.shape))] / rho.size)
 
 
+# overflow ends in a non-finite mass, which simulate_payload reports as a typed error
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_payload(cfg: ExperimentConfig) -> tuple[dict, StateField]:
-    """Run the configured number of steps, recording per-step observables."""
+    """Run the configured number of steps, recording per-step observables.
+
+    Raises ValidationError at the first step whose mass is not finite, so an
+    unstable scheme stops before NaN reaches a report.
+    """
     state = initial_state(cfg.spec, cfg.grid_sizes, cfg.box_lengths, cfg.initial)
     mode = cfg.initial.mode if cfg.initial.kind == "sine" else None
     mass0 = float(np.sum(state.f.real))
@@ -295,6 +301,10 @@ def simulate_payload(cfg: ExperimentConfig) -> tuple[dict, StateField]:
     for n in range(cfg.steps + 1):
         rho = density(state.f)
         record = {"step": n, "mass": float(np.sum(state.f.real))}
+        if not np.isfinite(record["mass"]):
+            raise ValidationError(
+                f"mass is not finite at step {n}: the scheme is unstable for this configuration"
+            )
         if mode is not None:
             coeff = mode_coefficient(np.asarray(rho), mode)
             record["mode_amplitude"] = abs(coeff)
@@ -330,10 +340,14 @@ def convergence_payload(cfg: ExperimentConfig) -> dict:
 
 
 def write_json(payload: dict, path) -> None:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
+    """Canonical JSON: sorted keys, two-space indent, trailing newline.
+
+    The payload is serialized before the file is opened, so a payload that
+    cannot be written (NaN, say) leaves no partial file behind.
+    """
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(rows: list[list], path) -> None:

@@ -107,11 +107,6 @@ class MomentPolynomial:
         return " + ".join(parts) if parts else "0"
 
 
-def evaluate_polynomial(p: MomentPolynomial, x) -> float | np.ndarray:
-    """Evaluate polynomial p at point(s) x."""
-    return p.evaluate(x)
-
-
 @dataclass(frozen=True)
 class VelocitySet:
     """Lattice velocities v_j = lam * n_j with integer vectors n_j.

@@ -13,7 +13,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -134,6 +134,14 @@ class SchemeSpec:
     def q(self) -> int:
         return self.vset.q
 
+    @cached_property
+    def moment_matrix(self) -> MomentMatrix:
+        """M(u) at the constant shift, built on first use and kept with the spec.
+
+        Raises NonConstantShift for a field shift.
+        """
+        return build_moment_matrix(self.basis, self.vset, self.u_tilde.constant_vector(self.dim))
+
 
 @dataclass(frozen=True)
 class StateField:
@@ -148,14 +156,6 @@ class StateField:
     @property
     def dim(self) -> int:
         return len(self.grid_sizes)
-
-
-@dataclass(frozen=True)
-class MomentField:
-    """Moments of a state, shape (q, *grid), with the shift they were taken at."""
-
-    m: np.ndarray
-    u_tilde_used: VelocityShift
 
 
 def cell_centers(grid_sizes, box_lengths) -> np.ndarray:
@@ -228,12 +228,23 @@ def density(f) -> float | np.ndarray:
     return out if out.ndim else out[()]
 
 
+def _contract(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x over the population axis of x, for a (q, q) matrix or a per-cell (cells, q, q) stack."""
+    if a.ndim == 2:
+        return np.tensordot(a, x, axes=(1, 0))
+    flat = x.reshape(a.shape[-1], -1).T  # (cells, q)
+    return np.einsum("ckj,cj->ck", a, flat).T.reshape(x.shape)
+
+
 def moments_from_distributions(f, matrix: MomentMatrix) -> np.ndarray:
-    """Moments m = M(u) f; f may be a q-vector or a (q, *grid) array."""
+    """Moments m = M(u) f; f may be a q-vector or a (q, *grid) array.
+
+    `matrix` is one M(u) or a per-cell stack whose cells follow f's grid in C order.
+    """
     f = np.asarray(f)
     if f.shape[0] != matrix.q:
         raise DimensionMismatch(f"f has {f.shape[0]} populations, expected {matrix.q}")
-    return np.tensordot(matrix.m, f, axes=(1, 0))
+    return _contract(matrix.m, f)
 
 
 def equilibrium_moments(spec: SchemeSpec, rho, matrix: MomentMatrix) -> np.ndarray:
@@ -251,27 +262,30 @@ def relax(m, m_eq, s) -> np.ndarray:
 
 
 def post_collision_distributions(m_star, matrix: MomentMatrix) -> np.ndarray:
-    """Back to velocity space: f* = M(u)^-1 m*."""
+    """Back to velocity space: f* = M(u)^-1 m*, for one M(u) or a per-cell stack."""
     m_star = np.asarray(m_star)
     if m_star.shape[0] != matrix.q:
         raise DimensionMismatch(f"m has {m_star.shape[0]} moments, expected {matrix.q}")
-    return np.tensordot(matrix.m_inv, m_star, axes=(1, 0))
-
-
-@lru_cache(maxsize=256)
-def _constant_matrices(spec: SchemeSpec) -> MomentMatrix:
-    u = spec.u_tilde.constant_vector(spec.dim)
-    return build_moment_matrix(spec.basis, spec.vset, u)
+    return _contract(matrix.m_inv, m_star)
 
 
 @lru_cache(maxsize=16)
 def _field_matrices(spec: SchemeSpec, grid_sizes, box_lengths):
-    """Per-cell matrix pair for a field shift, built once per grid and reused."""
+    """Per-cell M(u) stack and M(u) E of shape (q, *grid) for a field shift, built once per grid."""
     u = spec.u_tilde.field(grid_sizes, box_lengths).reshape(spec.dim, -1)
     matrix = build_moment_matrix(spec.basis, spec.vset, u)  # (cells, q, q)
-    e_cells = matrix.m @ np.asarray(spec.equilibrium)  # (cells, q)
-    e_cells.setflags(write=False)
-    return matrix.m, matrix.m_inv, e_cells
+    e = (matrix.m @ np.asarray(spec.equilibrium)).T.reshape((spec.q,) + tuple(grid_sizes))
+    e.setflags(write=False)
+    return matrix, e
+
+
+def _shift_matrices(spec: SchemeSpec, grid_sizes, box_lengths):
+    """M(u) and M(u) E for the scheme's shift, E broadcastable against (q, *grid)."""
+    if spec.u_tilde.is_constant:
+        matrix = spec.moment_matrix
+        e = matrix.m @ np.asarray(spec.equilibrium)
+        return matrix, e.reshape((spec.q,) + (1,) * len(grid_sizes))
+    return _field_matrices(spec, grid_sizes, box_lengths)
 
 
 def collide(state: StateField, spec: SchemeSpec) -> StateField:
@@ -284,25 +298,11 @@ def collide(state: StateField, spec: SchemeSpec) -> StateField:
     long runs.
     """
     f = state.f
-    s = np.asarray(spec.s)
-    if spec.u_tilde.is_constant:
-        matrix = _constant_matrices(spec)
-        m = moments_from_distributions(f, matrix)
-        m_eq = equilibrium_moments(spec, density(f), matrix)
-        shape = (spec.q,) + (1,) * (f.ndim - 1)
-        delta = s.reshape(shape) * (m_eq - m)
-        f_star = f + np.tensordot(matrix.m_inv, delta, axes=(1, 0))
-    else:
-        m_cells, m_inv_cells, e_cells = _field_matrices(
-            spec, state.grid_sizes, state.box_lengths
-        )
-        flat = f.reshape(spec.q, -1).T  # (cells, q)
-        m = np.einsum("ckj,cj->ck", m_cells, flat)
-        m_eq = e_cells * flat.sum(axis=1)[:, None]
-        delta = s[None, :] * (m_eq - m)
-        f_star = flat + np.einsum("cjk,ck->cj", m_inv_cells, delta)
-        f_star = f_star.T.reshape(f.shape)
-    return replace(state, f=f_star)
+    matrix, e = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
+    m = moments_from_distributions(f, matrix)
+    s = np.asarray(spec.s).reshape((spec.q,) + (1,) * (f.ndim - 1))
+    delta = s * (e * density(f) - m)
+    return replace(state, f=f + post_collision_distributions(delta, matrix))
 
 
 def stream(state: StateField, vset: VelocitySet) -> StateField:
@@ -331,16 +331,10 @@ def run(state: StateField, spec: SchemeSpec, steps: int) -> StateField:
     return state
 
 
-def moment_field(state: StateField, spec: SchemeSpec) -> MomentField:
-    """Moments of the current state taken at the scheme's shift."""
-    if spec.u_tilde.is_constant:
-        matrix = _constant_matrices(spec)
-        m = moments_from_distributions(state.f, matrix)
-    else:
-        m_cells, _, _ = _field_matrices(spec, state.grid_sizes, state.box_lengths)
-        flat = state.f.reshape(spec.q, -1).T
-        m = np.einsum("ckj,cj->ck", m_cells, flat).T.reshape(state.f.shape)
-    return MomentField(m=m, u_tilde_used=spec.u_tilde)
+def moment_field(state: StateField, spec: SchemeSpec) -> np.ndarray:
+    """Moments of the current state taken at the scheme's shift, shape (q, *grid)."""
+    matrix, _ = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
+    return moments_from_distributions(state.f, matrix)
 
 
 def spec_to_dict(spec: SchemeSpec) -> dict:

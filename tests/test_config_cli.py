@@ -11,6 +11,7 @@ from rvlbm import load_config, reference_config
 from rvlbm.cli import main
 from rvlbm.config import default_k_samples
 from rvlbm.errors import SchemaError, ValidationError
+from rvlbm.experiments import write_json
 import rvlbm.dispersion as dispersion
 
 
@@ -307,6 +308,26 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert "error:" in result.output and "singular" in result.output
         assert isinstance(result.exception, SystemExit)
+
+    def test_unstable_simulation_exits_two_without_output(self, runner, tmp_path):
+        doc = json.loads(reference_config("d1q3"))
+        doc["scheme"]["relaxation"] = [0.0, 2.5, 2.5]
+        doc["analysis"]["steps"] = 2000
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(path), "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "error:" in result.output and "not finite at step" in result.output
+        assert not (out / "simulate.json").exists()
+
+    def test_write_json_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            write_json({"a": 1.0, "b": float("nan")}, path)
+        assert not path.exists()
 
     def test_runs_without_scipy(self, tmp_path):
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")

@@ -214,6 +214,18 @@ class TestExtractSymbolSeries:
         assert moved.mu == pytest.approx(base.mu, abs=1e-10)
 
 
+class TestMomentMatrixReuse:
+    def test_warm_spec_ladder_inverts_nothing(self, monkeypatch):
+        spec = d1q3_spec(u=0.1)
+        spec.moment_matrix
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
+        series = extract_symbol_series(spec, [0.8], geometric_dt_sequence(0.0625, 10))
+        assert not series.poor_fit
+        assert len(calls) == 0
+
+
 class TestCompareWithPrediction:
     def test_clean_scheme_passes_everywhere(self):
         report = compare_with_prediction(d1q2_spec(c=0.3, s1=1.2), [[0.3], [0.7], [1.1]])

@@ -8,7 +8,6 @@ from rvlbm import (
     build_moment_matrix,
     shift_conjugation,
     default_basis,
-    evaluate_polynomial,
     validate_basis,
 )
 from rvlbm.errors import (
@@ -38,15 +37,15 @@ def d1q3_basis():
 class TestMomentPolynomial:
     def test_square_at_three(self):
         p = MomentPolynomial.from_terms(1, {(2,): 1.0})
-        assert evaluate_polynomial(p, np.array([3.0])) == 9.0
+        assert p.evaluate(np.array([3.0])) == 9.0
 
     def test_constant_one_anywhere(self):
         p = MomentPolynomial.constant(2)
-        assert evaluate_polynomial(p, np.array([17.0, -4.0])) == 1.0
+        assert p.evaluate(np.array([17.0, -4.0])) == 1.0
 
     def test_cross_term_with_offset(self):
         p = MomentPolynomial.from_terms(2, {(1, 1): 1.0, (0, 0): -2.0})
-        assert evaluate_polynomial(p, np.array([2.0, 5.0])) == 8.0
+        assert p.evaluate(np.array([2.0, 5.0])) == 8.0
 
     def test_vectorized_evaluation(self):
         p = MomentPolynomial.from_terms(1, {(2,): 1.0})

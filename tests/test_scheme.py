@@ -25,7 +25,6 @@ from rvlbm import (
     stream,
 )
 from rvlbm.errors import DimensionMismatch, NonConstantShift, SingularMatrix, ValidationError
-from rvlbm.scheme import _constant_matrices
 
 
 def d1q2_spec(c=0.5, s1=1.5, u=None):
@@ -99,6 +98,18 @@ class TestSpecValidation:
         with pytest.raises(NonConstantShift):
             shift.constant_vector(1)
 
+    def test_moment_matrix_built_once_per_spec(self):
+        spec = d1q3_spec(u=0.1)
+        assert spec.moment_matrix is spec.moment_matrix
+        expected = build_moment_matrix(spec.basis, spec.vset, (0.1,))
+        np.testing.assert_array_equal(spec.moment_matrix.m, expected.m)
+        np.testing.assert_array_equal(spec.moment_matrix.m_inv, expected.m_inv)
+
+    def test_sine_spec_has_no_moment_matrix(self):
+        spec = replace(d1q3_spec(), u_tilde=VelocityShift.sine((0.1,)))
+        with pytest.raises(NonConstantShift):
+            spec.moment_matrix
+
 
 class TestMoments:
     def test_d1q2_product(self):
@@ -121,17 +132,17 @@ class TestMoments:
 
     def test_equilibrium_moments_zero_density(self):
         spec = d1q2_spec(c=0.5)
-        m = _constant_matrices(spec)
+        m = spec.moment_matrix
         np.testing.assert_array_equal(equilibrium_moments(spec, 0.0, m), [0.0, 0.0])
 
     def test_equilibrium_moments_rest_frame(self):
         spec = d1q2_spec(c=0.5)
-        m = _constant_matrices(spec)
+        m = spec.moment_matrix
         np.testing.assert_allclose(equilibrium_moments(spec, 1.0, m), [1.0, 0.5])
 
     def test_equilibrium_moments_shifted_frame(self):
         spec = d1q2_spec(c=0.5, u=0.2)
-        m = _constant_matrices(spec)
+        m = spec.moment_matrix
         np.testing.assert_allclose(equilibrium_moments(spec, 1.0, m), [1.0, 0.3])
 
     @given(st.floats(min_value=-0.5, max_value=0.5), st.floats(min_value=0.1, max_value=3.0))
@@ -187,6 +198,34 @@ class TestPostCollision:
         np.testing.assert_array_equal(
             post_collision_distributions(np.zeros(2), m), [0.0, 0.0]
         )
+
+    @pytest.mark.parametrize("grid", [(7,), (3, 4)])
+    def test_stacked_matrices_match_per_cell_products(self, grid):
+        if len(grid) == 1:
+            vset = VelocitySet(1, 1.0, ((0,), (1,), (-1,)))
+            basis = default_basis(vset)
+        else:
+            vset = VelocitySet(2, 1.0, ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)))
+            basis = default_basis(vset)[:3] + (
+                MomentPolynomial.from_terms(2, {(2, 0): 1.0, (0, 2): 1.0}),
+                MomentPolynomial.from_terms(2, {(2, 0): 1.0, (0, 2): -1.0}),
+            )
+        rng = np.random.default_rng(5)
+        u = rng.uniform(-0.3, 0.3, size=(vset.dim,) + grid)
+        f = rng.uniform(0.1, 1.0, size=(vset.q,) + grid)
+        stack = build_moment_matrix(basis, vset, u.reshape(vset.dim, -1))
+        m = moments_from_distributions(f, stack)
+        back = post_collision_distributions(m, stack)
+        assert m.shape == back.shape == f.shape
+        for cell in np.ndindex(*grid):
+            single = build_moment_matrix(basis, vset, u[(slice(None),) + cell])
+            at = (slice(None),) + cell
+            np.testing.assert_allclose(
+                m[at], moments_from_distributions(f[at], single), rtol=1e-14, atol=1e-15
+            )
+            np.testing.assert_allclose(
+                back[at], post_collision_distributions(m[at], single), rtol=1e-14, atol=1e-15
+            )
 
 
 class TestStream:
