@@ -13,6 +13,7 @@ import click
 
 from . import experiments
 from .config import ExperimentConfig, load_config
+from .dispersion import STABILITY_TOL, von_neumann_radius
 from .errors import SchemeError
 from .scheme import save_snapshot
 
@@ -35,6 +36,15 @@ def _write_report(cfg, output_dir, fmt, name, payload: dict, csv_rows) -> pathli
     else:
         experiments.write_json(payload, path)
     return path
+
+
+def _warn_if_unstable(spec) -> None:
+    """Print one stderr warning when the von Neumann pre-flight finds a growing mode."""
+    radius, theta = von_neumann_radius(spec)
+    if radius > 1.0 + STABILITY_TOL:
+        phase = ", ".join(f"{t:.4g}" for t in theta)
+        click.echo(f"warning: scheme is linearly unstable: max |g| = {radius:.6g} "
+                   f"at kλdt = ({phase})", err=True)
 
 
 def _config_error(exc: SchemeError) -> None:
@@ -74,6 +84,7 @@ def analyze(config_path, output_dir, fmt, order) -> None:
     try:
         cfg = _load(config_path)
         payload = experiments.analyze_payload(cfg, order)
+        _warn_if_unstable(cfg.spec)
         path = _write_report(cfg, output_dir, fmt, "analyze", payload,
                              lambda: experiments.analyze_csv_rows(payload))
     except SchemeError as exc:
@@ -92,6 +103,7 @@ def dispersion(config_path, output_dir, fmt, order) -> None:
     try:
         cfg = _load(config_path)
         report = experiments.dispersion_payload(cfg, order)
+        _warn_if_unstable(cfg.spec)
         path = _write_report(cfg, output_dir, fmt, "dispersion", report.to_json_dict(),
                              report.csv_rows)
     except SchemeError as exc:

@@ -35,6 +35,8 @@ MAX_PHASE = 0.1
 DEFAULT_PHASE = 0.05
 DEFAULT_LEVELS = 10
 WALK_INCREMENTS = 10
+STABILITY_POINTS = 33
+STABILITY_TOL = 1e-10
 
 RELATIVE_TOLERANCES = (1e-8, 1e-6, 1e-4)
 ABSOLUTE_FLOORS = (1e-12, 1e-10, 1e-8)
@@ -72,12 +74,34 @@ def amplification_matrix(spec: SchemeSpec, k, dt: float) -> AmplificationMatrix:
     k = np.asarray(k, dtype=float)
     if k.shape != (spec.dim,):
         raise ValidationError(f"wavevector shape {k.shape}, expected ({spec.dim},)")
+    phases = np.exp(-1j * (spec.vset.velocities @ k) * dt)
+    return AmplificationMatrix(phases[:, None] * _collision_factor(spec), tuple(k), float(dt))
+
+
+def _collision_factor(spec: SchemeSpec) -> np.ndarray:
+    """One collision as a q x q matrix, M(u)^-1 [(I - S) M(u) + S (M(u) E) 1^T]."""
     mm = spec.moment_matrix
     s = np.asarray(spec.s)
     e_moments = mm.m @ np.asarray(spec.equilibrium)
-    collision = mm.m_inv @ ((1.0 - s)[:, None] * mm.m + np.outer(s * e_moments, np.ones(spec.q)))
-    phases = np.exp(-1j * (spec.vset.velocities @ k) * dt)
-    return AmplificationMatrix(phases[:, None] * collision, tuple(k), float(dt))
+    return mm.m_inv @ ((1.0 - s)[:, None] * mm.m + np.outer(s * e_moments, np.ones(spec.q)))
+
+
+def von_neumann_radius(spec: SchemeSpec) -> tuple[float, tuple[float, ...]]:
+    """Largest spectral radius of G over the Brillouin zone, and the phase where it occurs.
+
+    G depends on k and dt only through the phases theta = k lambda dt, so it is
+    sampled on a grid of STABILITY_POINTS values per axis of theta in
+    [-pi, pi]^d and all its eigenvalues are taken in one batch.  A radius above
+    1 + STABILITY_TOL means some Fourier mode grows: the scheme is linearly
+    unstable (von Neumann analysis, Lallemand & Luo, Phys. Rev. E 61, 2000).
+    Requires a constant shift.
+    """
+    axis = np.linspace(-np.pi, np.pi, STABILITY_POINTS)
+    theta = np.stack(np.meshgrid(*([axis] * spec.dim), indexing="ij"), axis=-1).reshape(-1, spec.dim)
+    phases = np.exp(-1j * (theta @ np.asarray(spec.vset.lattice_vectors, dtype=float).T))
+    radii = np.abs(np.linalg.eigvals(phases[:, :, None] * _collision_factor(spec))).max(axis=1)
+    worst = int(np.argmax(radii))
+    return float(radii[worst]), tuple(float(t) for t in theta[worst])
 
 
 def dominant_eigenvalue(g, continuity_hint: complex = 1.0 + 0.0j) -> complex:

@@ -323,6 +323,28 @@ class TestCli:
         assert "error:" in result.output and "not finite at step" in result.output
         assert not (out / "simulate.json").exists()
 
+    def test_unstable_scheme_warns_and_exits_zero(self, runner, tmp_path):
+        doc = json.loads(reference_config("d1q3"))
+        doc["scheme"]["relaxation"] = [0.0, 2.5, 2.5]
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(doc))
+        for command in ("analyze", "dispersion"):
+            result = runner.invoke(main, [command, "--config", str(path),
+                                          "--output", str(tmp_path / command)])
+            assert result.exit_code == 0, result.output
+            assert result.stderr.count("warning: scheme is linearly unstable: max |g| = 1.5 ") == 1
+            assert (tmp_path / command / f"{command}.json").exists()
+
+    @pytest.mark.parametrize("name", ["d1q2", "d1q3", "d2q5"])
+    def test_shipped_configs_pass_stability_preflight(self, runner, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(reference_config(name))
+        for command in ("analyze", "dispersion"):
+            result = runner.invoke(main, [command, "--config", str(path),
+                                          "--output", str(tmp_path / command)])
+            assert result.exit_code == 0, result.output
+            assert "warning" not in result.stderr
+
     def test_write_json_leaves_no_partial_file(self, tmp_path):
         path = tmp_path / "report.json"
         with pytest.raises(ValueError):

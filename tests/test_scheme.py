@@ -15,15 +15,18 @@ from rvlbm import (
     equilibrium_moments,
     equilibrium_state,
     fourier_mode_state,
+    load_config,
     make_state,
     moments_from_distributions,
     post_collision_distributions,
+    reference_config,
     relax,
     run,
     sine_density,
     step,
     stream,
 )
+from rvlbm import scheme
 from rvlbm.errors import DimensionMismatch, NonConstantShift, SingularMatrix, ValidationError
 
 
@@ -364,6 +367,81 @@ class TestStep:
         state = equilibrium_state(spec, (16,), (1.0,), rho)
         out = collide(state, spec)
         np.testing.assert_allclose(density(out.f), density(state.f), atol=1e-14)
+
+
+def _sine_case(spec, grid):
+    box = (1.0,) * len(grid)
+    rho = sine_density(grid, box, 1.0, 0.2, (1,) * len(grid))
+    return spec, equilibrium_state(spec, grid, box, rho)
+
+
+def _fourier_case():
+    spec = d1q3_spec(u=0.2)
+    return spec, fourier_mode_state(spec, (16,), (1.0,), spec.equilibrium, (3,))
+
+
+RUN_CASES = {
+    "d1q2": lambda: _sine_case(d1q2_spec(u=0.1), (16,)),
+    "d1q3": lambda: _sine_case(d1q3_spec(u=0.2), (16,)),
+    "d1q3_fourier": _fourier_case,
+    "d1q3_sine": lambda: _sine_case(replace(d1q3_spec(), u_tilde=VelocityShift.sine((0.2,))), (16,)),
+    "d2q5": lambda: _sine_case(load_config(reference_config("d2q5")).spec, (8, 8)),
+}
+
+
+class TestRun:
+    @pytest.mark.parametrize("name", sorted(RUN_CASES))
+    def test_equals_repeated_collide_and_stream(self, name):
+        spec, state = RUN_CASES[name]()
+        ref = state
+        for _ in range(7):
+            ref = stream(collide(ref, spec), spec.vset)
+        np.testing.assert_array_equal(run(state, spec, 7).f, ref.f)
+        np.testing.assert_array_equal(step(state, spec).f, stream(collide(state, spec), spec.vset).f)
+
+    @pytest.mark.parametrize("name", sorted(RUN_CASES))
+    def test_input_state_untouched(self, name):
+        spec, state = RUN_CASES[name]()
+        before = state.f.copy()
+        run(state, spec, 5)
+        step(state, spec)
+        np.testing.assert_array_equal(state.f, before)
+
+    def test_stream_matches_roll_on_wrapping_vectors(self):
+        # vectors longer than the grid and with both axes nonzero exercise every block split
+        vset = VelocitySet(2, 1.0, ((0, 0), (1, 0), (0, -1), (2, 3), (-5, 4), (4, -6)))
+        f = np.random.default_rng(7).uniform(size=(vset.q, 4, 3))
+        state = make_state(vset, (4, 3), (4.0, 3.0), f.copy())
+        out = stream(state, vset)
+        for j, n in enumerate(vset.lattice_vectors):
+            np.testing.assert_array_equal(out.f[j], np.roll(f[j], shift=n, axis=(0, 1)))
+        np.testing.assert_array_equal(state.f, f)
+
+    def test_matrices_built_once_per_run(self, monkeypatch):
+        calls = []
+        build = scheme._shift_matrices
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(scheme, "_shift_matrices", counting)
+        spec, state = RUN_CASES["d1q3"]()
+        run(state, spec, 50)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("steps", [-3, 2.7, -0.5, float("nan"), "3"])
+    def test_bad_step_count_rejected(self, steps):
+        spec, state = RUN_CASES["d1q2"]()
+        with pytest.raises(ValidationError, match="steps must be a non-negative integer"):
+            run(state, spec, steps)
+
+    def test_zero_and_integral_step_counts(self):
+        spec, state = RUN_CASES["d1q2"]()
+        assert run(state, spec, 0) is state
+        np.testing.assert_array_equal(run(state, spec, 3.0).f, run(state, spec, np.int64(3)).f)
+        with pytest.raises(ValidationError, match="dx/dt"):
+            run(replace(state, dt=state.dt * 2), spec, 0)
 
 
 class TestStateHelpers:
