@@ -9,6 +9,7 @@ ValidationError with the scheme's own message.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -85,9 +86,16 @@ def _expect_array(value, path: str, length: int | None = None) -> list:
 
 
 def _expect_number(value, path: str) -> float:
+    """`value` as a finite float; JSON's NaN, Infinity and overflowing literals are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected number, got {_type_name(value)}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = float("inf")
+    if not math.isfinite(number):
+        raise SchemaError(f"{path}: expected finite number, got {number}")
+    return number
 
 
 def _expect_int(value, path: str, minimum: int | None = None) -> int:
@@ -193,7 +201,7 @@ def load_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment document."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise SchemaError(f"/: invalid JSON ({exc})") from None
     raw = _expect_object(raw, "/")
     spec = _parse_scheme(_get(raw, "scheme", ""), "/scheme")

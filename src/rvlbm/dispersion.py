@@ -113,8 +113,12 @@ def dominant_eigenvalue(g, continuity_hint: complex = 1.0 + 0.0j) -> complex:
     1e-13 (coincident eigenvalues carry no ambiguity in value).
     """
     matrix = g.g if isinstance(g, AmplificationMatrix) else np.asarray(g)
-    eigs = np.linalg.eigvals(matrix.astype(complex))
-    order = np.argsort(np.abs(eigs - continuity_hint))
+    return _nearest(np.linalg.eigvals(matrix.astype(complex)), continuity_hint)
+
+
+def _nearest(eigs: np.ndarray, hint: complex) -> complex:
+    """The eigenvalue nearest to `hint` under dominant_eigenvalue's ambiguity rule."""
+    order = np.argsort(np.abs(eigs - hint))
     best = eigs[order[0]]
     if len(eigs) > 1:
         runner = eigs[order[1]]
@@ -122,12 +126,12 @@ def dominant_eigenvalue(g, continuity_hint: complex = 1.0 + 0.0j) -> complex:
         if (
             gap > COINCIDENT_GAP
             and gap < AMBIGUITY_GAP
-            and abs(best - continuity_hint) < AMBIGUITY_GAP
-            and abs(runner - continuity_hint) < AMBIGUITY_GAP
+            and abs(best - hint) < AMBIGUITY_GAP
+            and abs(runner - hint) < AMBIGUITY_GAP
         ):
             raise BranchAmbiguity(
                 f"two eigenvalues within {AMBIGUITY_GAP:g} of the hint "
-                f"{continuity_hint}: {best} and {runner}"
+                f"{hint}: {best} and {runner}"
             )
     return complex(best)
 
@@ -147,17 +151,76 @@ def geometric_dt_sequence(dt0: float, levels: int = DEFAULT_LEVELS) -> np.ndarra
 
 
 def _branch_values(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """Dominant eigenvalue at each dt, walking from the smallest step upward."""
-    values = np.empty(len(dts), dtype=complex)
-    hint = 1.0 + 0.0j
-    for i in np.argsort(dts):
-        g = amplification_matrix(spec, k, dts[i])
-        try:
-            hint = dominant_eigenvalue(g, hint)
-        except BranchAmbiguity:
-            hint = _walked_eigenvalue(spec, k, dts[i])
-        values[i] = hint
+    """Dominant eigenvalue at each dt, walking from the smallest step upward.
+
+    k has shape (..., d) and dts (..., levels) with the same leading axes; the
+    result has the shape of dts.  Every G(k, dt) is built from one collision
+    factor and all their eigenvalues come from one batched solve; the branch is
+    then selected per wavevector, falling back to a walk in k on ambiguity.
+    """
+    k = np.asarray(k, dtype=float)
+    dts = np.asarray(dts, dtype=float)
+    phases = np.exp(-1j * (k @ spec.vset.velocities.T)[..., None, :] * dts[..., None])
+    eigs = np.linalg.eigvals(phases[..., None] * _collision_factor(spec))
+    values = np.empty(dts.shape, dtype=complex)
+    for idx in np.ndindex(dts.shape[:-1]):
+        hint = 1.0 + 0.0j
+        for i in np.argsort(dts[idx]):
+            try:
+                hint = _nearest(eigs[idx + (i,)], hint)
+            except BranchAmbiguity:
+                hint = _walked_eigenvalue(spec, k[idx], dts[idx + (i,)])
+            values[idx + (i,)] = hint
     return values
+
+
+def _check_ladder(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> None:
+    """Raise ValidationError unless dts is a usable dt ladder for the (d,) wavevector k.
+
+    The ladder must be geometric and positive with at least 5 levels, and
+    |k| lambda dt0 must be at most MAX_PHASE; a NaN anywhere fails that test.
+    """
+    if k.shape != (spec.dim,):
+        raise ValidationError(f"wavevector shape {k.shape}, expected ({spec.dim},)")
+    if len(dts) < 5:
+        raise ValidationError(f"need at least 5 dt levels, got {len(dts)}")
+    if np.any(dts <= 0):
+        raise ValidationError("dt sequence must be positive")
+    ordered = np.sort(dts)[::-1]
+    ratios = ordered[1:] / ordered[:-1]
+    if np.any(np.abs(ratios - ratios[0]) > 1e-9):
+        raise ValidationError("dt sequence must be geometric")
+    phase = float(np.linalg.norm(k)) * spec.vset.lam * ordered[0]
+    if not phase <= MAX_PHASE + 1e-12:
+        raise ValidationError(f"|k| lambda dt0 = {phase:g} exceeds {MAX_PHASE}")
+
+
+def _fit_series(k: np.ndarray, dts: np.ndarray, g: np.ndarray, on_poor_fit: str) -> SymbolSeries:
+    """Fit log(g) over the ladder and read off mu0, mu1, mu2 (see extract_symbol_series).
+
+    A zero wavevector gives the zero series without reading g.
+    """
+    if not np.any(k):
+        return SymbolSeries(tuple(k), 0j, 0j, 0j, 0.0)
+    z = np.log(g)
+    dt0 = dts.max()
+    t = dts / dt0
+    even = np.stack([t, t**3, t**5, t**7], axis=1)
+    odd = np.stack([t**2, t**4, t**6], axis=1)
+    coef_even, *_ = np.linalg.lstsq(even, z.imag, rcond=None)
+    coef_odd, *_ = np.linalg.lstsq(odd, z.real, rcond=None)
+    fitted = odd @ coef_odd + 1j * (even @ coef_even)
+    residual = float(np.max(np.abs(fitted - z) / dts))
+
+    mu0 = 1j * coef_even[0] / dt0
+    mu1 = complex(coef_odd[0] / dt0**2)
+    mu2 = 1j * coef_even[1] / dt0**3
+    poor = residual > POOR_FIT_FACTOR * abs(mu0 + 1.0)
+    if poor and on_poor_fit != "flag":
+        raise PoorFit(
+            f"fit residual {residual:.3e} exceeds {POOR_FIT_FACTOR:g}*|mu0+1| at k={tuple(k)}"
+        )
+    return SymbolSeries(tuple(k), mu0, mu1, mu2, residual, poor)
 
 
 def extract_symbol_series(
@@ -178,43 +241,9 @@ def extract_symbol_series(
     """
     k = np.asarray(k, dtype=float)
     dts = np.asarray(dt_sequence, dtype=float)
-    if len(dts) < 5:
-        raise ValidationError(f"need at least 5 dt levels, got {len(dts)}")
-    if np.any(dts <= 0):
-        raise ValidationError("dt sequence must be positive")
-    ordered = np.sort(dts)[::-1]
-    ratios = ordered[1:] / ordered[:-1]
-    if np.any(np.abs(ratios - ratios[0]) > 1e-9):
-        raise ValidationError("dt sequence must be geometric")
-    knorm = float(np.linalg.norm(k))
-    if knorm * spec.vset.lam * ordered[0] > MAX_PHASE + 1e-12:
-        raise ValidationError(
-            f"|k| lambda dt0 = {knorm * spec.vset.lam * ordered[0]:g} exceeds {MAX_PHASE}"
-        )
-    if knorm == 0.0:
-        return SymbolSeries(tuple(k), 0j, 0j, 0j, 0.0)
-
-    g = _branch_values(spec, k, dts)
-    z = np.log(g)
-
-    dt0 = ordered[0]
-    t = dts / dt0
-    even = np.stack([t, t**3, t**5, t**7], axis=1)
-    odd = np.stack([t**2, t**4, t**6], axis=1)
-    coef_even, *_ = np.linalg.lstsq(even, z.imag, rcond=None)
-    coef_odd, *_ = np.linalg.lstsq(odd, z.real, rcond=None)
-    fitted = odd @ coef_odd + 1j * (even @ coef_even)
-    residual = float(np.max(np.abs(fitted - z) / dts))
-
-    mu0 = 1j * coef_even[0] / dt0
-    mu1 = complex(coef_odd[0] / dt0**2)
-    mu2 = 1j * coef_even[1] / dt0**3
-    poor = residual > POOR_FIT_FACTOR * abs(mu0 + 1.0)
-    if poor and on_poor_fit != "flag":
-        raise PoorFit(
-            f"fit residual {residual:.3e} exceeds {POOR_FIT_FACTOR:g}*|mu0+1| at k={tuple(k)}"
-        )
-    return SymbolSeries(tuple(k), mu0, mu1, mu2, residual, poor)
+    _check_ladder(spec, k, dts)
+    g = _branch_values(spec, k, dts) if np.any(k) else None
+    return _fit_series(k, dts, g, on_poor_fit)
 
 
 def predicted_symbols(equation, k) -> tuple[complex, ...]:
@@ -280,23 +309,39 @@ def compare_with_prediction(
     max(relative[l] |measured|, floors[l]).  When dt0 is not given it is
     chosen per wavevector so that |k| lambda dt0 = target_phase.  Failures,
     including poor oracle fits, are recorded rather than raised.
+
+    No wavevectors, or any invalid ladder, raise ValidationError before the
+    oracle solves anything; the eigenvalues of every G(k, dt) are then taken
+    in one batch (see _branch_values).
     """
     from .equivalent import derive_equivalent_equation
 
     start = time.perf_counter()
+    ks = sorted((tuple(float(x) for x in k) for k in k_samples),
+                key=lambda v: (np.linalg.norm(v), v))
+    if not ks:
+        raise ValidationError("no wavevectors to compare")
     equation = derive_equivalent_equation(spec, order)
     lam = spec.vset.lam
-    records = []
-    all_pass = True
-    for k in sorted((tuple(float(x) for x in k) for k in k_samples),
-                    key=lambda v: (np.linalg.norm(v), v)):
+    base_dts, ladders = [], []
+    for k in ks:
         knorm = float(np.linalg.norm(k))
         base_dt = dt0 if dt0 is not None else (
             target_phase / (knorm * lam) if knorm > 0 else target_phase / lam
         )
-        series = extract_symbol_series(
-            spec, k, geometric_dt_sequence(base_dt, levels), on_poor_fit="flag"
-        )
+        ladders.append(geometric_dt_sequence(base_dt, levels))
+        _check_ladder(spec, np.asarray(k), ladders[-1])
+        base_dts.append(base_dt)
+    k_array = np.array(ks)
+    ladders = np.array(ladders)
+    moving = np.any(k_array, axis=-1)
+    values = np.empty(ladders.shape, dtype=complex)
+    values[moving] = _branch_values(spec, k_array[moving], ladders[moving])
+
+    records = []
+    all_pass = True
+    for k, base_dt, k_row, dts, g in zip(ks, base_dts, k_array, ladders, values):
+        series = _fit_series(k_row, dts, g, on_poor_fit="flag")
         predicted = predicted_symbols(equation, k)
         measured = series.mu[:order]
         abs_err, rel_err, order_pass = [], [], []

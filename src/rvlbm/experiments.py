@@ -12,6 +12,7 @@ sorted and floats use the shortest round-trip form.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import replace
 
@@ -35,7 +36,7 @@ from .scheme import (
     moment_field,
     run,
     sine_density,
-    step,
+    _advance,
 )
 
 RESIDUAL_FLOOR = 1e-13
@@ -298,20 +299,18 @@ def simulate_payload(cfg: ExperimentConfig) -> tuple[dict, StateField]:
     mode = cfg.initial.mode if cfg.initial.kind == "sine" else None
     mass0 = float(np.sum(state.f.real))
     observables = []
-    for n in range(cfg.steps + 1):
-        rho = density(state.f)
-        record = {"step": n, "mass": float(np.sum(state.f.real))}
+    for n, f in enumerate(itertools.chain([state.f], _advance(state, cfg.spec, cfg.steps))):
+        record = {"step": n, "mass": float(np.sum(f.real))}
         if not np.isfinite(record["mass"]):
             raise ValidationError(
                 f"mass is not finite at step {n}: the scheme is unstable for this configuration"
             )
         if mode is not None:
-            coeff = mode_coefficient(np.asarray(rho), mode)
+            coeff = mode_coefficient(np.asarray(density(f)), mode)
             record["mode_amplitude"] = abs(coeff)
             record["mode_phase"] = float(np.angle(coeff))
         observables.append(record)
-        if n < cfg.steps:
-            state = step(state, cfg.spec)
+    state = replace(state, f=f)
     drift = abs(observables[-1]["mass"] - mass0) / max(abs(mass0), 1e-300)
     payload = {
         "steps": cfg.steps,

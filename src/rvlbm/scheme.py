@@ -364,10 +364,20 @@ def step(state: StateField, spec: SchemeSpec) -> StateField:
 
 
 def run(state: StateField, spec: SchemeSpec, steps: int) -> StateField:
-    """Apply `steps` updates and return the final state; the input state is not modified.
+    """Apply `steps` updates and return the final state; the input state is not modified."""
+    f = None
+    for f in _advance(state, spec, steps):
+        pass
+    return state if f is None else replace(state, f=f)
 
-    M(u), M(u) E, the rates and the stream plan are built once per call; each
-    step collides into a new array and streams it into one preallocated buffer.
+
+def _advance(state: StateField, spec: SchemeSpec, steps: int):
+    """Yield f after each of `steps` updates of `state`: the one collide-and-stream loop.
+
+    M(u), M(u) E, the rates and the stream plan are built once; each step
+    collides into a new array and streams it into one preallocated buffer, so
+    every yielded array is that same buffer, overwritten by the next step.
+    The step count and dx/dt are checked on the first iteration.
     """
     steps = _step_count(steps)
     if abs(state.dx / state.dt - spec.vset.lam) > 1e-9 * spec.vset.lam:
@@ -375,7 +385,7 @@ def run(state: StateField, spec: SchemeSpec, steps: int) -> StateField:
             f"state spacing dx/dt = {state.dx / state.dt!r} does not match lam = {spec.vset.lam!r}"
         )
     if steps == 0:
-        return state
+        return
     matrix, e = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
     s = _rates(spec, state.f.ndim)
     plan = _stream_plan(spec.vset, state.grid_sizes)
@@ -383,7 +393,7 @@ def run(state: StateField, spec: SchemeSpec, steps: int) -> StateField:
     out = np.empty(f.shape, np.result_type(f, matrix.m))
     for _ in range(steps):
         f = _stream_into(out, _collide_f(f, matrix, e, s), plan)
-    return replace(state, f=f)
+        yield f
 
 
 def moment_field(state: StateField, spec: SchemeSpec) -> np.ndarray:

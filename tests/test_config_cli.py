@@ -4,14 +4,15 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rvlbm import load_config, reference_config
+from rvlbm import load_config, reference_config, run, scheme
 from rvlbm.cli import main
 from rvlbm.config import default_k_samples
 from rvlbm.errors import SchemaError, ValidationError
-from rvlbm.experiments import write_json
+from rvlbm.experiments import initial_state, simulate_payload, write_json
 import rvlbm.dispersion as dispersion
 
 
@@ -88,6 +89,11 @@ class TestLoadConfig:
         with pytest.raises(SchemaError, match=r"/: invalid JSON"):
             load_config("{not json")
 
+    def test_oversized_integer_literal_reports_root(self):
+        text = config_text().replace('"lambda": 1.0', '"lambda": 1' + "0" * 5000)
+        with pytest.raises(SchemaError, match=r"/: invalid JSON"):
+            load_config(text)
+
     def test_missing_scheme_key(self):
         with pytest.raises(SchemaError, match=r"/scheme: missing required key"):
             load_config("{}")
@@ -146,6 +152,14 @@ class TestLoadConfig:
         with pytest.raises(SchemaError, match=r"/initial/amplitude: missing required key"):
             load_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("literal", [
+        "NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" + "0" * 400, id="10**400"),
+    ])
+    def test_non_finite_number_rejected_with_pointer(self, literal):
+        text = config_text().replace('"k_samples": [[0.4]', f'"k_samples": [[{literal}]')
+        with pytest.raises(SchemaError, match="^/analysis/k_samples/0/0: expected finite number"):
+            load_config(text)
+
     def test_refinement_levels_minimum(self):
         with pytest.raises(SchemaError, match=r"/analysis/refinements"):
             load_config(config_text(analysis={**BASE["analysis"], "refinements": 3}))
@@ -173,6 +187,25 @@ def config_file(tmp_path):
     path = tmp_path / "experiment.json"
     path.write_text(config_text())
     return path
+
+
+class TestSimulatePayload:
+    def test_shift_matrices_built_once(self, monkeypatch):
+        cfg = load_config(reference_config("d1q3"))
+        calls = []
+        build = scheme._shift_matrices
+        monkeypatch.setattr(scheme, "_shift_matrices", lambda *args: calls.append(args) or build(*args))
+        payload, _ = simulate_payload(cfg)
+        assert len(payload["observables"]) == cfg.steps + 1
+        assert len(calls) == 1
+
+    def test_observables_follow_run(self):
+        cfg = load_config(reference_config("d1q3"))
+        payload, final = simulate_payload(cfg)
+        start = initial_state(cfg.spec, cfg.grid_sizes, cfg.box_lengths, cfg.initial)
+        for n in (0, 1, 57, cfg.steps):
+            assert payload["observables"][n]["mass"] == float(np.sum(run(start, cfg.spec, n).f.real))
+        np.testing.assert_array_equal(final.f, run(start, cfg.spec, cfg.steps).f)
 
 
 class TestCli:
@@ -322,6 +355,28 @@ class TestCli:
         assert "Traceback" not in result.output
         assert "error:" in result.output and "not finite at step" in result.output
         assert not (out / "simulate.json").exists()
+
+    def test_empty_wavevector_list_exits_two_without_output(self, runner, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(config_text(analysis={**BASE["analysis"], "k_samples": []}))
+        for command in ("verify", "dispersion"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+            assert result.exit_code == 2, result.output
+            assert "error: no wavevectors" in result.output
+            assert not out.exists()
+
+    def test_nan_wavevector_exits_two_with_pointer(self, runner, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(config_text().replace('"k_samples": [[0.4]', '"k_samples": [[NaN]'))
+        for command in ("verify", "dispersion"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+            assert result.exit_code == 2, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert "Traceback" not in result.output
+            assert "error: /analysis/k_samples/0/0: expected finite number" in result.output
+            assert not out.exists()
 
     def test_unstable_scheme_warns_and_exits_zero(self, runner, tmp_path):
         doc = json.loads(reference_config("d1q3"))

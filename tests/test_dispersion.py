@@ -18,8 +18,11 @@ from rvlbm import (
     extract_symbol_series,
     fourier_mode_state,
     geometric_dt_sequence,
+    load_config,
+    reference_config,
     step,
 )
+from rvlbm.config import default_k_samples
 import rvlbm.dispersion as dispersion
 from rvlbm.errors import (
     BranchAmbiguity,
@@ -277,3 +280,111 @@ class TestCompareWithPrediction:
         assert rows[0][0] == "k"
         assert len(rows) == 1 + 3 * len(report.records)
         assert [row[1] for row in rows[1:4]] == [0, 1, 2]
+
+
+def counting_eigvals(monkeypatch) -> list:
+    """Patch np.linalg.eigvals to record each call; return the record."""
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(np.shape(a)) or eigvals(a))
+    return calls
+
+
+def d2q5_config_case():
+    cfg = load_config(reference_config("d2q5"))
+    return cfg.spec, cfg.k_samples
+
+
+BATCH_CASES = {
+    "d1q2": lambda: (d1q2_spec(c=0.3, s1=1.4), default_k_samples(1)),
+    "d1q3_u0": lambda: (d1q3_spec(), default_k_samples(1)),
+    "d1q3_u0.2": lambda: (d1q3_spec(u=0.2), default_k_samples(1)),
+    "d1q3_u0.5": lambda: (d1q3_spec(u=0.5), default_k_samples(1)),
+    "d2q5": d2q5_config_case,
+}
+
+
+class TestBatchedOracle:
+    def test_one_eigen_solve_per_comparison(self, monkeypatch):
+        spec = d1q3_spec(u=0.2)
+        calls = counting_eigvals(monkeypatch)
+        report = compare_with_prediction(spec, default_k_samples(1))
+        assert report.passed and len(report.records) == 8
+        assert calls == [(8, dispersion.DEFAULT_LEVELS, 3, 3)]
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_batched_branch_equals_per_matrix_walk(self, monkeypatch, name):
+        # the per-matrix walk is the reference: one G(k, dt) and one
+        # dominant_eigenvalue per level, smallest dt first
+        spec, ks = BATCH_CASES[name]()
+        seen = []
+        batched = dispersion._branch_values
+
+        def spy(spec_, k, dts):
+            values = batched(spec_, k, dts)
+            seen.append((np.array(k), np.array(dts), values))
+            return values
+
+        monkeypatch.setattr(dispersion, "_branch_values", spy)
+        assert compare_with_prediction(spec, ks).passed
+        [(k_stack, dt_stack, values)] = seen
+        assert len(k_stack) == len(ks)
+        for k, dts, row in zip(k_stack, dt_stack, values):
+            hint = 1.0 + 0.0j
+            for i in np.argsort(dts):
+                hint = dominant_eigenvalue(amplification_matrix(spec, k, dts[i]), hint)
+                assert row[i] == hint
+
+    def test_one_wavevector_keeps_a_flat_ladder(self):
+        spec = d1q3_spec(u=0.2)
+        dts = geometric_dt_sequence(0.05, 6)
+        flat = dispersion._branch_values(spec, np.array([1.0]), dts)
+        stacked = dispersion._branch_values(spec, np.array([[1.0]]), dts[None])
+        assert flat.shape == (6,)
+        np.testing.assert_array_equal(stacked[0], flat)
+
+    def test_ambiguous_level_falls_back_to_walk(self, monkeypatch):
+        # the first selection of the batch is declared ambiguous; the walk in k
+        # ends on the same matrix, so it must land on the same eigenvalue
+        spec = d1q3_spec(u=0.2)
+        ks = np.array([[0.8], [1.6]])
+        dts = np.array([geometric_dt_sequence(0.05 / k[0], 8) for k in ks])
+        clean = dispersion._branch_values(spec, ks, dts)
+        nearest = dispersion._nearest
+        calls, walks = [], []
+        walk = dispersion._walked_eigenvalue
+
+        def first_ambiguous(eigs, hint):
+            calls.append(hint)
+            if len(calls) == 1:
+                raise BranchAmbiguity("forced")
+            return nearest(eigs, hint)
+
+        monkeypatch.setattr(dispersion, "_nearest", first_ambiguous)
+        monkeypatch.setattr(dispersion, "_walked_eigenvalue",
+                            lambda *args: walks.append(args) or walk(*args))
+        np.testing.assert_array_equal(dispersion._branch_values(spec, ks, dts), clean)
+        assert len(walks) == 1
+        assert walks[0][1] == pytest.approx([0.8]) and walks[0][2] == dts[0].min()
+
+    def test_no_wavevectors_rejected(self):
+        with pytest.raises(ValidationError, match="no wavevectors"):
+            compare_with_prediction(d1q2_spec(), [])
+
+    def test_nan_wavevector_rejected_before_any_solve(self, monkeypatch):
+        calls = counting_eigvals(monkeypatch)
+        ladder = geometric_dt_sequence(0.05, 10)
+        with pytest.raises(ValidationError):
+            extract_symbol_series(d1q2_spec(), [float("nan")], ladder)
+        with pytest.raises(ValidationError):
+            compare_with_prediction(d1q2_spec(), [[0.4], [float("nan")]])
+        with pytest.raises(ValidationError):
+            compare_with_prediction(d1q2_spec(), [[0.4]], dt0=float("nan"))
+        assert calls == []
+
+    def test_zero_wavevector_in_batch(self):
+        report = compare_with_prediction(d1q2_spec(c=0.3, s1=1.2), [[0.0], [0.5]])
+        assert report.passed
+        assert report.records[0]["mu"] == [[0.0, 0.0]] * 3
+        alone = compare_with_prediction(d1q2_spec(c=0.3, s1=1.2), [[0.5]])
+        assert report.records[1] == alone.records[0]
