@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 when the requested checks pass, 1 when a verification fails,
-2 for configuration or usage errors.
+2 for configuration or usage errors and for output paths that cannot be written.
 """
 
 from __future__ import annotations
@@ -16,6 +16,10 @@ from .config import ExperimentConfig, load_config
 from .dispersion import STABILITY_TOL, von_neumann_radius
 from .errors import SchemeError
 from .scheme import save_snapshot
+
+# failures reported as one `error:` line with exit 2; OSError covers an
+# output directory that cannot be created or written
+_USAGE_ERRORS = (SchemeError, OSError)
 
 
 def _load(config_path: str) -> ExperimentConfig:
@@ -47,7 +51,7 @@ def _warn_if_unstable(spec) -> None:
                    f"at kλdt = ({phase})", err=True)
 
 
-def _config_error(exc: SchemeError) -> None:
+def _config_error(exc: Exception) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(2)
 
@@ -87,7 +91,7 @@ def analyze(config_path, output_dir, fmt, order) -> None:
         _warn_if_unstable(cfg.spec)
         path = _write_report(cfg, output_dir, fmt, "analyze", payload,
                              lambda: experiments.analyze_csv_rows(payload))
-    except SchemeError as exc:
+    except _USAGE_ERRORS as exc:
         _config_error(exc)
     click.echo(payload["pretty"])
     click.echo(f"wrote {path}")
@@ -106,7 +110,7 @@ def dispersion(config_path, output_dir, fmt, order) -> None:
         _warn_if_unstable(cfg.spec)
         path = _write_report(cfg, output_dir, fmt, "dispersion", report.to_json_dict(),
                              report.csv_rows)
-    except SchemeError as exc:
+    except _USAGE_ERRORS as exc:
         _config_error(exc)
     click.echo(f"{len(report.records)} wavevectors, pass={report.passed}")
     click.echo(f"wrote {path}")
@@ -128,7 +132,7 @@ def simulate(config_path, output_dir, fmt) -> None:
         out = path.parent
         save_snapshot(state, cfg.spec, out / "snapshot.csv", out / "snapshot_meta.json",
                       cfg.steps)
-    except SchemeError as exc:
+    except _USAGE_ERRORS as exc:
         _config_error(exc)
     click.echo(
         f"{cfg.steps} steps, mass drift {payload['mass_relative_drift']:.3e}"
@@ -146,7 +150,7 @@ def verify(config_path, output_dir) -> None:
         report = experiments.verify_report(cfg)
         out = _out_dir(cfg, output_dir)
         experiments.write_json(report, out / "verify.json")
-    except SchemeError as exc:
+    except _USAGE_ERRORS as exc:
         _config_error(exc)
     for section in (
         "predictor_vs_oracle",
@@ -173,7 +177,7 @@ def convergence(config_path, output_dir, fmt) -> None:
         study = experiments.convergence_payload(cfg)
         path = _write_report(cfg, output_dir, fmt, "convergence", study,
                              lambda: experiments.convergence_csv_rows(study))
-    except SchemeError as exc:
+    except _USAGE_ERRORS as exc:
         _config_error(exc)
     click.echo(
         f"equilibrium slope {study['equilibrium_slope']}, "

@@ -301,6 +301,8 @@ def load_config(text: str) -> ExperimentConfig:
         _get(ana_raw, "u_sweep", "/analysis", required=False, default=list(DEFAULT_U_SWEEP)),
         "/analysis/u_sweep",
     )
+    if len(u_sweep) < 2:
+        raise SchemaError(f"/analysis/u_sweep: expected at least 2 values, got {len(u_sweep)}")
     grids = tuple(
         _expect_int(n, f"/analysis/grids/{i}", minimum=2)
         for i, n in enumerate(

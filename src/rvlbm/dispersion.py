@@ -20,7 +20,6 @@ schemes whose mu1 is exactly zero.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +43,9 @@ ABSOLUTE_FLOORS = (1e-12, 1e-10, 1e-8)
 
 @dataclass(frozen=True)
 class AmplificationMatrix:
-    """One-step Fourier operator of the scheme at wavevector k and step dt."""
+    """One-step Fourier operator of the scheme at one wavevector and step."""
 
     g: np.ndarray
-    k: tuple[float, ...]
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,7 @@ def amplification_matrix(spec: SchemeSpec, k, dt: float) -> AmplificationMatrix:
     if k.shape != (spec.dim,):
         raise ValidationError(f"wavevector shape {k.shape}, expected ({spec.dim},)")
     phases = np.exp(-1j * (spec.vset.velocities @ k) * dt)
-    return AmplificationMatrix(phases[:, None] * _collision_factor(spec), tuple(k), float(dt))
+    return AmplificationMatrix(phases[:, None] * _collision_factor(spec))
 
 
 def _collision_factor(spec: SchemeSpec) -> np.ndarray:
@@ -258,17 +255,12 @@ class ComparisonReport:
 
     records: tuple[dict, ...]
     passed: bool
-    elapsed_seconds: float
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        """Timing is left out by default so identical runs serialize identically."""
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "passed": self.passed,
             "records": [dict(r) for r in self.records],
         }
-        if include_timing:
-            out["elapsed_seconds"] = self.elapsed_seconds
-        return out
 
     def csv_rows(self) -> list[list]:
         rows = [["k", "order", "measured_re", "measured_im", "predicted_re",
@@ -316,7 +308,6 @@ def compare_with_prediction(
     """
     from .equivalent import derive_equivalent_equation
 
-    start = time.perf_counter()
     ks = sorted((tuple(float(x) for x in k) for k in k_samples),
                 key=lambda v: (np.linalg.norm(v), v))
     if not ks:
@@ -365,4 +356,4 @@ def compare_with_prediction(
             "poor_fit": series.poor_fit,
             "pass": record_pass,
         })
-    return ComparisonReport(tuple(records), all_pass, time.perf_counter() - start)
+    return ComparisonReport(tuple(records), all_pass)

@@ -103,9 +103,6 @@ class DifferentialOperator:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def derivative_orders(self) -> tuple[int, ...]:
-        return tuple(sorted({sum(e) for e, _ in self.terms}))
-
     def max_abs_coefficient(self) -> float:
         return max((abs(c) for _, c in self.terms), default=0.0)
 
@@ -162,64 +159,12 @@ class DifferentialOperator:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class TimeSubstitution:
-    """Replacement rule for the time derivative: d_t -> Sum_l Delta^l series[l]."""
+def henon_sigma(s) -> tuple:
+    """Henon parameters (None, sigma_1, ...) with sigma_k = 1/s_k - 1/2.
 
-    series: tuple[DifferentialOperator, ...]
-
-    def __post_init__(self):
-        if not self.series:
-            raise ValidationError("time substitution needs at least the order-0 operator")
-        object.__setattr__(self, "series", tuple(self.series))
-
-    @property
-    def order(self) -> int:
-        return len(self.series) - 1
-
-
-@dataclass(frozen=True)
-class ThetaSet:
-    """Conservation defaults theta_k as Delta-series of spatial operators.
-
-    operators[k][l] is the order-l part of theta_k; the series depth equals the
-    depth of the time substitution it was built from.
+    Slot 0 is None: the conserved moment has no relaxation time.
     """
-
-    operators: tuple[tuple[DifferentialOperator, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.operators[0]) - 1
-
-    def operator(self, k: int, order: int = 0) -> DifferentialOperator:
-        if order > self.order:
-            raise OrderUnavailable(
-                f"theta series computed to order {self.order}, order {order} requested"
-            )
-        return self.operators[k][order]
-
-
-@dataclass(frozen=True)
-class HenonVector:
-    """Parameters sigma_k = 1/s_k - 1/2 for the non-conserved moments.
-
-    Slot 0 carries no value: the conserved moment has no relaxation time.
-    """
-
-    sigma: tuple
-
-    def __getitem__(self, k: int) -> float:
-        if k < 1:
-            raise LookupError("sigma is undefined for the conserved moment k=0")
-        return self.sigma[k]
-
-
-def henon_sigma(s) -> HenonVector:
-    values: list = [None]
-    for sk in tuple(s)[1:]:
-        values.append(1.0 / float(sk) - 0.5)
-    return HenonVector(tuple(values))
+    return (None,) + tuple(1.0 / float(sk) - 0.5 for sk in tuple(s)[1:])
 
 
 def advection_vector(spec: SchemeSpec) -> np.ndarray:
@@ -227,11 +172,14 @@ def advection_vector(spec: SchemeSpec) -> np.ndarray:
     return np.asarray(spec.equilibrium) @ spec.vset.velocities
 
 
-def conservation_defaults(spec: SchemeSpec, subst: TimeSubstitution) -> ThetaSet:
-    """theta_k = Sum_j M_kj(u) E_j (d_t + v_j . grad) with d_t replaced by subst.
+def conservation_defaults(spec: SchemeSpec, subst) -> tuple:
+    """theta_k = Sum_j M_kj(u) E_j (d_t + v_j . grad) with d_t -> Sum_l Delta^l subst[l].
 
-    The order-0 part collects e_k(u) subst[0] + Sum_b g_k^b d_b with
-    g_k^b = Sum_j M_kj(u) E_j v_j^b; order l >= 1 is e_k(u) subst[l].
+    `subst` is the time substitution, a tuple of operators starting at order 0.
+    Row k of the result is theta_k as a Delta-series: theta[k][l] is its
+    order-l part, and the series is as deep as subst.  The order-0 part
+    collects e_k(u) subst[0] + Sum_b g_k^b d_b with g_k^b = Sum_j M_kj(u) E_j
+    v_j^b; order l >= 1 is e_k(u) subst[l].
     """
     d = spec.dim
     mm = spec.moment_matrix
@@ -241,11 +189,11 @@ def conservation_defaults(spec: SchemeSpec, subst: TimeSubstitution) -> ThetaSet
     g = mm.m @ (ew[:, None] * vel)  # g[k, b]
     rows = []
     for k in range(spec.q):
-        order0 = e[k] * subst.series[0]
+        order0 = e[k] * subst[0]
         for b in range(d):
             order0 = order0 + g[k, b] * DifferentialOperator.partial(d, b)
-        rows.append((order0,) + tuple(e[k] * op for op in subst.series[1:]))
-    return ThetaSet(tuple(rows))
+        rows.append((order0,) + tuple(e[k] * op for op in subst[1:]))
+    return tuple(rows)
 
 
 def _transport_sum(weights, a0: DifferentialOperator, vel: np.ndarray) -> DifferentialOperator:
@@ -379,15 +327,15 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
         return EquivalentEquation(d, 1, (a0,), c, None, None, None)
 
     sigma = henon_sigma(spec.s)
-    theta0 = conservation_defaults(spec, TimeSubstitution((a0,)))
+    theta0 = conservation_defaults(spec, (a0,))
     a1 = DifferentialOperator.zero(d)
     for b in range(1, d + 1):
-        a1 = a1 + sigma[b] * (DifferentialOperator.partial(d, b - 1) @ theta0.operator(b))
+        a1 = a1 + sigma[b] * (DifferentialOperator.partial(d, b - 1) @ theta0[b][0])
     if order == 2:
         D = _symmetric_tensor(a1, 2, d)
         return EquivalentEquation(d, 2, (a0, a1), c, D, None, None)
 
-    subst = TimeSubstitution((a0, a1))
+    subst = (a0, a1)
     theta_z = conservation_defaults(replace(spec, u_tilde=VelocityShift.zero()), subst)
     theta_u = conservation_defaults(spec, subst)
     m_inv = spec.moment_matrix.m_inv
@@ -397,8 +345,8 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
     delta_corr_u = DifferentialOperator.zero(d)
     for b in range(1, d + 1):
         pb = DifferentialOperator.partial(d, b - 1)
-        delta_corr_z = delta_corr_z + sigma[b] * (pb @ theta_z.operator(b, 1))
-        delta_corr_u = delta_corr_u + sigma[b] * (pb @ theta_u.operator(b, 1))
+        delta_corr_z = delta_corr_z + sigma[b] * (pb @ theta_z[b][1])
+        delta_corr_u = delta_corr_u + sigma[b] * (pb @ theta_u[b][1])
 
     # sigma_b sigma_l group, built from M(u)^-1 without simplification
     sigma_group = DifferentialOperator.zero(d)
@@ -407,7 +355,7 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
         for l in range(1, q):
             inner = _transport_sum(vel[:, b - 1] * m_inv[:, l], a0, vel)
             sigma_group = sigma_group + (sigma[b] * sigma[l]) * (
-                pb @ inner @ theta0.operator(l)
+                pb @ inner @ theta0[l][0]
             )
 
     # (1/12) group: fourth moments of the per-velocity derivative
@@ -429,7 +377,7 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
     sixth = DifferentialOperator.zero(d)
     for b in range(1, d + 1):
         sixth = sixth + (1.0 / 6.0) * (
-            DifferentialOperator.partial(d, b - 1) @ a0 @ theta0.operator(b)
+            DifferentialOperator.partial(d, b - 1) @ a0 @ theta0[b][0]
         )
 
     core = sixth + twelfth - sigma_group
@@ -454,7 +402,7 @@ class XiPrediction:
     dim: int
     order: int
     e: tuple[float, ...]
-    sigma: HenonVector
+    sigma: tuple
     xi: tuple[tuple[DifferentialOperator, ...], ...]
 
     def pre_collision_factor(self, k: int) -> float:
@@ -485,19 +433,19 @@ def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
     vel = spec.vset.velocities
 
     if order == 2:
-        theta = conservation_defaults(spec, TimeSubstitution((a0,)))
-        xi = tuple((theta.operator(k),) for k in range(q))
+        theta = conservation_defaults(spec, (a0,))
+        xi = tuple((theta[k][0],) for k in range(q))
         return XiPrediction(d, 2, tuple(e), sigma, xi)
 
     a1 = eq.ops[1]
-    theta = conservation_defaults(spec, TimeSubstitution((a0, a1)))
+    theta = conservation_defaults(spec, (a0, a1))
     xi_rows = []
     for k in range(q):
         psi = DifferentialOperator.zero(d)
         for l in range(1, q):
             inner = _transport_sum(mm.m[k] * mm.m_inv[:, l], a0, vel)
-            psi = psi + sigma[l] * (inner @ theta.operator(l))
-        xi_rows.append((theta.operator(k), theta.operator(k, 1) - psi))
+            psi = psi + sigma[l] * (inner @ theta[l][0])
+        xi_rows.append((theta[k][0], theta[k][1] - psi))
     return XiPrediction(d, 3, tuple(e), sigma, tuple(xi_rows))
 
 
@@ -526,7 +474,7 @@ def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dic
     eq = derive_equivalent_equation(spec, 3)
     a0, a1, a2_direct = eq.ops
     sigma = henon_sigma(spec.s)
-    theta0 = conservation_defaults(spec, TimeSubstitution((a0,)))
+    theta0 = conservation_defaults(spec, (a0,))
     lam = momentum_velocity_tensor(spec)
     c = eq.c
 
@@ -536,9 +484,9 @@ def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dic
         # order-1 theta correction: sigma_b c^b d_b A_1
         regrouped = regrouped + (sigma[b] * c[b - 1]) * (pb @ a1)
         # time part of the sigma-sigma group collapses onto moment b itself
-        regrouped = regrouped - sigma[b] ** 2 * (pb @ a0 @ theta0.operator(b))
+        regrouped = regrouped - sigma[b] ** 2 * (pb @ a0 @ theta0[b][0])
         # (1/6) mixed group
-        regrouped = regrouped + (1.0 / 6.0) * (pb @ a0 @ theta0.operator(b))
+        regrouped = regrouped + (1.0 / 6.0) * (pb @ a0 @ theta0[b][0])
     for b in range(d):
         for g in range(d):
             pbg = DifferentialOperator.partial(d, b) @ DifferentialOperator.partial(d, g)
@@ -547,13 +495,13 @@ def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dic
                 if lam[b, g, l] == 0.0:
                     continue
                 regrouped = regrouped - (sigma[b + 1] * sigma[l] * lam[b, g, l]) * (
-                    pbg @ theta0.operator(l)
+                    pbg @ theta0[l][0]
                 )
             # (1/12) group via Lambda-contracted conservation defaults
             contracted = DifferentialOperator.zero(d)
             for l in range(q):
                 if lam[b, g, l] != 0.0:
-                    contracted = contracted + lam[b, g, l] * theta0.operator(l)
+                    contracted = contracted + lam[b, g, l] * theta0[l][0]
             regrouped = regrouped + (1.0 / 12.0) * (pbg @ contracted)
 
     diff = a2_direct - regrouped

@@ -67,10 +67,6 @@ class MomentPolynomial:
     def from_terms(cls, dim: int, mapping) -> "MomentPolynomial":
         return cls(dim, tuple((tuple(e), c) for e, c in dict(mapping).items()))
 
-    @property
-    def degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
-
     def evaluate(self, x) -> float | np.ndarray:
         """Evaluate at x, a length-dim vector or a (dim, ...) stack of points."""
         x = np.asarray(x, dtype=float)
@@ -84,9 +80,6 @@ class MomentPolynomial:
                     term = term * x[axis] ** e
             total = total + term
         return float(total) if total.ndim == 0 else total
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     def is_constant_one(self) -> bool:
         return self.terms == (((0,) * self.dim, 1.0),)
@@ -233,24 +226,20 @@ def build_moment_matrix(basis, vset: VelocitySet, u_tilde) -> MomentMatrix:
     return MomentMatrix(m=m, m_inv=m_inv, cond_estimate=worst)
 
 
-def shift_conjugation(basis, vset: VelocitySet, u_tilde) -> np.ndarray:
-    """Return R(u) = M(u) M(0)^-1, the moment-space change of frame.
-
-    Applied to rest-frame equilibrium moments it yields the shifted-frame
-    equilibrium moments without touching the distributions.
-    """
-    m_u = build_moment_matrix(basis, vset, u_tilde)
-    m_0 = build_moment_matrix(basis, vset, np.zeros(vset.dim))
-    r = m_u.m @ m_0.m_inv
-    r.setflags(write=False)
-    return r
-
-
 def default_basis(vset: VelocitySet) -> tuple[MomentPolynomial, ...]:
-    """Convenience basis: 1, the coordinates, then graded monomials until q."""
+    """Convenience basis: 1, the coordinates, then graded monomials until q.
+
+    A monomial is kept only when its values on the velocity set raise the rank
+    of the rows chosen so far, so M(0) of a basis of q polynomials is
+    nonsingular whenever the coordinates are independent on the velocity set.
+    """
     dim, q = vset.dim, vset.q
     basis = [MomentPolynomial.constant(dim)]
     basis += [MomentPolynomial.coordinate(dim, a) for a in range(dim)]
+    v = vset.velocities.T
+    rows = [p.evaluate(v) for p in basis]
+    # track the rank, not len(rows): dependent coordinates must not stall the walk
+    rank = np.linalg.matrix_rank(np.array(rows))
     degree = 2
     while len(basis) < q:
         monos = [
@@ -261,6 +250,11 @@ def default_basis(vset: VelocitySet) -> tuple[MomentPolynomial, ...]:
         for e in sorted(monos, key=_graded_lex_key):
             if len(basis) == q:
                 break
-            basis.append(MomentPolynomial(dim, ((tuple(e), 1.0),)))
+            p = MomentPolynomial(dim, ((tuple(e), 1.0),))
+            row = p.evaluate(v)
+            if np.linalg.matrix_rank(np.array(rows + [row])) > rank:
+                basis.append(p)
+                rows.append(row)
+                rank += 1
         degree += 1
-    return tuple(basis[:q])
+    return tuple(basis)

@@ -67,25 +67,6 @@ class VelocityShift:
             return self.value
         raise NonConstantShift("shift is a field; a constant shift is required here")
 
-    def field(self, grid_sizes, box_lengths) -> np.ndarray:
-        """Shift evaluated at every cell, shape (dim, *grid_sizes)."""
-        dim = len(grid_sizes)
-        x = cell_centers(grid_sizes, box_lengths)
-        if self.mode == "sine":
-            if len(self.value) != dim:
-                raise DimensionMismatch(
-                    f"shift has dimension {len(self.value)}, expected {dim}"
-                )
-            u = np.zeros_like(x)
-            for a in range(dim):
-                u[a] = self.value[a] * np.sin(2.0 * np.pi * x[a] / box_lengths[a])
-            return u
-        const = self.constant_vector(dim)
-        u = np.zeros_like(x)
-        for a in range(dim):
-            u[a] = const[a]
-        return u
-
 
 @dataclass(frozen=True)
 class SchemeSpec:
@@ -236,43 +217,12 @@ def _contract(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ckj,cj->ck", a, flat).T.reshape(x.shape)
 
 
-def moments_from_distributions(f, matrix: MomentMatrix) -> np.ndarray:
-    """Moments m = M(u) f; f may be a q-vector or a (q, *grid) array.
-
-    `matrix` is one M(u) or a per-cell stack whose cells follow f's grid in C order.
-    """
-    f = np.asarray(f)
-    if f.shape[0] != matrix.q:
-        raise DimensionMismatch(f"f has {f.shape[0]} populations, expected {matrix.q}")
-    return _contract(matrix.m, f)
-
-
-def equilibrium_moments(spec: SchemeSpec, rho, matrix: MomentMatrix) -> np.ndarray:
-    """Equilibrium moments M(u) E rho for scalar or per-cell rho."""
-    e = matrix.m @ np.asarray(spec.equilibrium)
-    rho = np.asarray(rho)
-    return e.reshape((spec.q,) + (1,) * rho.ndim) * rho if rho.ndim else e * rho
-
-
-def relax(m, m_eq, s) -> np.ndarray:
-    """Moment relaxation m + s * (m_eq - m), applied componentwise."""
-    m = np.asarray(m)
-    s = np.asarray(s, dtype=float).reshape((-1,) + (1,) * (m.ndim - 1))
-    return m + s * (np.asarray(m_eq) - m)
-
-
-def post_collision_distributions(m_star, matrix: MomentMatrix) -> np.ndarray:
-    """Back to velocity space: f* = M(u)^-1 m*, for one M(u) or a per-cell stack."""
-    m_star = np.asarray(m_star)
-    if m_star.shape[0] != matrix.q:
-        raise DimensionMismatch(f"m has {m_star.shape[0]} moments, expected {matrix.q}")
-    return _contract(matrix.m_inv, m_star)
-
-
 @lru_cache(maxsize=4)
 def _field_matrices(spec: SchemeSpec, grid_sizes, box_lengths):
     """Per-cell M(u) stack and M(u) E of shape (q, *grid) for a field shift, built once per grid."""
-    u = spec.u_tilde.field(grid_sizes, box_lengths).reshape(spec.dim, -1)
+    x = cell_centers(grid_sizes, box_lengths)
+    u = np.stack([v * np.sin(2.0 * np.pi * x[a] / box_lengths[a])
+                  for a, v in enumerate(spec.u_tilde.value)]).reshape(spec.dim, -1)
     matrix = build_moment_matrix(spec.basis, spec.vset, u)  # (cells, q, q)
     e = (matrix.m @ np.asarray(spec.equilibrium)).T.reshape((spec.q,) + tuple(grid_sizes))
     e.setflags(write=False)
@@ -399,7 +349,7 @@ def _advance(state: StateField, spec: SchemeSpec, steps: int):
 def moment_field(state: StateField, spec: SchemeSpec) -> np.ndarray:
     """Moments of the current state taken at the scheme's shift, shape (q, *grid)."""
     matrix, _ = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
-    return moments_from_distributions(state.f, matrix)
+    return _contract(matrix.m, state.f)
 
 
 def spec_to_dict(spec: SchemeSpec) -> dict:

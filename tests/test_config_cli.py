@@ -378,6 +378,32 @@ class TestCli:
             assert "error: /analysis/k_samples/0/0: expected finite number" in result.output
             assert not out.exists()
 
+    @pytest.mark.parametrize("sweep", [[], [0.2]], ids=["empty", "one"])
+    def test_short_u_sweep_exits_two_without_output(self, runner, tmp_path, sweep):
+        # one sweep value leaves u_invariance nothing to compare
+        path = tmp_path / "sweep.json"
+        path.write_text(config_text(analysis={**BASE["analysis"], "u_sweep": sweep}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["verify", "--config", str(path), "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: /analysis/u_sweep: expected at least 2 values, got {len(sweep)}" in result.output
+        assert not (out / "verify.json").exists()
+
+    def test_output_dir_naming_a_file_exits_two(self, runner, tmp_path):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        path = tmp_path / "experiment.json"
+        path.write_text(config_text(output={"dir": str(blocker)}))
+        for command in ("analyze", "dispersion", "simulate", "verify", "convergence"):
+            result = runner.invoke(main, [command, "--config", str(path)])
+            assert result.exit_code == 2, (command, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert "Traceback" not in result.output
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+            assert str(blocker) in result.stderr
+        assert blocker.read_text() == "not a directory"
+
     def test_unstable_scheme_warns_and_exits_zero(self, runner, tmp_path):
         doc = json.loads(reference_config("d1q3"))
         doc["scheme"]["relaxation"] = [0.0, 2.5, 2.5]

@@ -269,7 +269,6 @@ class TestCompareWithPrediction:
         a = compare_with_prediction(spec, [[0.4], [0.8]])
         b = compare_with_prediction(spec, [[0.4], [0.8]])
         assert "elapsed_seconds" not in a.to_json_dict()
-        assert "elapsed_seconds" in a.to_json_dict(include_timing=True)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )

@@ -6,7 +6,6 @@ from rvlbm import (
     MomentPolynomial,
     VelocitySet,
     build_moment_matrix,
-    shift_conjugation,
     default_basis,
     validate_basis,
 )
@@ -184,6 +183,11 @@ class TestBuildMomentMatrix:
         np.testing.assert_array_equal(m.m, expected)
 
 
+def shift_conjugation(basis, vset, u):
+    """R(u) = M(u) M(0)^-1, the moment-space change of frame, from two builds."""
+    return build_moment_matrix(basis, vset, u).m @ build_moment_matrix(basis, vset, (0.0,) * vset.dim).m_inv
+
+
 class TestShiftConjugation:
     def test_zero_shift_is_identity(self):
         r = shift_conjugation(d1q3_basis(), d1q3_vset(), (0.0,))
@@ -228,3 +232,29 @@ class TestValidateBasis:
         )
         with pytest.raises(ValidationError):
             validate_basis(basis, 1, 3)
+
+
+STANDARD_SETS = {
+    "d2q5": ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)),
+    "d2q9": tuple((a, b) for a in (0, 1, -1) for b in (0, 1, -1)),
+    "d3q7": ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)),
+}
+
+
+class TestDefaultBasis:
+    @pytest.mark.parametrize("name", sorted(STANDARD_SETS))
+    def test_nonsingular_for_standard_sets(self, name):
+        vectors = STANDARD_SETS[name]
+        vset = VelocitySet(len(vectors[0]), 1.0, vectors)
+        basis = default_basis(vset)
+        validate_basis(basis, vset.dim, vset.q)
+        for u in ((0.0,) * vset.dim, (0.15,) * vset.dim):
+            assert build_moment_matrix(basis, vset, u).cond_estimate < 1e3
+
+    @pytest.mark.parametrize("vectors", [((1,), (-1,)), ((0,), (1,), (-1,)),
+                                         ((0,), (1,), (-1,), (2,), (-2,))])
+    def test_one_dimensional_basis_is_the_monomials(self, vectors):
+        vset = VelocitySet(1, 1.0, vectors)
+        expected = tuple(MomentPolynomial.from_terms(1, {(p,): 1.0}) for p in range(vset.q))
+        assert default_basis(vset) == expected
+

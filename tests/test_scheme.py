@@ -12,15 +12,12 @@ from rvlbm import (
     collide,
     default_basis,
     density,
-    equilibrium_moments,
     equilibrium_state,
     fourier_mode_state,
     load_config,
     make_state,
-    moments_from_distributions,
-    post_collision_distributions,
+    moment_field,
     reference_config,
-    relax,
     run,
     sine_density,
     step,
@@ -114,121 +111,139 @@ class TestSpecValidation:
             spec.moment_matrix
 
 
+def one_cell(spec, f):
+    """A single-cell state holding the distributions f."""
+    f = np.asarray(f, dtype=float).reshape((spec.q,) + (1,) * spec.dim)
+    return make_state(spec.vset, (1,) * spec.dim, (1.0,) * spec.dim, f)
+
+
+def cell_moments(spec, f):
+    return moment_field(one_cell(spec, f), spec).reshape(spec.q)
+
+
 class TestMoments:
     def test_d1q2_product(self):
-        m = build_moment_matrix(d1q2_spec().basis, d1q2_spec().vset, (0.0,))
-        np.testing.assert_allclose(
-            moments_from_distributions(np.array([0.6, 0.4]), m), [1.0, 0.2]
-        )
+        np.testing.assert_allclose(cell_moments(d1q2_spec(), [0.6, 0.4]), [1.0, 0.2])
 
     def test_component_zero_is_density(self):
-        m = build_moment_matrix(d1q3_spec().basis, d1q3_spec().vset, (0.3,))
         f = np.array([0.1, 0.7, 0.2])
-        result = moments_from_distributions(f, m)
+        result = cell_moments(d1q3_spec(u=0.3), f)
         assert result[0] == pytest.approx(f.sum(), abs=1e-14)
 
     def test_d1q3_product(self):
-        m = build_moment_matrix(d1q3_spec().basis, d1q3_spec().vset, (0.0,))
-        np.testing.assert_allclose(
-            moments_from_distributions(np.array([0.2, 0.5, 0.3]), m), [1.0, 0.2, 0.8]
-        )
+        np.testing.assert_allclose(cell_moments(d1q3_spec(), [0.2, 0.5, 0.3]), [1.0, 0.2, 0.8])
 
     def test_equilibrium_moments_zero_density(self):
         spec = d1q2_spec(c=0.5)
-        m = spec.moment_matrix
-        np.testing.assert_array_equal(equilibrium_moments(spec, 0.0, m), [0.0, 0.0])
+        state = equilibrium_state(spec, (4,), (1.0,), 0.0)
+        np.testing.assert_array_equal(moment_field(state, spec), np.zeros((2, 4)))
 
     def test_equilibrium_moments_rest_frame(self):
         spec = d1q2_spec(c=0.5)
-        m = spec.moment_matrix
-        np.testing.assert_allclose(equilibrium_moments(spec, 1.0, m), [1.0, 0.5])
+        state = equilibrium_state(spec, (4,), (1.0,), 1.0)
+        np.testing.assert_allclose(moment_field(state, spec), [[1.0] * 4, [0.5] * 4])
 
     def test_equilibrium_moments_shifted_frame(self):
         spec = d1q2_spec(c=0.5, u=0.2)
-        m = spec.moment_matrix
-        np.testing.assert_allclose(equilibrium_moments(spec, 1.0, m), [1.0, 0.3])
+        state = equilibrium_state(spec, (4,), (1.0,), 1.0)
+        np.testing.assert_allclose(moment_field(state, spec), [[1.0] * 4, [0.3] * 4])
 
     @given(st.floats(min_value=-0.5, max_value=0.5), st.floats(min_value=0.1, max_value=3.0))
     def test_equilibrium_moments_via_conjugation(self, u, rho):
-        from rvlbm import shift_conjugation
-
-        spec = d1q3_spec()
+        # R(u) = M(u) M(0)^-1 carries rest-frame equilibrium moments to the shifted frame
+        spec = d1q3_spec(u=u)
         m_u = build_moment_matrix(spec.basis, spec.vset, (u,))
-        r = shift_conjugation(spec.basis, spec.vset, (u,))
         m_0 = build_moment_matrix(spec.basis, spec.vset, (0.0,))
+        r = m_u.m @ m_0.m_inv
         e = np.array(spec.equilibrium)
-        direct = equilibrium_moments(replace(spec, u_tilde=VelocityShift.constant((u,))), rho, m_u)
+        direct = moment_field(equilibrium_state(spec, (1,), (1.0,), rho), spec).ravel()
         np.testing.assert_allclose(direct, r @ (m_0.m @ e) * rho, atol=1e-12)
 
 
 class TestRelax:
+    """collide relaxes each moment: m* = m + s (m_eq - m), with m_eq = M(u) E rho."""
+
     def test_example(self):
-        np.testing.assert_allclose(
-            relax(np.array([1.0, 0.2]), np.array([1.0, 0.0]), (0.0, 1.5)), [1.0, -0.1]
-        )
+        spec = d1q2_spec(c=0.0, s1=1.5)
+        out = collide(one_cell(spec, [0.6, 0.4]), spec)
+        np.testing.assert_allclose(moment_field(out, spec).ravel(), [1.0, -0.1])
 
     def test_full_relaxation(self):
-        m = np.array([1.0, 0.4, -0.2])
-        m_eq = np.array([1.0, 0.1, 0.05])
-        out = relax(m, m_eq, (0.0, 1.0, 1.0))
-        np.testing.assert_allclose(out, [1.0, 0.1, 0.05], rtol=1e-15)
+        spec = d1q3_spec(s=(0.0, 1.0, 1.0))
+        # moments (1.0, 0.4, -0.2); m_eq = (1.0, 0.1, 0.5) for E = (0.5, 0.3, 0.2)
+        out = collide(one_cell(spec, [1.2, 0.1, -0.3]), spec)
+        np.testing.assert_allclose(moment_field(out, spec).ravel(), [1.0, 0.1, 0.5],
+                                   rtol=1e-15, atol=1e-16)
 
     @given(st.floats(min_value=0.1, max_value=1.9))
     def test_equilibrium_fixed_point(self, s1):
-        m = np.array([1.0, 0.3])
-        np.testing.assert_array_equal(relax(m, m, (0.0, s1)), m)
+        spec = d1q2_spec(s1=s1)
+        state = equilibrium_state(spec, (3,), (1.0,), 1.0)
+        np.testing.assert_allclose(collide(state, spec).f, state.f, rtol=0, atol=1e-16)
 
     def test_conserved_component_untouched(self):
-        out = relax(np.array([2.0, 1.0]), np.array([-5.0, 0.0]), (0.0, 1.3))
-        assert out[0] == 2.0
+        # far from equilibrium: the moment delta carries no density component
+        spec = d1q2_spec(c=0.5, s1=1.3)
+        out = collide(one_cell(spec, [2.5, -0.5]), spec)
+        assert moment_field(out, spec)[0, 0] == pytest.approx(2.0, rel=1e-15)
+
+
+def _sine_shift_cells(grid, box, amplitude):
+    """Per-cell shift amplitude_a sin(2 pi x_a / L_a) at the nodes x_a = i_a L_a / n_a."""
+    for cell in np.ndindex(*grid):
+        yield cell, tuple(
+            a * np.sin(2.0 * np.pi * (i * length / n) / length)
+            for a, i, n, length in zip(amplitude, cell, grid, box)
+        )
 
 
 class TestPostCollision:
     def test_roundtrip(self):
         m = build_moment_matrix(d1q3_spec().basis, d1q3_spec().vset, (0.1,))
         f = np.array([0.3, 0.5, 0.2])
-        back = post_collision_distributions(moments_from_distributions(f, m), m)
-        np.testing.assert_allclose(back, f, atol=1e-12)
+        np.testing.assert_allclose(m.m_inv @ (m.m @ f), f, atol=1e-12)
 
     def test_d1q2_example(self):
-        m = build_moment_matrix(d1q2_spec().basis, d1q2_spec().vset, (0.0,))
-        np.testing.assert_allclose(
-            post_collision_distributions(np.array([1.0, -0.1]), m), [0.45, 0.55]
-        )
+        # m = (1.0, 0.2) relaxes to m* = (1.0, -0.1), which maps back to (0.45, 0.55)
+        spec = d1q2_spec(c=0.0, s1=1.5)
+        out = collide(one_cell(spec, [0.6, 0.4]), spec)
+        np.testing.assert_allclose(out.f.ravel(), [0.45, 0.55])
 
     def test_zero_maps_to_zero(self):
-        m = build_moment_matrix(d1q2_spec().basis, d1q2_spec().vset, (0.0,))
-        np.testing.assert_array_equal(
-            post_collision_distributions(np.zeros(2), m), [0.0, 0.0]
-        )
+        spec = d1q2_spec()
+        out = collide(one_cell(spec, [0.0, 0.0]), spec)
+        np.testing.assert_array_equal(out.f.ravel(), [0.0, 0.0])
 
     @pytest.mark.parametrize("grid", [(7,), (3, 4)])
     def test_stacked_matrices_match_per_cell_products(self, grid):
+        # sine shift: collide and moment_field against a plain loop over cells,
+        # one build_moment_matrix per cell at that cell's shift
         if len(grid) == 1:
             vset = VelocitySet(1, 1.0, ((0,), (1,), (-1,)))
             basis = default_basis(vset)
+            s, e = (0.0, 1.2, 1.6), (0.5, 0.3, 0.2)
         else:
             vset = VelocitySet(2, 1.0, ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)))
             basis = default_basis(vset)[:3] + (
                 MomentPolynomial.from_terms(2, {(2, 0): 1.0, (0, 2): 1.0}),
                 MomentPolynomial.from_terms(2, {(2, 0): 1.0, (0, 2): -1.0}),
             )
-        rng = np.random.default_rng(5)
-        u = rng.uniform(-0.3, 0.3, size=(vset.dim,) + grid)
-        f = rng.uniform(0.1, 1.0, size=(vset.q,) + grid)
-        stack = build_moment_matrix(basis, vset, u.reshape(vset.dim, -1))
-        m = moments_from_distributions(f, stack)
-        back = post_collision_distributions(m, stack)
-        assert m.shape == back.shape == f.shape
-        for cell in np.ndindex(*grid):
-            single = build_moment_matrix(basis, vset, u[(slice(None),) + cell])
+            s, e = (0.0, 1.3, 1.1, 1.5, 0.9), (0.4, 0.2, 0.15, 0.15, 0.1)
+        amplitude = (0.3, -0.2)[: vset.dim]
+        spec = SchemeSpec(vset, basis, s, e, VelocityShift.sine(amplitude))
+        box = tuple(0.5 * n for n in grid)
+        f = np.random.default_rng(5).uniform(0.1, 1.0, size=(vset.q,) + grid)
+        state = make_state(vset, grid, box, f.copy())
+        moments = moment_field(state, spec)
+        collided = collide(state, spec).f
+        assert moments.shape == collided.shape == f.shape
+        for cell, u in _sine_shift_cells(grid, box, amplitude):
+            mm = build_moment_matrix(basis, vset, u)
             at = (slice(None),) + cell
-            np.testing.assert_allclose(
-                m[at], moments_from_distributions(f[at], single), rtol=1e-14, atol=1e-15
-            )
-            np.testing.assert_allclose(
-                back[at], post_collision_distributions(m[at], single), rtol=1e-14, atol=1e-15
-            )
+            m = mm.m @ f[at]
+            m_star = m + np.array(s) * ((mm.m @ np.array(e)) * f[at].sum() - m)
+            np.testing.assert_allclose(moments[at], m, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(collided[at], mm.m_inv @ m_star, rtol=1e-14, atol=1e-15)
 
 
 class TestStream:
