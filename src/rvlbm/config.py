@@ -312,6 +312,11 @@ def load_config(text: str) -> ExperimentConfig:
             )
         )
     )
+    if len(grids) < 2 or len(set(grids)) != len(grids):
+        # a slope fitted through fewer than two distinct dx means nothing
+        raise SchemaError(
+            f"/analysis/grids: expected at least 2 distinct values, got {list(grids)}"
+        )
     warmup = _expect_int(
         _get(ana_raw, "warmup", "/analysis", required=False, default=DEFAULT_WARMUP),
         "/analysis/warmup",

@@ -13,6 +13,9 @@ Henon parameters sigma_k = 1/s_k - 1/2 weight their contributions.  It also
 predicts the slaved non-conserved moments (xi_k) for the transition-residual
 experiments, and cross-checks A_2 against the zero-shift regrouped form based
 on the momentum-velocity tensor.
+
+DifferentialOperator subclasses lattice.MomentPolynomial, read with X_b = d_b,
+and adds the operator algebra; a Fourier symbol is that polynomial at ik.
 """
 
 from __future__ import annotations
@@ -29,76 +32,42 @@ from .errors import (
     OrderUnavailable,
     ValidationError,
 )
-from .lattice import _graded_lex_key, build_moment_matrix
+from .lattice import MomentPolynomial, build_moment_matrix
 from .scheme import SchemeSpec, VelocityShift
 
 CROSSCHECK_RTOL = 1e-10
 
 
-def _axis_name(axis: int, dim: int) -> str:
-    return "xyz"[axis] if dim <= 3 else f"x{axis + 1}"
+def _derivative_name(exps, dim: int) -> str:
+    """Axis letters of the derivative d^exps, e.g. 'xyy' for (1, 2)."""
+    return "".join(("xyz"[a] if dim <= 3 else f"x{a + 1}") * e for a, e in enumerate(exps))
 
 
-@dataclass(frozen=True)
-class DifferentialOperator:
+class DifferentialOperator(MomentPolynomial):
     """Constant-coefficient operator Sum_a C_a d^a, sparse over multi-indices a.
 
-    Terms are kept in graded lexicographic order with exact-zero coefficients
-    dropped, so equal operators compare equal structurally.  Composition is
-    commutative (all coefficients are constants) and `symbol` evaluates the
-    Fourier symbol Sum_a C_a prod_b (i k_b)^{a_b}.
+    It is the moment polynomial Sum_a C_a X^a read with X_b = d_b, so it shares
+    that type's canonical form and evaluation and adds only the operator
+    algebra.  Composition is commutative (all coefficients are constants) and
+    `symbol` evaluates the Fourier symbol Sum_a C_a prod_b (i k_b)^{a_b}.
     """
-
-    dim: int
-    terms: tuple[tuple[tuple[int, ...], float], ...]
-
-    def __post_init__(self):
-        acc: dict[tuple[int, ...], float] = {}
-        for exps, coef in self.terms:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.dim:
-                raise DimensionMismatch(
-                    f"multi-index {exps} has length {len(exps)}, expected {self.dim}"
-                )
-            if any(e < 0 for e in exps):
-                raise ValidationError(f"negative exponent in multi-index {exps}")
-            acc[exps] = acc.get(exps, 0.0) + float(coef)
-        canon = tuple(
-            (e, acc[e]) for e in sorted(acc, key=_graded_lex_key) if acc[e] != 0.0
-        )
-        object.__setattr__(self, "terms", canon)
 
     @classmethod
     def zero(cls, dim: int) -> "DifferentialOperator":
         return cls(dim, ())
 
     @classmethod
-    def partial(cls, dim: int, axis: int, order: int = 1) -> "DifferentialOperator":
-        exps = [0] * dim
-        exps[axis] = order
-        return cls(dim, ((tuple(exps), 1.0),))
+    def partial(cls, dim: int, axis: int) -> "DifferentialOperator":
+        return cls.coordinate(dim, axis)
 
     @classmethod
     def gradient_dot(cls, dim: int, vector) -> "DifferentialOperator":
         """The transport operator v . grad for a constant vector v."""
-        return cls(
-            dim,
-            tuple(
-                (tuple(1 if b == a else 0 for b in range(dim)), float(v))
-                for a, v in enumerate(vector)
-            ),
-        )
-
-    @classmethod
-    def from_terms(cls, dim: int, mapping) -> "DifferentialOperator":
-        return cls(dim, tuple(mapping.items() if hasattr(mapping, "items") else mapping))
+        unit = [tuple(1 if b == a else 0 for b in range(dim)) for a in range(dim)]
+        return cls(dim, tuple((unit[a], float(v)) for a, v in enumerate(vector)))
 
     def coefficient(self, exps) -> float:
-        exps = tuple(int(e) for e in exps)
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return 0.0
+        return dict(self.terms).get(tuple(int(e) for e in exps), 0.0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -139,32 +108,29 @@ class DifferentialOperator:
         k = np.asarray(k, dtype=float)
         if k.shape != (self.dim,):
             raise DimensionMismatch(f"wavevector shape {k.shape}, expected ({self.dim},)")
-        ik = 1j * k
-        total = 0.0 + 0.0j
-        for exps, coef in self.terms:
-            term = complex(coef)
-            for a, e in enumerate(exps):
-                if e:
-                    term *= ik[a] ** e
-            total += term
-        return total
+        return self.evaluate(1j * k)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for exps, coef in self.terms:
-            d = "".join(_axis_name(a, self.dim) * e for a, e in enumerate(exps))
+            d = _derivative_name(exps, self.dim)
             parts.append(f"{coef:g} ∂{d}" if d else f"{coef:g}")
-        return " + ".join(parts)
+        return " + ".join(parts) if parts else "0"
 
 
 def henon_sigma(s) -> tuple:
     """Henon parameters (None, sigma_1, ...) with sigma_k = 1/s_k - 1/2.
 
-    Slot 0 is None: the conserved moment has no relaxation time.
+    Slot 0 is None: the conserved moment has no relaxation time.  A zero rate
+    has no sigma and raises ValidationError.
     """
-    return (None,) + tuple(1.0 / float(sk) - 0.5 for sk in tuple(s)[1:])
+    s = tuple(float(sk) for sk in s)
+    if 0.0 in s[1:]:
+        k = s.index(0.0, 1)
+        raise ValidationError(
+            f"relaxation rate s[{k}] = 0: sigma_{k} = 1/s[{k}] - 1/2 is undefined"
+        )
+    return (None,) + tuple(1.0 / sk - 0.5 for sk in s[1:])
 
 
 def advection_vector(spec: SchemeSpec) -> np.ndarray:
@@ -265,17 +231,15 @@ class EquivalentEquation:
         """Text form, e.g. '∂t ρ + 0.5 ∂x ρ = Δ·(0.375 ∂xx ρ) + ...'."""
         lhs = ["∂t ρ"]
         for exps, coef in self.ops[0].terms:
-            d = "".join(_axis_name(a, self.dim) * e for a, e in enumerate(exps))
             sign = "+" if coef <= 0 else "-"
-            lhs.append(f"{sign} {abs(coef):g} ∂{d} ρ")
+            lhs.append(f"{sign} {abs(coef):g} ∂{_derivative_name(exps, self.dim)} ρ")
         rhs = []
         prefix = {1: "Δ·", 2: "Δ²·"}
         for l, op in enumerate(self.ops[1:], start=1):
             if op.is_zero():
                 continue
             body = " + ".join(
-                f"{coef:g} ∂{''.join(_axis_name(a, self.dim) * e for a, e in enumerate(exps))} ρ"
-                for exps, coef in op.terms
+                f"{coef:g} ∂{_derivative_name(exps, self.dim)} ρ" for exps, coef in op.terms
             )
             rhs.append(f"{prefix[l]}({body})")
         return " ".join(lhs) + " = " + (" + ".join(rhs) if rhs else "0")
@@ -320,9 +284,7 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
     ew = np.asarray(spec.equilibrium)
 
     c = advection_vector(spec)
-    a0 = DifferentialOperator(
-        d, tuple((tuple(1 if b == a else 0 for b in range(d)), -c[a]) for a in range(d))
-    )
+    a0 = DifferentialOperator.gradient_dot(d, -c)
     if order == 1:
         return EquivalentEquation(d, 1, (a0,), c, None, None, None)
 

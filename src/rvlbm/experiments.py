@@ -47,22 +47,16 @@ INVARIANCE_RTOL = 1e-10
 
 
 def spectral_apply(op: DifferentialOperator, field: np.ndarray, box_lengths) -> np.ndarray:
-    """Apply a constant-coefficient operator on a periodic grid via the FFT."""
+    """Apply a constant-coefficient operator on a periodic grid via the FFT.
+
+    The multiplier is op's symbol on the open frequency grid: i f_a along axis a.
+    """
     field = np.asarray(field)
-    freqs = [
-        2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-        for n, length in zip(field.shape, box_lengths)
-    ]
-    multiplier = np.zeros(field.shape, dtype=complex)
-    for exps, coef in op.terms:
-        factor = np.full(field.shape, coef, dtype=complex)
-        for axis, e in enumerate(exps):
-            if e:
-                shape = [1] * field.ndim
-                shape[axis] = field.shape[axis]
-                factor = factor * (1j * freqs[axis].reshape(shape)) ** e
-        multiplier += factor
-    out = np.fft.ifftn(multiplier * np.fft.fftn(field))
+    ik = []
+    for axis, (n, length) in enumerate(zip(field.shape, box_lengths)):
+        freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+        ik.append(1j * freqs.reshape((n,) + (1,) * (field.ndim - 1 - axis)))
+    out = np.fft.ifftn(op.evaluate(ik) * np.fft.fftn(field))
     return out.real if np.isrealobj(field) else out
 
 

@@ -4,6 +4,9 @@ A scheme couples a finite set of lattice velocities v_j with a basis of
 multivariate polynomials P_k.  The moment matrix at shift u has entries
 M_kj(u) = P_k(v_j - u); the first basis polynomial is the constant 1, so
 row 0 is all ones for any shift and the first moment is the density.
+
+MomentPolynomial is the one sparse-polynomial type: equivalent.DifferentialOperator
+subclasses it, and `evaluate` also gives operator symbols and spectral multipliers.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ def _graded_lex_key(exponents: tuple[int, ...]) -> tuple:
 class MomentPolynomial:
     """Sparse multivariate polynomial, a sum of coef * x^exponents terms.
 
-    Terms are stored in graded lexicographic order with zero coefficients
+    Terms are stored in graded lexicographic order with exact-zero coefficients
     dropped, so equal polynomials compare equal structurally.
     """
 
@@ -37,22 +40,21 @@ class MomentPolynomial:
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionMismatch(f"polynomial dimension must be >= 1, got {self.dim}")
-        cleaned: dict[tuple[int, ...], float] = {}
-        for exponents, coef in self.terms:
-            exponents = tuple(int(e) for e in exponents)
-            if len(exponents) != self.dim:
+        # accumulate first and drop zeros once: the derivation builds thousands of these
+        acc: dict[tuple[int, ...], float] = {}
+        for exps, coef in self.terms:
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != self.dim:
                 raise DimensionMismatch(
-                    f"exponent tuple {exponents} has length {len(exponents)}, expected {self.dim}"
+                    f"exponent tuple {exps} has length {len(exps)}, expected {self.dim}"
                 )
-            if any(e < 0 for e in exponents):
-                raise ValidationError(f"negative exponent in {exponents}")
-            coef = float(coef) + cleaned.get(exponents, 0.0)
-            if coef == 0.0:
-                cleaned.pop(exponents, None)
-            else:
-                cleaned[exponents] = coef
-        ordered = tuple(sorted(cleaned.items(), key=lambda kv: _graded_lex_key(kv[0])))
-        object.__setattr__(self, "terms", ordered)
+            if any(e < 0 for e in exps):
+                raise ValidationError(f"negative exponent in {exps}")
+            acc[exps] = acc.get(exps, 0.0) + float(coef)
+        canon = tuple(
+            (e, acc[e]) for e in sorted(acc, key=_graded_lex_key) if acc[e] != 0.0
+        )
+        object.__setattr__(self, "terms", canon)
 
     @classmethod
     def constant(cls, dim: int, value: float = 1.0) -> "MomentPolynomial":
@@ -65,39 +67,36 @@ class MomentPolynomial:
 
     @classmethod
     def from_terms(cls, dim: int, mapping) -> "MomentPolynomial":
-        return cls(dim, tuple((tuple(e), c) for e, c in dict(mapping).items()))
+        """Build from a {exponents: coef} mapping or (exponents, coef) pairs; repeats add."""
+        return cls(dim, tuple(mapping.items() if hasattr(mapping, "items") else mapping))
 
-    def evaluate(self, x) -> float | np.ndarray:
-        """Evaluate at x, a length-dim vector or a (dim, ...) stack of points."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.dim:
-            raise DimensionMismatch(f"point has dimension {x.shape[0]}, expected {self.dim}")
-        total = np.zeros(x.shape[1:])
+    def evaluate(self, x):
+        """Value at x, given as one coordinate per axis, real or complex.
+
+        Array coordinates broadcast together; a constant term stays a bare number.
+        """
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"point has dimension {len(x)}, expected {self.dim}")
+        total = 0.0
         for exponents, coef in self.terms:
-            term = np.full(x.shape[1:], coef)
+            term = coef
             for axis, e in enumerate(exponents):
                 if e:
                     term = term * x[axis] ** e
             total = total + term
-        return float(total) if total.ndim == 0 else total
+        return total
 
     def is_constant_one(self) -> bool:
         return self.terms == (((0,) * self.dim, 1.0),)
 
     def is_coordinate(self, axis: int) -> bool:
-        exps = tuple(1 if a == axis else 0 for a in range(self.dim))
-        return self.terms == ((exps, 1.0),)
+        return self.terms == MomentPolynomial.coordinate(self.dim, axis).terms
 
-    def __str__(self) -> str:
-        parts = []
-        for exponents, coef in self.terms:
-            mono = "*".join(
-                f"x{a + 1}" + (f"^{e}" if e > 1 else "")
-                for a, e in enumerate(exponents)
-                if e
-            )
-            parts.append(f"{coef:g}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts) if parts else "0"
+
+def _evaluate_rows(basis, x) -> np.ndarray:
+    """Each polynomial of the basis at the (dim, ...) points x, stacked on a new first axis."""
+    zero = np.zeros(np.shape(x)[1:])  # gives a constant term the points' shape
+    return np.stack([p.evaluate(x) + zero for p in basis])
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,7 @@ def build_moment_matrix(basis, vset: VelocitySet, u_tilde) -> MomentMatrix:
     v = vset.velocities.T  # (dim, q)
     if u.ndim == 2:
         v = v[:, :, None]  # broadcast against (dim, 1, n)
-    m = np.stack([p.evaluate(v - u[:, None]) for p in basis])  # (q, q[, n])
+    m = _evaluate_rows(basis, v - u[:, None])  # (q, q[, n])
     if u.ndim == 2:
         # keep the cell axis fastest: collide's per-cell einsum rounds differently on a
         # contiguous (n, q, q) copy
@@ -237,7 +236,7 @@ def default_basis(vset: VelocitySet) -> tuple[MomentPolynomial, ...]:
     basis = [MomentPolynomial.constant(dim)]
     basis += [MomentPolynomial.coordinate(dim, a) for a in range(dim)]
     v = vset.velocities.T
-    rows = [p.evaluate(v) for p in basis]
+    rows = list(_evaluate_rows(basis, v))
     # track the rank, not len(rows): dependent coordinates must not stall the walk
     rank = np.linalg.matrix_rank(np.array(rows))
     degree = 2

@@ -390,6 +390,41 @@ class TestCli:
         assert f"error: /analysis/u_sweep: expected at least 2 values, got {len(sweep)}" in result.output
         assert not (out / "verify.json").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "convergence"])
+    @pytest.mark.parametrize("grids", [[], [64], [64, 64]], ids=["empty", "one", "repeated"])
+    def test_short_grids_exit_two_without_output(self, runner, tmp_path, command, grids):
+        # a log-log slope needs two distinct dx; fewer fit nothing or warn and mean nothing
+        path = tmp_path / "grids.json"
+        path.write_text(config_text(analysis={**BASE["analysis"], "grids": grids}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stderr == (
+            f"error: /analysis/grids: expected at least 2 distinct values, got {grids}\n"
+        )
+        assert not out.exists()
+
+    def test_zero_relaxation_rate_exits_two_except_simulate(self, runner, tmp_path):
+        doc = json.loads(reference_config("d1q3"))
+        doc["scheme"]["relaxation"] = [0.0, 0.0, 1.6]
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        for command in ("analyze", "dispersion", "verify"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+            assert result.exit_code == 2, (command, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert "Traceback" not in result.output
+            assert result.stderr.count("error: ") == 1
+            assert "error: relaxation rate s[1] = 0" in result.stderr
+            assert not out.exists()
+        out = tmp_path / "simulate"
+        result = runner.invoke(main, ["simulate", "--config", str(path), "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "simulate.json").exists()
+
     def test_output_dir_naming_a_file_exits_two(self, runner, tmp_path):
         blocker = tmp_path / "taken"
         blocker.write_text("not a directory")

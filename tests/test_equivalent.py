@@ -17,6 +17,7 @@ from rvlbm import (
     extract_symbol_series,
     geometric_dt_sequence,
     momentum_velocity_tensor,
+    spectral_apply,
     transition_prediction,
 )
 from rvlbm.equivalent import henon_sigma
@@ -106,6 +107,39 @@ class TestDifferentialOperator:
         assert "xyy" in str(op) or "∂xyy" in str(op)
 
 
+class TestSpectralApply:
+    def test_mixed_operator_on_2d_periodic_grid(self):
+        # 0.5 ∂xx - 1.5 ∂xyy + 2 ∂y on a 16 x 12 grid over [0, 2π) x [0, 3π)
+        op = DifferentialOperator.from_terms(2, {(2, 0): 0.5, (1, 2): -1.5, (0, 1): 2.0})
+        box = (2 * np.pi, 3 * np.pi)
+        x = np.arange(16)[:, None] * box[0] / 16
+        y = np.arange(12)[None, :] * box[1] / 12
+        kx, ky = 2.0, 4.0 / 3.0  # modes (2, 2)
+        phase = kx * x + ky * y
+        expected = (
+            -0.5 * kx**2 * np.cos(phase)
+            - 1.5 * kx * ky**2 * np.sin(phase)
+            - 2.0 * ky * np.sin(phase)
+        )
+        out = spectral_apply(op, np.cos(phase), box)
+        assert out.shape == (16, 12) and np.isrealobj(out)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10)
+
+        wave = np.exp(1j * phase)
+        out = spectral_apply(op, wave, box)
+        assert np.iscomplexobj(out)
+        np.testing.assert_allclose(out, op.symbol(np.array([kx, ky])) * wave, rtol=0, atol=1e-10)
+
+    def test_one_dimensional_with_constant_term(self):
+        # (0.3 + ∂x - 0.25 ∂xxx) sin(3x) = 0.3 sin(3x) + 9.75 cos(3x)
+        op = DifferentialOperator.from_terms(1, {(0,): 0.3, (1,): 1.0, (3,): -0.25})
+        x = np.arange(24) * 2 * np.pi / 24
+        out = spectral_apply(op, np.sin(3 * x), (2 * np.pi,))
+        np.testing.assert_allclose(
+            out, 0.3 * np.sin(3 * x) + 9.75 * np.cos(3 * x), rtol=0, atol=1e-10
+        )
+
+
 class TestHenonSigma:
     def test_values(self):
         sig = henon_sigma((0.0, 2.0, 1.0, 0.5))
@@ -117,7 +151,7 @@ class TestHenonSigma:
         assert henon_sigma((0.0, 1.0)) == (None, 0.5)
 
     def test_zero_rate_divides(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValidationError, match=r"s\[1\] = 0"):
             henon_sigma((0.0, 0.0))
 
 

@@ -50,6 +50,28 @@ class TestMomentPolynomial:
         p = MomentPolynomial.from_terms(1, {(2,): 1.0})
         np.testing.assert_allclose(p.evaluate(np.array([[1.0, 2.0, 3.0]])), [1.0, 4.0, 9.0])
 
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            ((2j, 3.0), -4.0 + 6.0j),
+            (
+                (np.array([[1.0], [2.0]]), np.array([[0.5, -1.0, 3.0]])),
+                [[-1.0, -2.5, 1.5], [1.0, -2.0, 6.0]],
+            ),
+            (
+                (1j * np.array([[1.0], [2.0]]), np.array([[2.0, -1.0]])),
+                [[-2.5 + 2.0j, -2.5 - 1.0j], [-4.0 + 4.0j, -4.0 - 2.0j]],
+            ),
+        ],
+        ids=["complex_point", "open_grid", "complex_open_grid"],
+    )
+    def test_complex_and_broadcast_coordinates(self, x, expected):
+        # x y - 2 + x^2 / 2, one coordinate per axis, broadcast together
+        p = MomentPolynomial.from_terms(2, {(1, 1): 1.0, (0, 0): -2.0, (2, 0): 0.5})
+        value = p.evaluate(x)
+        assert np.shape(value) == np.shape(expected)
+        np.testing.assert_allclose(value, expected, rtol=0, atol=1e-15)
+
     def test_zero_coefficients_dropped(self):
         p = MomentPolynomial.from_terms(1, {(2,): 0.0, (1,): 2.0})
         assert len(p.terms) == 1
