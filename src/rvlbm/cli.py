@@ -1,11 +1,14 @@
 """Command-line entry points.
 
 Exit codes: 0 when the requested checks pass, 1 when a verification fails,
-2 for configuration or usage errors and for output paths that cannot be written.
+2 for configuration or usage errors and for output paths that cannot be written,
+3 for any other exception, reported as one `internal error:` line.  Exits 2 and
+3 write no report.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
 import sys
 
@@ -16,10 +19,6 @@ from .config import ExperimentConfig, load_config
 from .dispersion import STABILITY_TOL, von_neumann_radius
 from .errors import SchemeError
 from .scheme import save_snapshot
-
-# failures reported as one `error:` line with exit 2; OSError covers an
-# output directory that cannot be created or written
-_USAGE_ERRORS = (SchemeError, OSError)
 
 
 def _load(config_path: str) -> ExperimentConfig:
@@ -51,9 +50,20 @@ def _warn_if_unstable(spec) -> None:
                    f"at kλdt = ({phase})", err=True)
 
 
-def _config_error(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(2)
+@contextlib.contextmanager
+def _exit_on_error():
+    """Turn an exception in a command into one stderr line and exit code 2 or 3.
+
+    OSError is a usage error: an output directory that cannot be created or written.
+    """
+    try:
+        yield
+    except (SchemeError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+    except Exception as exc:
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(3)
 
 
 config_option = click.option(
@@ -85,14 +95,12 @@ def main() -> None:
 @order_option
 def analyze(config_path, output_dir, fmt, order) -> None:
     """Derive the equivalent equation and write its coefficients."""
-    try:
+    with _exit_on_error():
         cfg = _load(config_path)
         payload = experiments.analyze_payload(cfg, order)
         _warn_if_unstable(cfg.spec)
         path = _write_report(cfg, output_dir, fmt, "analyze", payload,
                              lambda: experiments.analyze_csv_rows(payload))
-    except _USAGE_ERRORS as exc:
-        _config_error(exc)
     click.echo(payload["pretty"])
     click.echo(f"wrote {path}")
 
@@ -104,14 +112,12 @@ def analyze(config_path, output_dir, fmt, order) -> None:
 @order_option
 def dispersion(config_path, output_dir, fmt, order) -> None:
     """Extract oracle growth-rate series and compare with the prediction."""
-    try:
+    with _exit_on_error():
         cfg = _load(config_path)
         report = experiments.dispersion_payload(cfg, order)
         _warn_if_unstable(cfg.spec)
         path = _write_report(cfg, output_dir, fmt, "dispersion", report.to_json_dict(),
                              report.csv_rows)
-    except _USAGE_ERRORS as exc:
-        _config_error(exc)
     click.echo(f"{len(report.records)} wavevectors, pass={report.passed}")
     click.echo(f"wrote {path}")
     if not report.passed:
@@ -124,7 +130,7 @@ def dispersion(config_path, output_dir, fmt, order) -> None:
 @format_option
 def simulate(config_path, output_dir, fmt) -> None:
     """Run the scheme and write observables plus a final snapshot."""
-    try:
+    with _exit_on_error():
         cfg = _load(config_path)
         payload, state = experiments.simulate_payload(cfg)
         path = _write_report(cfg, output_dir, fmt, "simulate", payload,
@@ -132,8 +138,6 @@ def simulate(config_path, output_dir, fmt) -> None:
         out = path.parent
         save_snapshot(state, cfg.spec, out / "snapshot.csv", out / "snapshot_meta.json",
                       cfg.steps)
-    except _USAGE_ERRORS as exc:
-        _config_error(exc)
     click.echo(
         f"{cfg.steps} steps, mass drift {payload['mass_relative_drift']:.3e}"
     )
@@ -145,13 +149,11 @@ def simulate(config_path, output_dir, fmt) -> None:
 @output_option
 def verify(config_path, output_dir) -> None:
     """Run every verification channel, write verify.json; exit 0 only if all pass."""
-    try:
+    with _exit_on_error():
         cfg = _load(config_path)
         report = experiments.verify_report(cfg)
         out = _out_dir(cfg, output_dir)
         experiments.write_json(report, out / "verify.json")
-    except _USAGE_ERRORS as exc:
-        _config_error(exc)
     for section in (
         "predictor_vs_oracle",
         "u_invariance",
@@ -172,13 +174,11 @@ def verify(config_path, output_dir) -> None:
 @format_option
 def convergence(config_path, output_dir, fmt) -> None:
     """Refinement study of the equilibrium and transition residuals."""
-    try:
+    with _exit_on_error():
         cfg = _load(config_path)
         study = experiments.convergence_payload(cfg)
         path = _write_report(cfg, output_dir, fmt, "convergence", study,
                              lambda: experiments.convergence_csv_rows(study))
-    except _USAGE_ERRORS as exc:
-        _config_error(exc)
     click.echo(
         f"equilibrium slope {study['equilibrium_slope']}, "
         f"transition slope {study['transition_slope']}"

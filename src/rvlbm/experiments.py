@@ -52,12 +52,17 @@ def spectral_apply(op: DifferentialOperator, field: np.ndarray, box_lengths) -> 
     The multiplier is op's symbol on the open frequency grid: i f_a along axis a.
     """
     field = np.asarray(field)
-    ik = []
-    for axis, (n, length) in enumerate(zip(field.shape, box_lengths)):
-        freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-        ik.append(1j * freqs.reshape((n,) + (1,) * (field.ndim - 1 - axis)))
-    out = np.fft.ifftn(op.evaluate(ik) * np.fft.fftn(field))
+    out = _spectral_inverse(op, np.fft.fftn(field), box_lengths)
     return out.real if np.isrealobj(field) else out
+
+
+def _spectral_inverse(op: DifferentialOperator, spectrum: np.ndarray, box_lengths) -> np.ndarray:
+    """Inverse FFT of op's symbol times `spectrum`, the FFT of a periodic field."""
+    ik = []
+    for axis, (n, length) in enumerate(zip(spectrum.shape, box_lengths)):
+        freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+        ik.append(1j * freqs.reshape((n,) + (1,) * (spectrum.ndim - 1 - axis)))
+    return np.fft.ifftn(op.evaluate(ik) * spectrum)
 
 
 def initial_state(spec: SchemeSpec, grid_sizes, box_lengths, initial: InitialData) -> StateField:
@@ -83,21 +88,27 @@ def residual_pair(
     the pre-collision moments against e_k rho - dt (1/2 + sigma_k) xi_k rho
     with xi_k evaluated spectrally on the measured density.
     """
+    prediction = transition_prediction(spec, order)
+    return _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction, order)
+
+
+def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction, order) -> dict:
+    """residual_pair given the transition prediction; one FFT of rho serves every xi_k."""
     state = initial_state(spec, grid_sizes, box_lengths, initial)
     state = run(state, spec, warmup)
     rho = density(state.f)
-    ew = np.asarray(spec.equilibrium)
-    f_eq = ew.reshape((spec.q,) + (1,) * rho.ndim) * rho
-    r_eq = float(np.max(np.abs(state.f - f_eq)))
+    ew = np.asarray(spec.equilibrium).reshape((spec.q,) + (1,) * rho.ndim)
+    r_eq = float(np.max(np.abs(state.f - ew * rho)))
 
-    prediction = transition_prediction(spec, order)
     m = moment_field(state, spec)
     dt = state.dt
+    rho_hat = np.fft.fftn(rho)
     r_tr = 0.0
     for k in range(1, spec.q):
-        xi_field = spectral_apply(prediction.xi[k][0], rho, box_lengths)
+        xi = prediction.xi[k]
+        xi_field = _spectral_inverse(xi[0], rho_hat, box_lengths).real
         if order == 3:
-            xi_field = xi_field + dt * spectral_apply(prediction.xi[k][1], rho, box_lengths)
+            xi_field = xi_field + dt * _spectral_inverse(xi[1], rho_hat, box_lengths).real
         predicted = prediction.e[k] * rho + dt * prediction.pre_collision_factor(k) * xi_field
         r_tr = max(r_tr, float(np.max(np.abs(m[k] - predicted))))
     return {
@@ -127,8 +138,9 @@ def refinement_study(
     a meaningless fit.
     """
     d = len(box_lengths)
+    prediction = transition_prediction(spec, order)
     rows = [
-        residual_pair(spec, (int(n),) * d, box_lengths, initial, warmup, order)
+        _residual_pair(spec, (int(n),) * d, box_lengths, initial, warmup, prediction, order)
         for n in grids
     ]
     dxs = np.array([row["dx"] for row in rows])

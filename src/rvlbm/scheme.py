@@ -94,8 +94,9 @@ class SchemeSpec:
             raise ValidationError("s[0] must be 0")
         for k, sk in enumerate(self.s[1:], start=1):
             if not 0.0 < sk < 2.0:
+                # level 2 is the dataclass-generated __init__; 3 is its caller
                 warnings.warn(
-                    f"relaxation rate s[{k}] = {sk:g} outside (0, 2)", stacklevel=2
+                    f"relaxation rate s[{k}] = {sk:g} outside (0, 2)", stacklevel=3
                 )
         total = sum(self.equilibrium)
         if abs(total - 1.0) > EQUILIBRIUM_SUM_TOL:
@@ -209,58 +210,88 @@ def density(f) -> float | np.ndarray:
     return out if out.ndim else out[()]
 
 
-def _contract(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a x over the population axis of x, for a (q, q) matrix or a per-cell (cells, q, q) stack."""
+def _contract(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a x for a (q, cells) x, a (q, q) matrix or a per-cell (cells, q, q) stack `a`."""
     if a.ndim == 2:
-        return (a @ x.reshape(a.shape[-1], -1)).reshape(x.shape)
-    flat = x.reshape(a.shape[-1], -1).T  # (cells, q)
-    return np.einsum("ckj,cj->ck", a, flat).T.reshape(x.shape)
+        return np.matmul(a, x, out=out)
+    np.einsum("ckj,cj->ck", a, x.T, out=out.T)
+    return out
+
+
+def _product_buffer(f: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Empty out for _contract(a, f, out), laid out as np.einsum lays out a fresh product.
+
+    That is cell-major for a stack that keeps its cells outermost (M(u)^-1) and
+    population-major otherwise; einsum's loop order, so its rounding, follows layout.
+    """
+    dtype = np.result_type(f, a)
+    if a.ndim == 3 and a.strides[0] == max(a.strides):
+        return np.empty(f.shape[::-1], dtype).T
+    return np.empty(f.shape, dtype)
 
 
 @lru_cache(maxsize=4)
 def _field_matrices(spec: SchemeSpec, grid_sizes, box_lengths):
-    """Per-cell M(u) stack and M(u) E of shape (q, *grid) for a field shift, built once per grid."""
+    """Per-cell M(u) stack and M(u) E of shape (q, cells) for a field shift, built once per grid."""
     x = cell_centers(grid_sizes, box_lengths)
     u = np.stack([v * np.sin(2.0 * np.pi * x[a] / box_lengths[a])
                   for a, v in enumerate(spec.u_tilde.value)]).reshape(spec.dim, -1)
     matrix = build_moment_matrix(spec.basis, spec.vset, u)  # (cells, q, q)
-    e = (matrix.m @ np.asarray(spec.equilibrium)).T.reshape((spec.q,) + tuple(grid_sizes))
+    e = (matrix.m @ np.asarray(spec.equilibrium)).T
     e.setflags(write=False)
     return matrix, e
 
 
 def _shift_matrices(spec: SchemeSpec, grid_sizes, box_lengths):
-    """M(u) and M(u) E for the scheme's shift, E broadcastable against (q, *grid)."""
+    """M(u) and M(u) E for the scheme's shift, E of shape (q, 1) or, for a field, (q, cells)."""
     if spec.u_tilde.is_constant:
         matrix = spec.moment_matrix
-        e = matrix.m @ np.asarray(spec.equilibrium)
-        return matrix, e.reshape((spec.q,) + (1,) * len(grid_sizes))
+        return matrix, (matrix.m @ np.asarray(spec.equilibrium)).reshape(spec.q, 1)
     return _field_matrices(spec, grid_sizes, box_lengths)
 
 
-def _collide_f(f: np.ndarray, matrix: MomentMatrix, e: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _rates(spec: SchemeSpec) -> np.ndarray:
+    """Relaxation rates as a (q, 1) column."""
+    return np.asarray(spec.s).reshape(spec.q, 1)
+
+
+def _scratch(f: np.ndarray, matrix: MomentMatrix) -> tuple:
+    """Buffers for _collide_f on a (q, cells) f: rho, M(u) f, M(u)^-1 s (...), the collided f.
+
+    The last is C-ordered, so it reshapes to (q, *grid) as a view; for one matrix it is the third.
+    """
+    out = np.empty(f.shape, np.result_type(f, matrix.m))
+    correction = out if matrix.m.ndim == 2 else _product_buffer(f, matrix.m_inv)
+    return np.empty(f.shape[1], out.dtype), _product_buffer(f, matrix.m), correction, out
+
+
+def _collide_f(f: np.ndarray, matrix: MomentMatrix, e: np.ndarray, s: np.ndarray, scratch):
     """Collided distributions f + M(u)^-1 s (M(u) E rho - M(u) f): the one collision formula.
 
-    The update is kept in this delta form: with s_0 = 0 the correction carries
-    no mass component, so the rounding of the M(u) round trip scales with the
-    distance from equilibrium rather than with f itself and the collision
-    conserves mass to well below 1e-13 over long runs.  Multiplying it out to
-    one matrix I + M(u)^-1 S (...) loses that and drifts by about 2e-13 over
-    10^4 d1q3 steps.
+    f is (q, cells); every intermediate and the result go into `scratch`, so a
+    call allocates nothing.  The update is kept in this delta form: with
+    s_0 = 0 the correction carries no mass component, so the rounding of the
+    M(u) round trip scales with the distance from equilibrium rather than with
+    f itself and the collision conserves mass to well below 1e-13 over long
+    runs.  Multiplying it out to one matrix I + M(u)^-1 S (...) loses that and
+    drifts by about 2e-13 over 10^4 d1q3 steps.
     """
-    delta = s * (e * f.sum(axis=0) - _contract(matrix.m, f))
-    return f + _contract(matrix.m_inv, delta)
-
-
-def _rates(spec: SchemeSpec, ndim: int) -> np.ndarray:
-    """Relaxation rates shaped to broadcast against (q, *grid)."""
-    return np.asarray(spec.s).reshape((spec.q,) + (1,) * (ndim - 1))
+    rho, delta, correction, out = scratch
+    np.add.reduce(f, axis=0, out=rho)
+    _contract(matrix.m, f, delta)
+    np.multiply(e, rho, out=correction)
+    np.subtract(correction, delta, out=delta)
+    delta *= s
+    _contract(matrix.m_inv, delta, correction)
+    return np.add(f, correction, out=out)
 
 
 def collide(state: StateField, spec: SchemeSpec) -> StateField:
     """Relax all moments at every cell; no transport."""
     matrix, e = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
-    return replace(state, f=_collide_f(state.f, matrix, e, _rates(spec, state.f.ndim)))
+    f = state.f.reshape(spec.q, -1)
+    out = _collide_f(f, matrix, e, _rates(spec), _scratch(f, matrix))
+    return replace(state, f=out.reshape(state.f.shape))
 
 
 def _stream_plan(vset: VelocitySet, grid_sizes) -> list[tuple[tuple, tuple]]:
@@ -324,9 +355,10 @@ def run(state: StateField, spec: SchemeSpec, steps: int) -> StateField:
 def _advance(state: StateField, spec: SchemeSpec, steps: int):
     """Yield f after each of `steps` updates of `state`: the one collide-and-stream loop.
 
-    M(u), M(u) E, the rates and the stream plan are built once; each step
-    collides into a new array and streams it into one preallocated buffer, so
-    every yielded array is that same buffer, overwritten by the next step.
+    M(u), M(u) E, the rates, the stream plan and the collision scratch are
+    built once; each step collides into the scratch and streams it into one
+    preallocated buffer, so a step allocates nothing and every yielded array
+    is that same buffer, overwritten by the next step.
     The step count and dx/dt are checked on the first iteration.
     """
     steps = _step_count(steps)
@@ -337,19 +369,25 @@ def _advance(state: StateField, spec: SchemeSpec, steps: int):
     if steps == 0:
         return
     matrix, e = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
-    s = _rates(spec, state.f.ndim)
+    s = _rates(spec)
     plan = _stream_plan(spec.vset, state.grid_sizes)
-    f = state.f
-    out = np.empty(f.shape, np.result_type(f, matrix.m))
+    f = state.f.reshape(spec.q, -1)
+    scratch = _scratch(f, matrix)
+    collided = scratch[3].reshape(state.f.shape)
+    out = np.empty_like(collided)
+    streamed = out.reshape(spec.q, -1)
     for _ in range(steps):
-        f = _stream_into(out, _collide_f(f, matrix, e, s), plan)
-        yield f
+        _collide_f(f, matrix, e, s, scratch)
+        _stream_into(out, collided, plan)
+        f = streamed
+        yield out
 
 
 def moment_field(state: StateField, spec: SchemeSpec) -> np.ndarray:
     """Moments of the current state taken at the scheme's shift, shape (q, *grid)."""
     matrix, _ = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
-    return _contract(matrix.m, state.f)
+    f = state.f.reshape(spec.q, -1)
+    return _contract(matrix.m, f, _product_buffer(f, matrix.m)).reshape(state.f.shape)
 
 
 def spec_to_dict(spec: SchemeSpec) -> dict:

@@ -14,6 +14,7 @@ from rvlbm.config import default_k_samples
 from rvlbm.errors import SchemaError, ValidationError
 from rvlbm.experiments import initial_state, simulate_payload, write_json
 import rvlbm.dispersion as dispersion
+import rvlbm.experiments as experiments
 
 
 BASE = {
@@ -206,6 +207,21 @@ class TestSimulatePayload:
         for n in (0, 1, 57, cfg.steps):
             assert payload["observables"][n]["mass"] == float(np.sum(run(start, cfg.spec, n).f.real))
         np.testing.assert_array_equal(final.f, run(start, cfg.spec, cfg.steps).f)
+
+
+class TestRefinementStudy:
+    def test_set_up_runs_once(self, monkeypatch):
+        cfg = load_config(reference_config("d2q5"))
+        predictions, transforms = [], []
+        derive, fftn = experiments.transition_prediction, np.fft.fftn
+        monkeypatch.setattr(experiments, "transition_prediction",
+                            lambda *args: predictions.append(args) or derive(*args))
+        monkeypatch.setattr(np.fft, "fftn", lambda *args, **kw: transforms.append(args) or fftn(*args, **kw))
+        grids = [16, 32, 64]
+        study = experiments.refinement_study(cfg.spec, cfg.box_lengths, grids, cfg.initial, cfg.warmup)
+        assert len(study["rows"]) == len(grids)
+        assert len(predictions) == 1
+        assert len(transforms) == len(grids)
 
 
 class TestCli:
@@ -424,6 +440,23 @@ class TestCli:
         result = runner.invoke(main, ["simulate", "--config", str(path), "--output", str(out)])
         assert result.exit_code == 0, result.output
         assert (out / "simulate.json").exists()
+
+    @pytest.mark.parametrize("command, target", [("verify", "verify_report"),
+                                                 ("simulate", "simulate_payload")])
+    def test_unexpected_exception_exits_three_without_output(
+        self, runner, config_file, tmp_path, monkeypatch, command, target
+    ):
+        def fail(*args, **kwargs):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(experiments, target, fail)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(config_file), "--output", str(out)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "internal error: RuntimeError: unexpected\n"
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
     def test_output_dir_naming_a_file_exits_two(self, runner, tmp_path):
         blocker = tmp_path / "taken"

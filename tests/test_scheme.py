@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -70,6 +72,12 @@ class TestSpecValidation:
     def test_out_of_range_rate_warns(self):
         with pytest.warns(UserWarning, match="outside"):
             d1q2_spec(s1=2.5)
+
+    def test_rate_warning_names_the_caller(self):
+        vset = VelocitySet(1, 1.0, ((1,), (-1,)))
+        with pytest.warns(UserWarning, match="outside") as record:
+            SchemeSpec(vset, default_basis(vset), (0.0, 2.5), (0.75, 0.25))
+        assert record[0].filename == __file__
 
     def test_rate_two_exactly_warns_but_constructs(self):
         # the boundary value sigma = 0 is legal; stability is the user's business
@@ -444,6 +452,30 @@ class TestRun:
         spec, state = RUN_CASES["d1q3"]()
         run(state, spec, 50)
         assert len(calls) == 1
+
+    def test_collide_follows_a_complex_state(self):
+        spec, state = _fourier_case()
+        collided = collide(state, spec)
+        assert collided.f.dtype == np.complex128
+        np.testing.assert_array_equal(stream(collided, spec.vset).f, run(state, spec, 1).f)
+
+    @pytest.mark.parametrize("shift", [VelocityShift.constant((0.1, -0.05)),
+                                       VelocityShift.sine((0.1, 0.1))], ids=["constant", "sine"])
+    def test_step_allocates_less_than_one_state(self, shift):
+        spec = replace(load_config(reference_config("d2q5")).spec, u_tilde=shift)
+        spec, state = _sine_case(spec, (64, 64))
+        steps = scheme._advance(state, spec, 11)
+        tracemalloc.start()
+        try:
+            next(steps)  # builds the matrices, the plan and the scratch
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in steps:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < state.f.nbytes
 
     @pytest.mark.parametrize("steps", [-3, 2.7, -0.5, float("nan"), "3"])
     def test_bad_step_count_rejected(self, steps):
