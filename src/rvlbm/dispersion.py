@@ -110,27 +110,33 @@ def dominant_eigenvalue(g, continuity_hint: complex = 1.0 + 0.0j) -> complex:
     1e-13 (coincident eigenvalues carry no ambiguity in value).
     """
     matrix = g.g if isinstance(g, AmplificationMatrix) else np.asarray(g)
-    return _nearest(np.linalg.eigvals(matrix.astype(complex)), continuity_hint)
+    pick, ambiguous = _nearest(np.linalg.eigvals(matrix.astype(complex)), continuity_hint)
+    if ambiguous:
+        raise BranchAmbiguity(
+            f"two eigenvalues within {AMBIGUITY_GAP:g} of the hint {continuity_hint}, "
+            f"nearest {complex(pick)}"
+        )
+    return complex(pick)
 
 
-def _nearest(eigs: np.ndarray, hint: complex) -> complex:
-    """The eigenvalue nearest to `hint` under dominant_eigenvalue's ambiguity rule."""
-    order = np.argsort(np.abs(eigs - hint))
-    best = eigs[order[0]]
-    if len(eigs) > 1:
-        runner = eigs[order[1]]
-        gap = abs(best - runner)
-        if (
-            gap > COINCIDENT_GAP
-            and gap < AMBIGUITY_GAP
-            and abs(best - hint) < AMBIGUITY_GAP
-            and abs(runner - hint) < AMBIGUITY_GAP
-        ):
-            raise BranchAmbiguity(
-                f"two eigenvalues within {AMBIGUITY_GAP:g} of the hint "
-                f"{hint}: {best} and {runner}"
-            )
-    return complex(best)
+def _nearest(eigs: np.ndarray, hints) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (..., q) eigenvalues, the one nearest its (...) hint, and
+    where that pick is ambiguous under dominant_eigenvalue's rule."""
+    hints = np.asarray(hints, dtype=complex)
+    order = np.argsort(np.abs(eigs - hints[..., None]), axis=-1)
+    ranked = np.take_along_axis(eigs, order[..., :2], axis=-1)
+    best = ranked[..., 0]
+    if eigs.shape[-1] < 2:
+        return best, np.zeros(best.shape, dtype=bool)
+    runner = ranked[..., 1]
+    gap = np.abs(best - runner)
+    ambiguous = (
+        (gap > COINCIDENT_GAP)
+        & (gap < AMBIGUITY_GAP)
+        & (np.abs(best - hints) < AMBIGUITY_GAP)
+        & (np.abs(runner - hints) < AMBIGUITY_GAP)
+    )
+    return best, ambiguous
 
 
 def _walked_eigenvalue(spec: SchemeSpec, k: np.ndarray, dt: float) -> complex:
@@ -143,7 +149,7 @@ def _walked_eigenvalue(spec: SchemeSpec, k: np.ndarray, dt: float) -> complex:
 
 
 def geometric_dt_sequence(dt0: float, levels: int = DEFAULT_LEVELS) -> np.ndarray:
-    """dt0 / 2^m for m = 0..levels-1."""
+    """dt0 / 2^m for m = 0..levels-1; a column of dt0 values gives one ladder per row."""
     return dt0 / 2.0 ** np.arange(levels)
 
 
@@ -152,58 +158,88 @@ def _branch_values(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> np.ndarr
 
     k has shape (..., d) and dts (..., levels) with the same leading axes; the
     result has the shape of dts.  Every G(k, dt) is built from one collision
-    factor and all their eigenvalues come from one batched solve; the branch is
-    then selected per wavevector, falling back to a walk in k on ambiguity.
+    factor and all their eigenvalues come from one batched solve.  The branch
+    is then selected one level at a time for all wavevectors together; an
+    ambiguous selection falls back to a walk in k for that wavevector alone.
     """
     k = np.asarray(k, dtype=float)
     dts = np.asarray(dts, dtype=float)
     phases = np.exp(-1j * (k @ spec.vset.velocities.T)[..., None, :] * dts[..., None])
     eigs = np.linalg.eigvals(phases[..., None] * _collision_factor(spec))
+    shape = dts.shape
+    k = k.reshape(-1, k.shape[-1])
+    dts = dts.reshape(-1, shape[-1])
+    eigs = eigs.reshape(dts.shape + eigs.shape[-1:])
+    rows = np.arange(len(dts))
     values = np.empty(dts.shape, dtype=complex)
-    for idx in np.ndindex(dts.shape[:-1]):
-        hint = 1.0 + 0.0j
-        for i in np.argsort(dts[idx]):
-            try:
-                hint = _nearest(eigs[idx + (i,)], hint)
-            except BranchAmbiguity:
-                hint = _walked_eigenvalue(spec, k[idx], dts[idx + (i,)])
-            values[idx + (i,)] = hint
-    return values
+    hints = np.ones(len(dts), dtype=complex)
+    for level in np.argsort(dts, axis=-1).T:  # one level index per row, smallest dt first
+        picks, ambiguous = _nearest(eigs[rows, level], hints)
+        for r in np.flatnonzero(ambiguous):
+            picks[r] = _walked_eigenvalue(spec, k[r], dts[r, level[r]])
+        values[rows, level] = hints = picks
+    return values.reshape(shape)
 
 
-def _check_ladder(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> None:
-    """Raise ValidationError unless dts is a usable dt ladder for the (d,) wavevector k.
+def _check_ladders(spec: SchemeSpec, ks, ladders: np.ndarray) -> None:
+    """Raise ValidationError unless ladders[i] is a usable dt ladder for the (d,) wavevector ks[i].
 
-    The ladder must be geometric and positive with at least 5 levels, and
+    A ladder must be geometric and positive with at least 5 levels, and
     |k| lambda dt0 must be at most MAX_PHASE; a NaN anywhere fails that test.
+    All rows are tested in one pass; the first unusable row raises the first
+    test it fails, so the error is the one a row-by-row check would give.
     """
-    if k.shape != (spec.dim,):
-        raise ValidationError(f"wavevector shape {k.shape}, expected ({spec.dim},)")
-    if len(dts) < 5:
-        raise ValidationError(f"need at least 5 dt levels, got {len(dts)}")
-    if np.any(dts <= 0):
-        raise ValidationError("dt sequence must be positive")
-    ordered = np.sort(dts)[::-1]
-    ratios = ordered[1:] / ordered[:-1]
-    if np.any(np.abs(ratios - ratios[0]) > 1e-9):
-        raise ValidationError("dt sequence must be geometric")
-    phase = float(np.linalg.norm(k)) * spec.vset.lam * ordered[0]
-    if not phase <= MAX_PHASE + 1e-12:
-        raise ValidationError(f"|k| lambda dt0 = {phase:g} exceeds {MAX_PHASE}")
+    def shape_error(i):
+        return ValidationError(f"wavevector shape {np.shape(ks[i])}, expected ({spec.dim},)")
+
+    shape_failed = np.array([np.shape(k) != (spec.dim,) for k in ks])
+    levels = ladders.shape[-1]
+    if levels < 5:  # every row fails here, so row 0 raises
+        raise shape_error(0) if shape_failed[0] else ValidationError(
+            f"need at least 5 dt levels, got {levels}")
+    ordered = np.sort(ladders, axis=-1)[:, ::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # only unusable rows divide by 0
+        ratios = ordered[:, 1:] / ordered[:, :-1]
+    phase = np.array([float(np.linalg.norm(k)) for k in ks]) * spec.vset.lam * ordered[:, 0]
+    failed = np.stack([
+        shape_failed,
+        np.any(ladders <= 0, axis=-1),
+        np.any(np.abs(ratios - ratios[:, :1]) > 1e-9, axis=-1),
+        ~(phase <= MAX_PHASE + 1e-12),
+    ], axis=-1)
+    if not failed.any():
+        return
+    row = int(np.argmax(failed.any(axis=-1)))
+    test = int(np.argmax(failed[row]))
+    if test == 0:
+        raise shape_error(row)
+    raise ValidationError((
+        "dt sequence must be positive",
+        "dt sequence must be geometric",
+        f"|k| lambda dt0 = {phase[row]:g} exceeds {MAX_PHASE}",
+    )[test - 1])
 
 
-def _fit_series(k: np.ndarray, dts: np.ndarray, g: np.ndarray, on_poor_fit: str) -> SymbolSeries:
-    """Fit log(g) over the ladder and read off mu0, mu1, mu2 (see extract_symbol_series).
+def _design_matrices(dts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even- and odd-power design matrices of the fit over t = dts / dt0, per (..., levels) ladder.
 
-    A zero wavevector gives the zero series without reading g.
+    Built for every ladder in one step; a compare_with_prediction ladder gives
+    t = 2^-m, but no row is assumed to equal another.
+    """
+    t = dts / dts.max(axis=-1, keepdims=True)
+    return np.stack([t, t**3, t**5, t**7], axis=-1), np.stack([t**2, t**4, t**6], axis=-1)
+
+
+def _fit_series(k: np.ndarray, dts: np.ndarray, z, even: np.ndarray, odd: np.ndarray,
+                on_poor_fit: str) -> SymbolSeries:
+    """Fit z = log(g) over the ladder and read off mu0, mu1, mu2 (see extract_symbol_series).
+
+    even and odd are the ladder's design matrices.  A zero wavevector gives the
+    zero series without reading z.
     """
     if not np.any(k):
         return SymbolSeries(tuple(k), 0j, 0j, 0j, 0.0)
-    z = np.log(g)
     dt0 = dts.max()
-    t = dts / dt0
-    even = np.stack([t, t**3, t**5, t**7], axis=1)
-    odd = np.stack([t**2, t**4, t**6], axis=1)
     coef_even, *_ = np.linalg.lstsq(even, z.imag, rcond=None)
     coef_odd, *_ = np.linalg.lstsq(odd, z.real, rcond=None)
     fitted = odd @ coef_odd + 1j * (even @ coef_even)
@@ -238,9 +274,9 @@ def extract_symbol_series(
     """
     k = np.asarray(k, dtype=float)
     dts = np.asarray(dt_sequence, dtype=float)
-    _check_ladder(spec, k, dts)
-    g = _branch_values(spec, k, dts) if np.any(k) else None
-    return _fit_series(k, dts, g, on_poor_fit)
+    _check_ladders(spec, [k], dts[None])
+    z = np.log(_branch_values(spec, k, dts)) if np.any(k) else None
+    return _fit_series(k, dts, z, *_design_matrices(dts), on_poor_fit)
 
 
 def predicted_symbols(equation, k) -> tuple[complex, ...]:
@@ -308,31 +344,33 @@ def compare_with_prediction(
     """
     from .equivalent import derive_equivalent_equation
 
-    ks = sorted((tuple(float(x) for x in k) for k in k_samples),
-                key=lambda v: (np.linalg.norm(v), v))
-    if not ks:
+    ks = [tuple(float(x) for x in k) for k in k_samples]
+    keyed = sorted((np.linalg.norm(k), k) for k in ks)  # norm first, then the components
+    if not keyed:
         raise ValidationError("no wavevectors to compare")
+    ks = [k for _, k in keyed]
     equation = derive_equivalent_equation(spec, order)
-    lam = spec.vset.lam
-    base_dts, ladders = [], []
-    for k in ks:
-        knorm = float(np.linalg.norm(k))
-        base_dt = dt0 if dt0 is not None else (
-            target_phase / (knorm * lam) if knorm > 0 else target_phase / lam
-        )
-        ladders.append(geometric_dt_sequence(base_dt, levels))
-        _check_ladder(spec, np.asarray(k), ladders[-1])
-        base_dts.append(base_dt)
+    if dt0 is not None:
+        base_dts = [dt0] * len(ks)
+    else:
+        lam = spec.vset.lam
+        base_dts = [target_phase / (knorm * lam) if knorm > 0 else target_phase / lam
+                    for knorm in (float(norm) for norm, _ in keyed)]
+    ladders = geometric_dt_sequence(np.array(base_dts)[:, None], levels)
+    _check_ladders(spec, ks, ladders)
     k_array = np.array(ks)
-    ladders = np.array(ladders)
     moving = np.any(k_array, axis=-1)
-    values = np.empty(ladders.shape, dtype=complex)
+    values = np.ones(ladders.shape, dtype=complex)  # log 1 = 0 where k = 0 is never read
     values[moving] = _branch_values(spec, k_array[moving], ladders[moving])
+    z = np.log(values)
+    even, odd = _design_matrices(ladders)
 
     records = []
     all_pass = True
-    for k, base_dt, k_row, dts, g in zip(ks, base_dts, k_array, ladders, values):
-        series = _fit_series(k_row, dts, g, on_poor_fit="flag")
+    for k, base_dt, k_row, dts, z_row, even_row, odd_row in zip(
+        ks, base_dts, k_array, ladders, z, even, odd
+    ):
+        series = _fit_series(k_row, dts, z_row, even_row, odd_row, on_poor_fit="flag")
         predicted = predicted_symbols(equation, k)
         measured = series.mu[:order]
         abs_err, rel_err, order_pass = [], [], []

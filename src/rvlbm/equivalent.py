@@ -21,6 +21,7 @@ and adds the operator algebra; a Fourier symbol is that polynomial at ik.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -179,7 +180,9 @@ class EquivalentEquation:
 
     `a2_variant` is the third-order operator obtained when the order-1 theta
     correction inside the Delta term keeps the scheme's own shift instead of
-    the zero shift; it coincides with ops[2] when the shift is zero.
+    the zero shift; it coincides with ops[2] when the shift is zero.  The
+    arrays c, D and T are read-only, because derive_equivalent_equation hands
+    one instance to every caller that asks for the same scheme and order.
     """
 
     dim: int
@@ -238,9 +241,10 @@ class EquivalentEquation:
         for l, op in enumerate(self.ops[1:], start=1):
             if op.is_zero():
                 continue
-            body = " + ".join(
-                f"{coef:g} ∂{_derivative_name(exps, self.dim)} ρ" for exps, coef in op.terms
-            )
+            body = ""
+            for i, (exps, coef) in enumerate(op.terms):
+                term = f"{abs(coef) if i else coef:g} ∂{_derivative_name(exps, self.dim)} ρ"
+                body += f" {'-' if coef < 0 else '+'} {term}" if i else term
             rhs.append(f"{prefix[l]}({body})")
         return " ".join(lhs) + " = " + (" + ".join(rhs) if rhs else "0")
 
@@ -273,17 +277,27 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
     mixed time-space group, and the order-1 correction of the Delta term taken
     at zero shift.  The same correction taken at the scheme's shift is kept as
     `a2_variant`.
+
+    The result is shared by every caller that asks for the same (spec, order)
+    while it stays among the 4 most recent; its c, D and T are read-only.
     """
     if order not in (1, 2, 3):
         raise OrderUnavailable(f"order {order!r} not derivable; choose 1, 2 or 3")
     if not spec.u_tilde.is_constant:
         raise NonConstantShift("equivalent equation requires a constant shift")
+    return _derive(spec, order)
+
+
+@lru_cache(maxsize=4)
+def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
+    """derive_equivalent_equation after validation, once per (spec, order)."""
     d = spec.dim
     q = spec.q
     vel = spec.vset.velocities
     ew = np.asarray(spec.equilibrium)
 
     c = advection_vector(spec)
+    c.setflags(write=False)
     a0 = DifferentialOperator.gradient_dot(d, -c)
     if order == 1:
         return EquivalentEquation(d, 1, (a0,), c, None, None, None)
@@ -293,8 +307,9 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
     a1 = DifferentialOperator.zero(d)
     for b in range(1, d + 1):
         a1 = a1 + sigma[b] * (DifferentialOperator.partial(d, b - 1) @ theta0[b][0])
+    D = _symmetric_tensor(a1, 2, d)
+    D.setflags(write=False)
     if order == 2:
-        D = _symmetric_tensor(a1, 2, d)
         return EquivalentEquation(d, 2, (a0, a1), c, D, None, None)
 
     subst = (a0, a1)
@@ -346,8 +361,8 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
     a2 = delta_corr_z + core
     a2_variant = delta_corr_u + core
 
-    D = _symmetric_tensor(a1, 2, d)
     T = _symmetric_tensor(a2, 3, d)
+    T.setflags(write=False)
     return EquivalentEquation(d, 3, (a0, a1, a2), c, D, T, a2_variant)
 
 

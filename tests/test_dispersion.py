@@ -1,9 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rvlbm import (
     MomentPolynomial,
@@ -28,6 +29,7 @@ from rvlbm.errors import (
     BranchAmbiguity,
     NonConstantShift,
     PoorFit,
+    SingularMatrix,
     ValidationError,
 )
 
@@ -303,6 +305,37 @@ BATCH_CASES = {
 }
 
 
+RANDOM_SCHEME_SETS = {
+    "d1q2": ((1,), (-1,)),
+    "d1q3": ((0,), (1,), (-1,)),
+    "d2q5": ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)),
+    "d2q9": tuple((a, b) for a in (0, 1, -1) for b in (0, 1, -1)),
+    "d3q7": ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)),
+}
+
+
+@st.composite
+def random_schemes(draw):
+    """A standard velocity set with the default basis, random rates in (0, 2),
+    random equilibrium weights summing to 1 and a random constant shift."""
+    vectors = RANDOM_SCHEME_SETS[draw(st.sampled_from(sorted(RANDOM_SCHEME_SETS)))]
+    vset = VelocitySet(len(vectors[0]), 1.0, vectors)
+    rates = draw(st.lists(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+                          min_size=vset.q - 1, max_size=vset.q - 1))
+    weights = draw(st.lists(st.floats(-1.0, 1.0), min_size=vset.q - 1, max_size=vset.q - 1))
+    shift = draw(st.lists(st.floats(-1.0, 1.0), min_size=vset.dim, max_size=vset.dim))
+    return SchemeSpec(vset, default_basis(vset), (0.0, *rates), (*weights, 1.0 - sum(weights)),
+                      VelocityShift.constant(shift))
+
+
+def rates_near_zero_d2q5():
+    """A D2Q5 scheme whose last two rates are so small that 1 - s rounds to 1:
+    several eigenvalues of G sit at 1 for small k dt, and the branch is ambiguous."""
+    vset = VelocitySet(2, 1.0, RANDOM_SCHEME_SETS["d2q5"])
+    return SchemeSpec(vset, default_basis(vset), (0.0, 1.5, 1.0, 1.2907626000065785e-37, 7e-160),
+                      (0.0, 0.0, 0.0, 0.0, 1.0), VelocityShift.constant((0.0, 0.0)))
+
+
 class TestBatchedOracle:
     def test_one_eigen_solve_per_comparison(self, monkeypatch):
         spec = d1q3_spec(u=0.2)
@@ -334,6 +367,51 @@ class TestBatchedOracle:
                 hint = dominant_eigenvalue(amplification_matrix(spec, k, dts[i]), hint)
                 assert row[i] == hint
 
+    @given(random_schemes())
+    @example(rates_near_zero_d2q5())
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_pick_equals_per_matrix_walk_on_random_schemes(self, spec):
+        # The only filter is the documented cond M(u) <= 1e12 check.  Stability
+        # is not required: both sides apply one rule to the same eigenvalues
+        # (and a von Neumann sweep of D3Q7 alone takes about a second).  Where
+        # the per-matrix walk finds a level ambiguous (rates near 0 leave
+        # several eigenvalues at 1), the one-pass pick must flag that same
+        # matrix and hand it to the walk in k; a walk that fails too yields NaN
+        # here, so the levels before it are still compared.
+        try:
+            spec.moment_matrix
+        except SingularMatrix:
+            assume(False)
+        ks = np.array(default_k_samples(spec.dim))
+        dts = np.array([
+            geometric_dt_sequence(dispersion.DEFAULT_PHASE / (np.linalg.norm(k) * spec.vset.lam),
+                                  dispersion.DEFAULT_LEVELS)
+            for k in ks
+        ])
+        walks = {}
+        walk = dispersion._walked_eigenvalue
+
+        def first_walk_per_row(spec_, k, dt):
+            walks.setdefault(tuple(k), dt)
+            try:
+                return walk(spec_, k, dt)
+            except BranchAmbiguity:
+                return complex("nan")
+
+        with mock.patch.object(dispersion, "_walked_eigenvalue", first_walk_per_row):
+            values = dispersion._branch_values(spec, ks, dts)
+        stops = {}
+        for k, row_dts, row in zip(ks, dts, values):
+            hint = 1.0 + 0.0j
+            for i in np.argsort(row_dts):
+                try:
+                    hint = dominant_eigenvalue(amplification_matrix(spec, k, row_dts[i]), hint)
+                except BranchAmbiguity:
+                    stops[tuple(k)] = row_dts[i]
+                    break
+                assert row[i] == hint
+        assert walks == stops
+
     def test_one_wavevector_keeps_a_flat_ladder(self):
         spec = d1q3_spec(u=0.2)
         dts = geometric_dt_sequence(0.05, 6)
@@ -343,8 +421,9 @@ class TestBatchedOracle:
         np.testing.assert_array_equal(stacked[0], flat)
 
     def test_ambiguous_level_falls_back_to_walk(self, monkeypatch):
-        # the first selection of the batch is declared ambiguous; the walk in k
-        # ends on the same matrix, so it must land on the same eigenvalue
+        # the first selection of the batch (row 0 at its smallest dt) is marked
+        # ambiguous; the walk in k ends on the same matrix, so it must land on
+        # the same eigenvalue
         spec = d1q3_spec(u=0.2)
         ks = np.array([[0.8], [1.6]])
         dts = np.array([geometric_dt_sequence(0.05 / k[0], 8) for k in ks])
@@ -353,11 +432,13 @@ class TestBatchedOracle:
         calls, walks = [], []
         walk = dispersion._walked_eigenvalue
 
-        def first_ambiguous(eigs, hint):
-            calls.append(hint)
+        def first_ambiguous(eigs, hints):
+            picks, ambiguous = nearest(eigs, hints)
+            calls.append(hints)
             if len(calls) == 1:
-                raise BranchAmbiguity("forced")
-            return nearest(eigs, hint)
+                ambiguous = ambiguous.copy()
+                ambiguous[0] = True
+            return picks, ambiguous
 
         monkeypatch.setattr(dispersion, "_nearest", first_ambiguous)
         monkeypatch.setattr(dispersion, "_walked_eigenvalue",

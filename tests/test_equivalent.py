@@ -10,17 +10,23 @@ from rvlbm import (
     VelocitySet,
     VelocityShift,
     advection_vector,
+    compare_with_prediction,
     conservation_defaults,
     default_basis,
     derive_equivalent_equation,
     dhumieres_crosscheck,
     extract_symbol_series,
     geometric_dt_sequence,
+    load_config,
     momentum_velocity_tensor,
+    reference_config,
     spectral_apply,
     transition_prediction,
+    verify_report,
 )
+from rvlbm.config import default_k_samples
 from rvlbm.equivalent import henon_sigma
+import rvlbm.equivalent as equivalent
 from rvlbm.errors import (
     MismatchBeyondTolerance,
     NonConstantShift,
@@ -272,6 +278,62 @@ class TestDeriveEquivalentEquation:
         for lam in (1.0, 2.0):
             eq = derive_equivalent_equation(d1q2_spec(c=0.0, s1=1.0, lam=lam), 2)
             assert eq.ops[1].coefficient((2,)) == pytest.approx(0.5 * lam**2)
+
+
+SHIPPED_PRETTY = {
+    # a negative term after the first is written "- a", never "+ -a"
+    "d2q5": "∂t ρ + 0.05 ∂y ρ + 0.05 ∂x ρ = Δ·(0.10125 ∂yy ρ - 0.0016958 ∂xy ρ"
+            " + 0.0935577 ∂xx ρ) + Δ²·(-0.00235227 ∂yyy ρ + 0.00525002 ∂xyy ρ"
+            " + 0.00288366 ∂xxy ρ - 0.00181928 ∂xxx ρ)",
+    # a negative first term keeps its own sign
+    "d1q3": "∂t ρ + 0.1 ∂x ρ = Δ·(0.163333 ∂xx ρ) + Δ²·(-0.002 ∂xxx ρ)",
+}
+
+
+class TestPretty:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_PRETTY))
+    def test_shipped_config_text(self, name):
+        eq = derive_equivalent_equation(load_config(reference_config(name)).spec, 3)
+        assert eq.pretty() == SHIPPED_PRETTY[name]
+
+
+@pytest.fixture
+def derivations():
+    """Empty the derivation cache; return a count of the derivations run from then on."""
+    equivalent._derive.cache_clear()
+    return lambda: equivalent._derive.cache_info().misses
+
+
+class TestDerivationCache:
+    def test_verify_report_derives_each_scheme_once(self, derivations):
+        # 3 swept schemes at order 3 and transition_prediction's order 2; the
+        # crosscheck's zero-shift scheme is the sweep's u = 0 member.  Small
+        # grids keep the refinement study cheap; they derive nothing.
+        cfg = load_config(reference_config("d2q5"))
+        verify_report(replace(cfg, grids=(16, 32, 64)))
+        assert derivations() == 4
+
+    def test_comparison_reuses_its_callers_derivation(self, derivations):
+        spec = d2q5_spec(u=(0.1, -0.3))
+        derive_equivalent_equation(spec, 3)
+        compare_with_prediction(spec, default_k_samples(2))
+        assert derivations() == 1
+
+    def test_five_schemes_cycled_are_derived_every_pass(self, derivations):
+        # four entries hold nothing over from one pass over five schemes to the next
+        specs = [d1q2_spec(c=0.1 * i) for i in range(5)]
+        for _ in range(2):
+            for spec in specs:
+                derive_equivalent_equation(spec, 3)
+        assert derivations() == 10
+
+    def test_cached_tensors_are_read_only(self, derivations):
+        eq = derive_equivalent_equation(d2q5_spec(), 3)
+        for tensor in (eq.c, eq.D, eq.T):
+            with pytest.raises(ValueError):
+                tensor[0] = 1.0
+        assert derive_equivalent_equation(d2q5_spec(), 3) is eq
+        assert derivations() == 1
 
 
 class TestShiftInvariance:
