@@ -247,15 +247,21 @@ def load_config(text: str) -> ExperimentConfig:
                     _expect_array(_get(init_raw, "mode", "/initial"), "/initial/mode", dim)
                 )
             )
+            amplitude = _expect_number(
+                _get(init_raw, "amplitude", "/initial"), "/initial/amplitude"
+            )
+            # a uniform "sine" leaves the residual studies nothing to measure
+            if amplitude == 0.0:
+                raise SchemaError("/initial/amplitude: expected a nonzero amplitude, got 0")
+            if not any(mode):
+                raise SchemaError(f"/initial/mode: expected a nonzero mode, got {list(mode)}")
             initial = InitialData(
                 "sine",
                 value=_expect_number(
                     _get(init_raw, "base", "/initial", required=False, default=1.0),
                     "/initial/base",
                 ),
-                amplitude=_expect_number(
-                    _get(init_raw, "amplitude", "/initial"), "/initial/amplitude"
-                ),
+                amplitude=amplitude,
                 mode=mode,
             )
 

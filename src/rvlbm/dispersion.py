@@ -110,7 +110,9 @@ def dominant_eigenvalue(g, continuity_hint: complex = 1.0 + 0.0j) -> complex:
     1e-13 (coincident eigenvalues carry no ambiguity in value).
     """
     matrix = g.g if isinstance(g, AmplificationMatrix) else np.asarray(g)
-    pick, ambiguous = _nearest(np.linalg.eigvals(matrix.astype(complex)), continuity_hint)
+    eigs = np.linalg.eigvals(matrix.astype(complex))
+    index, ambiguous = _nearest(eigs, continuity_hint)
+    pick = eigs[index]
     if ambiguous:
         raise BranchAmbiguity(
             f"two eigenvalues within {AMBIGUITY_GAP:g} of the hint {continuity_hint}, "
@@ -120,14 +122,16 @@ def dominant_eigenvalue(g, continuity_hint: complex = 1.0 + 0.0j) -> complex:
 
 
 def _nearest(eigs: np.ndarray, hints) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the (..., q) eigenvalues, the one nearest its (...) hint, and
-    where that pick is ambiguous under dominant_eigenvalue's rule."""
+    """Per row of the (..., q) eigenvalues, the index of the one nearest its (...)
+    hint, and where that pick is ambiguous under dominant_eigenvalue's rule.
+
+    The rows of eigs broadcast against the hints."""
     hints = np.asarray(hints, dtype=complex)
     order = np.argsort(np.abs(eigs - hints[..., None]), axis=-1)
+    if eigs.shape[-1] < 2:
+        return order[..., 0], np.zeros(order.shape[:-1], dtype=bool)
     ranked = np.take_along_axis(eigs, order[..., :2], axis=-1)
     best = ranked[..., 0]
-    if eigs.shape[-1] < 2:
-        return best, np.zeros(best.shape, dtype=bool)
     runner = ranked[..., 1]
     gap = np.abs(best - runner)
     ambiguous = (
@@ -136,7 +140,7 @@ def _nearest(eigs: np.ndarray, hints) -> tuple[np.ndarray, np.ndarray]:
         & (np.abs(best - hints) < AMBIGUITY_GAP)
         & (np.abs(runner - hints) < AMBIGUITY_GAP)
     )
-    return best, ambiguous
+    return order[..., 0], ambiguous
 
 
 def _walked_eigenvalue(spec: SchemeSpec, k: np.ndarray, dt: float) -> complex:
@@ -154,13 +158,16 @@ def geometric_dt_sequence(dt0: float, levels: int = DEFAULT_LEVELS) -> np.ndarra
 
 
 def _branch_values(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """Dominant eigenvalue at each dt, walking from the smallest step upward.
+    """Dominant eigenvalue at each dt, followed from the smallest step upward.
 
     k has shape (..., d) and dts (..., levels) with the same leading axes; the
     result has the shape of dts.  Every G(k, dt) is built from one collision
-    factor and all their eigenvalues come from one batched solve.  The branch
-    is then selected one level at a time for all wavevectors together; an
-    ambiguous selection falls back to a walk in k for that wavevector alone.
+    factor and all their eigenvalues come from one batched solve.  The
+    nearest-eigenvalue rule then runs twice: at the smallest dt with hint 1,
+    and at every other level with each eigenvalue of the level below as a
+    candidate hint.  The branch is followed by index through those picks.  A
+    row whose chain meets an ambiguous pick is redone from that level: a walk
+    in k there, then the rule from the walked value, level by level.
     """
     k = np.asarray(k, dtype=float)
     dts = np.asarray(dts, dtype=float)
@@ -169,25 +176,42 @@ def _branch_values(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> np.ndarr
     shape = dts.shape
     k = k.reshape(-1, k.shape[-1])
     dts = dts.reshape(-1, shape[-1])
-    eigs = eigs.reshape(dts.shape + eigs.shape[-1:])
-    rows = np.arange(len(dts))
-    values = np.empty(dts.shape, dtype=complex)
-    hints = np.ones(len(dts), dtype=complex)
-    for level in np.argsort(dts, axis=-1).T:  # one level index per row, smallest dt first
-        picks, ambiguous = _nearest(eigs[rows, level], hints)
-        for r in np.flatnonzero(ambiguous):
-            picks[r] = _walked_eigenvalue(spec, k[r], dts[r, level[r]])
-        values[rows, level] = hints = picks
-    return values.reshape(shape)
+    levels = np.argsort(dts, axis=-1)  # smallest dt first
+    rows, columns = np.arange(len(dts))[:, None], np.arange(shape[-1])
+    eigs = eigs.reshape(dts.shape + eigs.shape[-1:])[rows, levels]
+    start, start_ambiguous = _nearest(eigs[:, 0], np.ones(len(dts)))
+    step, step_ambiguous = _nearest(eigs[:, 1:, None, :], eigs[:, :-1])  # (rows, levels - 1, q)
+    chain = np.empty(dts.shape, dtype=int)
+    chain[:, 0] = start
+    for m in range(shape[-1] - 1):  # one gather per level
+        chain[:, m + 1] = step[rows[:, 0], m, chain[:, m]]
+    values = eigs[rows, columns, chain]
+    ambiguous = np.column_stack([start_ambiguous,
+                                 step_ambiguous[rows, columns[:-1], chain[:, :-1]]])
+    redo = np.flatnonzero(ambiguous.any(axis=-1))
+    first = np.argmax(ambiguous[redo], axis=-1)
+    # level by level, so a walk that raises is the one a level-by-level pick would meet first
+    for m in range(first.min(initial=shape[-1]), shape[-1]):
+        for r, f in zip(redo, first):
+            if m < f:
+                continue
+            # the first ambiguous level walks at once; later ones ask the rule first
+            index, unsure = _nearest(eigs[r, m], values[r, m - 1]) if m > f else (None, True)
+            values[r, m] = (_walked_eigenvalue(spec, k[r], dts[r, levels[r, m]]) if unsure
+                            else eigs[r, m, index])
+    out = np.empty(dts.shape, dtype=complex)
+    out[rows, levels] = values
+    return out.reshape(shape)
 
 
-def _check_ladders(spec: SchemeSpec, ks, ladders: np.ndarray) -> None:
+def _check_ladders(spec: SchemeSpec, ks, norms, ladders: np.ndarray) -> None:
     """Raise ValidationError unless ladders[i] is a usable dt ladder for the (d,) wavevector ks[i].
 
-    A ladder must be geometric and positive with at least 5 levels, and
-    |k| lambda dt0 must be at most MAX_PHASE; a NaN anywhere fails that test.
-    All rows are tested in one pass; the first unusable row raises the first
-    test it fails, so the error is the one a row-by-row check would give.
+    norms[i] is np.linalg.norm(ks[i]).  A ladder must be geometric and
+    positive with at least 5 levels, and |k| lambda dt0 must be at most
+    MAX_PHASE; a NaN anywhere fails that test.  All rows are tested in one
+    pass; the first unusable row raises the first test it fails, so the error
+    is the one a row-by-row check would give.
     """
     def shape_error(i):
         return ValidationError(f"wavevector shape {np.shape(ks[i])}, expected ({spec.dim},)")
@@ -200,7 +224,7 @@ def _check_ladders(spec: SchemeSpec, ks, ladders: np.ndarray) -> None:
     ordered = np.sort(ladders, axis=-1)[:, ::-1]
     with np.errstate(divide="ignore", invalid="ignore"):  # only unusable rows divide by 0
         ratios = ordered[:, 1:] / ordered[:, :-1]
-    phase = np.array([float(np.linalg.norm(k)) for k in ks]) * spec.vset.lam * ordered[:, 0]
+    phase = np.asarray(norms, dtype=float) * spec.vset.lam * ordered[:, 0]
     failed = np.stack([
         shape_failed,
         np.any(ladders <= 0, axis=-1),
@@ -230,30 +254,34 @@ def _design_matrices(dts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([t, t**3, t**5, t**7], axis=-1), np.stack([t**2, t**4, t**6], axis=-1)
 
 
-def _fit_series(k: np.ndarray, dts: np.ndarray, z, even: np.ndarray, odd: np.ndarray,
-                on_poor_fit: str) -> SymbolSeries:
-    """Fit z = log(g) over the ladder and read off mu0, mu1, mu2 (see extract_symbol_series).
+def _fit_series(ks: np.ndarray, dts: np.ndarray, z: np.ndarray, even: np.ndarray,
+                odd: np.ndarray, on_poor_fit: str) -> list[SymbolSeries]:
+    """Fit each row of z = log(g) over its ladder and read off mu0, mu1, mu2
+    (see extract_symbol_series).
 
-    even and odd are the ladder's design matrices.  A zero wavevector gives the
-    zero series without reading z.
+    ks is (n, d), dts and z are (n, levels), and even and odd are the ladders'
+    design matrices.  lstsq runs once per wavevector and column; the
+    reconstruction, the residual and the poor-fit test run for all rows at
+    once.  A zero wavevector skips lstsq and gives the zero series.
     """
-    if not np.any(k):
-        return SymbolSeries(tuple(k), 0j, 0j, 0j, 0.0)
-    dt0 = dts.max()
-    coef_even, *_ = np.linalg.lstsq(even, z.imag, rcond=None)
-    coef_odd, *_ = np.linalg.lstsq(odd, z.real, rcond=None)
-    fitted = odd @ coef_odd + 1j * (even @ coef_even)
-    residual = float(np.max(np.abs(fitted - z) / dts))
-
-    mu0 = 1j * coef_even[0] / dt0
-    mu1 = complex(coef_odd[0] / dt0**2)
-    mu2 = 1j * coef_even[1] / dt0**3
-    poor = residual > POOR_FIT_FACTOR * abs(mu0 + 1.0)
-    if poor and on_poor_fit != "flag":
-        raise PoorFit(
-            f"fit residual {residual:.3e} exceeds {POOR_FIT_FACTOR:g}*|mu0+1| at k={tuple(k)}"
-        )
-    return SymbolSeries(tuple(k), mu0, mu1, mu2, residual, poor)
+    moving = np.any(ks, axis=-1)
+    coef_even, coef_odd = np.zeros(even.shape[::2]), np.zeros(odd.shape[::2])  # (n, columns)
+    for r in np.flatnonzero(moving):
+        coef_even[r] = np.linalg.lstsq(even[r], z[r].imag, rcond=None)[0]
+        coef_odd[r] = np.linalg.lstsq(odd[r], z[r].real, rcond=None)[0]
+    fitted = (odd @ coef_odd[..., None])[..., 0] + 1j * (even @ coef_even[..., None])[..., 0]
+    residual = np.where(moving, np.max(np.abs(fitted - z) / dts, axis=-1), 0.0)
+    # mu in scalar expressions on numpy scalars, as a one-row fit evaluates it
+    mu = [(1j * ce[0] / t, complex(co[0] / t**2), 1j * ce[1] / t**3)
+          for ce, co, t in zip(coef_even, coef_odd, dts.max(axis=-1))]
+    shifted = np.array([m[0] for m in mu]) + 1.0
+    poor = residual > POOR_FIT_FACTOR * np.hypot(shifted.real, shifted.imag)  # abs(mu0 + 1)
+    if poor.any() and on_poor_fit != "flag":
+        r = int(np.argmax(poor))
+        raise PoorFit(f"fit residual {residual[r]:.3e} exceeds {POOR_FIT_FACTOR:g}*|mu0+1| "
+                      f"at k={tuple(ks[r])}")
+    return [SymbolSeries(tuple(k), *m, float(res), bool(p))
+            for k, m, res, p in zip(ks, mu, residual, poor)]
 
 
 def extract_symbol_series(
@@ -274,9 +302,9 @@ def extract_symbol_series(
     """
     k = np.asarray(k, dtype=float)
     dts = np.asarray(dt_sequence, dtype=float)
-    _check_ladders(spec, [k], dts[None])
-    z = np.log(_branch_values(spec, k, dts)) if np.any(k) else None
-    return _fit_series(k, dts, z, *_design_matrices(dts), on_poor_fit)
+    _check_ladders(spec, [k], [np.linalg.norm(k)], dts[None])
+    z = np.log(_branch_values(spec, k, dts)) if np.any(k) else np.zeros(dts.shape, complex)
+    return _fit_series(k[None], dts[None], z[None], *_design_matrices(dts[None]), on_poor_fit)[0]
 
 
 def predicted_symbols(equation, k) -> tuple[complex, ...]:
@@ -348,6 +376,8 @@ def compare_with_prediction(
     keyed = sorted((np.linalg.norm(k), k) for k in ks)  # norm first, then the components
     if not keyed:
         raise ValidationError("no wavevectors to compare")
+    if not any(any(k) for _, k in keyed):  # NaN counts as nonzero; _check_ladders rejects it
+        raise ValidationError("no nonzero wavevector to compare")
     ks = [k for _, k in keyed]
     equation = derive_equivalent_equation(spec, order)
     if dt0 is not None:
@@ -357,20 +387,16 @@ def compare_with_prediction(
         base_dts = [target_phase / (knorm * lam) if knorm > 0 else target_phase / lam
                     for knorm in (float(norm) for norm, _ in keyed)]
     ladders = geometric_dt_sequence(np.array(base_dts)[:, None], levels)
-    _check_ladders(spec, ks, ladders)
+    _check_ladders(spec, ks, [norm for norm, _ in keyed], ladders)
     k_array = np.array(ks)
     moving = np.any(k_array, axis=-1)
     values = np.ones(ladders.shape, dtype=complex)  # log 1 = 0 where k = 0 is never read
     values[moving] = _branch_values(spec, k_array[moving], ladders[moving])
-    z = np.log(values)
-    even, odd = _design_matrices(ladders)
+    fits = _fit_series(k_array, ladders, np.log(values), *_design_matrices(ladders), "flag")
 
     records = []
     all_pass = True
-    for k, base_dt, k_row, dts, z_row, even_row, odd_row in zip(
-        ks, base_dts, k_array, ladders, z, even, odd
-    ):
-        series = _fit_series(k_row, dts, z_row, even_row, odd_row, on_poor_fit="flag")
+    for k, base_dt, series in zip(ks, base_dts, fits):
         predicted = predicted_symbols(equation, k)
         measured = series.mu[:order]
         abs_err, rel_err, order_pass = [], [], []

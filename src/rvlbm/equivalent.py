@@ -20,6 +20,7 @@ and adds the operator algebra; a Fourier symbol is that polynomial at ik.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations
@@ -134,6 +135,15 @@ def henon_sigma(s) -> tuple:
     return (None,) + tuple(1.0 / sk - 0.5 for sk in s[1:])
 
 
+def _require_finite(spec: SchemeSpec, what: str, coefficients) -> None:
+    """Raise ValidationError naming the smallest rate when a coefficient is not
+    finite: a rate near 0 makes sigma = 1/s - 1/2 so large that products overflow."""
+    if not all(math.isfinite(coef) for coef in coefficients):
+        k = min(range(1, spec.q), key=lambda j: spec.s[j])
+        raise ValidationError(f"{what} has a non-finite coefficient "
+                              f"(smallest relaxation rate s[{k}] = {spec.s[k]:g})")
+
+
 def advection_vector(spec: SchemeSpec) -> np.ndarray:
     """First-order transport velocity c = Sum_j v_j E_j."""
     return np.asarray(spec.equilibrium) @ spec.vset.velocities
@@ -152,26 +162,32 @@ def conservation_defaults(spec: SchemeSpec, subst) -> tuple:
     mm = spec.moment_matrix
     ew = np.asarray(spec.equilibrium)
     vel = spec.vset.velocities
-    e = mm.m @ ew
-    g = mm.m @ (ew[:, None] * vel)  # g[k, b]
+    # Python floats scale an operator without a detour through numpy's object arithmetic
+    e = (mm.m @ ew).tolist()
+    g = (mm.m @ (ew[:, None] * vel)).tolist()  # g[k][b]
+    partials = [DifferentialOperator.partial(d, b) for b in range(d)]
     rows = []
     for k in range(spec.q):
-        order0 = e[k] * subst[0]
-        for b in range(d):
-            order0 = order0 + g[k, b] * DifferentialOperator.partial(d, b)
+        order0 = _sum(d, [e[k] * subst[0]] + [g[k][b] * partials[b] for b in range(d)])
         rows.append((order0,) + tuple(e[k] * op for op in subst[1:]))
     return tuple(rows)
 
 
-def _transport_sum(weights, a0: DifferentialOperator, vel: np.ndarray) -> DifferentialOperator:
-    """Sum_j w_j (A_0 + v_j . grad) over the velocities, skipping exact-zero weights."""
-    d = a0.dim
-    out = DifferentialOperator.zero(d)
-    for j, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        out = out + w * (a0 + DifferentialOperator.gradient_dot(d, vel[j]))
-    return out
+def _sum(dim: int, ops) -> DifferentialOperator:
+    """Sum of the operators, canonicalized once: the additions of a chain of +, in its order."""
+    return DifferentialOperator(dim, tuple(term for op in ops for term in op.terms))
+
+
+def _transport_sum(weights, transports) -> DifferentialOperator:
+    """Sum_j w_j (A_0 + v_j . grad) over the velocities, skipping exact-zero weights;
+    transports[j] is A_0 + v_j . grad, built once per derivation."""
+    return _sum(transports[0].dim,
+                (w * t for w, t in zip(weights.tolist(), transports) if w != 0.0))
+
+
+def _relaxed_divergence(sigma, partials, theta, l: int) -> DifferentialOperator:
+    """Sum_b sigma_b d_b theta_b^(l): A_1 for l = 0, the Delta-term correction for l = 1."""
+    return _sum(len(partials), (sigma[b] * (pb @ theta[b][l]) for b, pb in enumerate(partials, 1)))
 
 
 @dataclass(frozen=True)
@@ -294,7 +310,6 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
     d = spec.dim
     q = spec.q
     vel = spec.vset.velocities
-    ew = np.asarray(spec.equilibrium)
 
     c = advection_vector(spec)
     c.setflags(write=False)
@@ -303,63 +318,50 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
         return EquivalentEquation(d, 1, (a0,), c, None, None, None)
 
     sigma = henon_sigma(spec.s)
+    partials = [DifferentialOperator.partial(d, b) for b in range(d)]
     theta0 = conservation_defaults(spec, (a0,))
-    a1 = DifferentialOperator.zero(d)
-    for b in range(1, d + 1):
-        a1 = a1 + sigma[b] * (DifferentialOperator.partial(d, b - 1) @ theta0[b][0])
+    a1 = _relaxed_divergence(sigma, partials, theta0, 0)
+    _require_finite(spec, f"order-{order} equivalent equation", (coef for _, coef in a1.terms))
     D = _symmetric_tensor(a1, 2, d)
     D.setflags(write=False)
     if order == 2:
         return EquivalentEquation(d, 2, (a0, a1), c, D, None, None)
 
+    # order-1 correction of the Delta term, at the scheme's shift and at zero shift
     subst = (a0, a1)
-    theta_z = conservation_defaults(replace(spec, u_tilde=VelocityShift.zero()), subst)
-    theta_u = conservation_defaults(spec, subst)
+    delta_corr_u = _relaxed_divergence(sigma, partials, conservation_defaults(spec, subst), 1)
+    delta_corr_z = delta_corr_u
+    if any(v != 0.0 for v in spec.u_tilde.constant_vector(d)):
+        theta_z = conservation_defaults(replace(spec, u_tilde=VelocityShift.zero()), subst)
+        delta_corr_z = _relaxed_divergence(sigma, partials, theta_z, 1)
     m_inv = spec.moment_matrix.m_inv
-
-    # order-1 correction of the Delta term, zero-shift theta convention
-    delta_corr_z = DifferentialOperator.zero(d)
-    delta_corr_u = DifferentialOperator.zero(d)
-    for b in range(1, d + 1):
-        pb = DifferentialOperator.partial(d, b - 1)
-        delta_corr_z = delta_corr_z + sigma[b] * (pb @ theta_z[b][1])
-        delta_corr_u = delta_corr_u + sigma[b] * (pb @ theta_u[b][1])
+    transports = [a0 + DifferentialOperator.gradient_dot(d, v) for v in vel]
 
     # sigma_b sigma_l group, built from M(u)^-1 without simplification
-    sigma_group = DifferentialOperator.zero(d)
+    sigma_terms = []
     for b in range(1, d + 1):
-        pb = DifferentialOperator.partial(d, b - 1)
         for l in range(1, q):
-            inner = _transport_sum(vel[:, b - 1] * m_inv[:, l], a0, vel)
-            sigma_group = sigma_group + (sigma[b] * sigma[l]) * (
-                pb @ inner @ theta0[l][0]
-            )
+            inner = _transport_sum(vel[:, b - 1] * m_inv[:, l], transports)
+            sigma_terms.append((sigma[b] * sigma[l]) * (partials[b - 1] @ inner @ theta0[l][0]))
+    sigma_group = _sum(d, sigma_terms)
 
     # (1/12) group: fourth moments of the per-velocity derivative
-    twelfth = DifferentialOperator.zero(d)
-    for j in range(q):
-        dtj = ew[j] * (a0 + DifferentialOperator.gradient_dot(d, vel[j]))
-        for b in range(d):
-            for g in range(d):
-                w = vel[j, b] * vel[j, g]
-                if w == 0.0:
-                    continue
-                twelfth = twelfth + (w / 12.0) * (
-                    DifferentialOperator.partial(d, b)
-                    @ DifferentialOperator.partial(d, g)
-                    @ dtj
-                )
+    second = [[pb @ pg for pg in partials] for pb in partials]
+    weighted = [w * t for w, t in zip(spec.equilibrium, transports)]  # E_j (A_0 + v_j . grad)
+    v = vel.tolist()
+    twelfth = _sum(d, (
+        (v[j][b] * v[j][g] / 12.0) * (second[b][g] @ weighted[j])
+        for j in range(q) for b in range(d) for g in range(d) if v[j][b] * v[j][g] != 0.0
+    ))
 
     # (1/6) mixed time-space group
-    sixth = DifferentialOperator.zero(d)
-    for b in range(1, d + 1):
-        sixth = sixth + (1.0 / 6.0) * (
-            DifferentialOperator.partial(d, b - 1) @ a0 @ theta0[b][0]
-        )
+    sixth = _sum(d, ((1.0 / 6.0) * (partials[b - 1] @ a0 @ theta0[b][0]) for b in range(1, d + 1)))
 
     core = sixth + twelfth - sigma_group
     a2 = delta_corr_z + core
     a2_variant = delta_corr_u + core
+    _require_finite(spec, "order-3 equivalent equation",
+                    (coef for op in (a2, a2_variant) for _, coef in op.terms))
 
     T = _symmetric_tensor(a2, 3, d)
     T.setflags(write=False)
@@ -412,18 +414,18 @@ def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
     if order == 2:
         theta = conservation_defaults(spec, (a0,))
         xi = tuple((theta[k][0],) for k in range(q))
-        return XiPrediction(d, 2, tuple(e), sigma, xi)
-
-    a1 = eq.ops[1]
-    theta = conservation_defaults(spec, (a0, a1))
-    xi_rows = []
-    for k in range(q):
-        psi = DifferentialOperator.zero(d)
-        for l in range(1, q):
-            inner = _transport_sum(mm.m[k] * mm.m_inv[:, l], a0, vel)
-            psi = psi + sigma[l] * (inner @ theta[l][0])
-        xi_rows.append((theta[k][0], theta[k][1] - psi))
-    return XiPrediction(d, 3, tuple(e), sigma, tuple(xi_rows))
+    else:
+        theta = conservation_defaults(spec, (a0, eq.ops[1]))
+        transports = [a0 + DifferentialOperator.gradient_dot(d, v) for v in vel]
+        xi = []
+        for k in range(q):
+            psi = _sum(d, (sigma[l] * (_transport_sum(mm.m[k] * mm.m_inv[:, l], transports)
+                                       @ theta[l][0]) for l in range(1, q)))
+            xi.append((theta[k][0], theta[k][1] - psi))
+    # the residuals scale xi_k by 1/2 + sigma_k and 1/2 - sigma_k, at most 1/2 + |sigma_k|
+    _require_finite(spec, f"order-{order} transition prediction", (
+        (0.5 + abs(sigma[k])) * coef for k in range(1, q) for op in xi[k] for _, coef in op.terms))
+    return XiPrediction(d, order, tuple(e), sigma, tuple(xi))
 
 
 def momentum_velocity_tensor(spec: SchemeSpec) -> np.ndarray:
@@ -455,32 +457,35 @@ def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dic
     lam = momentum_velocity_tensor(spec)
     c = eq.c
 
-    regrouped = DifferentialOperator.zero(d)
-    for b in range(1, d + 1):
-        pb = DifferentialOperator.partial(d, b - 1)
-        # order-1 theta correction: sigma_b c^b d_b A_1
-        regrouped = regrouped + (sigma[b] * c[b - 1]) * (pb @ a1)
-        # time part of the sigma-sigma group collapses onto moment b itself
-        regrouped = regrouped - sigma[b] ** 2 * (pb @ a0 @ theta0[b][0])
-        # (1/6) mixed group
-        regrouped = regrouped + (1.0 / 6.0) * (pb @ a0 @ theta0[b][0])
-    for b in range(d):
-        for g in range(d):
-            pbg = DifferentialOperator.partial(d, b) @ DifferentialOperator.partial(d, g)
-            # transport part of the sigma-sigma group via the Lambda tensor
-            for l in range(1, q):
-                if lam[b, g, l] == 0.0:
-                    continue
-                regrouped = regrouped - (sigma[b + 1] * sigma[l] * lam[b, g, l]) * (
-                    pbg @ theta0[l][0]
-                )
-            # (1/12) group via Lambda-contracted conservation defaults
-            contracted = DifferentialOperator.zero(d)
-            for l in range(q):
-                if lam[b, g, l] != 0.0:
-                    contracted = contracted + lam[b, g, l] * theta0[l][0]
-            regrouped = regrouped + (1.0 / 12.0) * (pbg @ contracted)
-
+    # the regrouped form squares each sigma, which the direct form need not do
+    _require_finite(spec, "regrouped order-3 operator", (sg * sg for sg in sigma[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+        regrouped = DifferentialOperator.zero(d)
+        for b in range(1, d + 1):
+            pb = DifferentialOperator.partial(d, b - 1)
+            # order-1 theta correction: sigma_b c^b d_b A_1
+            regrouped = regrouped + (sigma[b] * c[b - 1]) * (pb @ a1)
+            # time part of the sigma-sigma group collapses onto moment b itself
+            regrouped = regrouped - sigma[b] ** 2 * (pb @ a0 @ theta0[b][0])
+            # (1/6) mixed group
+            regrouped = regrouped + (1.0 / 6.0) * (pb @ a0 @ theta0[b][0])
+        for b in range(d):
+            for g in range(d):
+                pbg = DifferentialOperator.partial(d, b) @ DifferentialOperator.partial(d, g)
+                # transport part of the sigma-sigma group via the Lambda tensor
+                for l in range(1, q):
+                    if lam[b, g, l] == 0.0:
+                        continue
+                    regrouped = regrouped - (sigma[b + 1] * sigma[l] * lam[b, g, l]) * (
+                        pbg @ theta0[l][0]
+                    )
+                # (1/12) group via Lambda-contracted conservation defaults
+                contracted = DifferentialOperator.zero(d)
+                for l in range(q):
+                    if lam[b, g, l] != 0.0:
+                        contracted = contracted + lam[b, g, l] * theta0[l][0]
+                regrouped = regrouped + (1.0 / 12.0) * (pbg @ contracted)
+    _require_finite(spec, "regrouped order-3 operator", (coef for _, coef in regrouped.terms))
     diff = a2_direct - regrouped
     scale = max(a2_direct.max_abs_coefficient(), regrouped.max_abs_coefficient(), 1e-300)
     rel = diff.max_abs_coefficient() / scale

@@ -441,6 +441,54 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (out / "simulate.json").exists()
 
+    def test_rate_near_zero_exits_two_except_simulate(self, runner, tmp_path):
+        # s[1] = 1e-200 is inside (0, 2), but sigma_1 = 1e200 overflows the
+        # third-order coefficients; no RuntimeWarning may escape on the way
+        doc = json.loads(reference_config("d1q3"))
+        doc["scheme"]["relaxation"] = [0.0, 1e-200, 1.6]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        for command in ("analyze", "dispersion", "verify", "convergence"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+            assert result.exit_code == 2, (command, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert "Traceback" not in result.output
+            assert result.stderr.count("error: ") == 1
+            assert "has a non-finite coefficient" in result.stderr
+            assert "order-3" in result.stderr and "s[1] = 1e-200" in result.stderr
+            assert not out.exists()
+        out = tmp_path / "simulate"
+        result = runner.invoke(main, ["simulate", "--config", str(path), "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "simulate.json").exists()
+
+    @pytest.mark.parametrize("field, value", [("amplitude", 0.0), ("mode", [0])])
+    def test_uniform_sine_exits_two_without_output(self, runner, tmp_path, field, value):
+        # a sine of zero amplitude or mode 0 is uniform: the residual studies
+        # would pass at the rounding floor having measured nothing
+        doc = json.loads(reference_config("d1q3"))
+        doc["initial"][field] = value
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps(doc))
+        for command in ("verify", "convergence"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+            assert result.exit_code == 2, (command, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert result.stderr.startswith(f"error: /initial/{field}: expected a nonzero")
+            assert not out.exists()
+
+    def test_only_zero_wavevector_exits_two_without_output(self, runner, tmp_path):
+        path = tmp_path / "zero_k.json"
+        path.write_text(config_text(analysis={**BASE["analysis"], "k_samples": [[0.0]]}))
+        for command in ("verify", "dispersion"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+            assert result.exit_code == 2, result.output
+            assert "error: no nonzero wavevector to compare" in result.output
+            assert not out.exists()
+
     @pytest.mark.parametrize("command, target", [("verify", "verify_report"),
                                                  ("simulate", "simulate_payload")])
     def test_unexpected_exception_exits_three_without_output(

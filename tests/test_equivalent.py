@@ -336,6 +336,31 @@ class TestDerivationCache:
         assert derivations() == 1
 
 
+class TestDerivationWork:
+    @pytest.mark.parametrize("name, u, built", [
+        ("d1q2", 0.0, 52), ("d1q2", 0.2, 66),
+        ("d1q3", 0.0, 68), ("d1q3", 0.2, 86),
+        ("d2q5", 0.0, 147), ("d2q5", 0.2, 183),
+    ])
+    def test_polynomials_built_per_third_order_derivation(self, derivations, monkeypatch,
+                                                          name, u, built):
+        # each transport operator A_0 + v_j . grad and each partial is built
+        # once, a zero shift reuses theta_u as its zero-shift theta, and each
+        # group is summed in one canonicalization; a derivation that rebuilt
+        # them per use and added term by term built 90, 120 and 292 at either shift
+        spec = load_config(reference_config(name)).spec
+        lam = spec.vset.lam
+        spec = replace(spec, u_tilde=VelocityShift.zero() if u == 0.0
+                       else VelocityShift.constant((u * lam,) * spec.dim))
+        spec.moment_matrix
+        count = []
+        init = MomentPolynomial.__post_init__
+        monkeypatch.setattr(MomentPolynomial, "__post_init__",
+                            lambda self: count.append(1) or init(self))
+        derive_equivalent_equation(spec, 3)
+        assert len(count) == built
+
+
 class TestShiftInvariance:
     @pytest.mark.parametrize("maker", [d1q2_spec, d1q3_spec])
     def test_low_order_tensors_fixed(self, maker):
