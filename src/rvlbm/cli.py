@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import pathlib
 import sys
+import warnings
 
 import click
 
@@ -51,19 +52,30 @@ def _warn_if_unstable(spec) -> None:
 
 
 @contextlib.contextmanager
-def _exit_on_error():
-    """Turn an exception in a command into one stderr line and exit code 2 or 3.
+def _command_scope():
+    """Turn an exception in a command into one stderr line and exit code 2 or 3,
+    and each distinct warning message it raises into one `warning:` line.
 
     OSError is a usage error: an output directory that cannot be created or written.
+    The warning filters still decide what is shown; the display hook is restored.
     """
-    try:
-        yield
-    except (SchemeError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except Exception as exc:
-        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(3)
+    shown = set()
+
+    def show(message, *_):
+        if str(message) not in shown:
+            shown.add(str(message))
+            click.echo(f"warning: {message}", err=True)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            yield
+        except (SchemeError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
 
 
 config_option = click.option(
@@ -95,7 +107,7 @@ def main() -> None:
 @order_option
 def analyze(config_path, output_dir, fmt, order) -> None:
     """Derive the equivalent equation and write its coefficients."""
-    with _exit_on_error():
+    with _command_scope():
         cfg = _load(config_path)
         payload = experiments.analyze_payload(cfg, order)
         _warn_if_unstable(cfg.spec)
@@ -112,7 +124,7 @@ def analyze(config_path, output_dir, fmt, order) -> None:
 @order_option
 def dispersion(config_path, output_dir, fmt, order) -> None:
     """Extract oracle growth-rate series and compare with the prediction."""
-    with _exit_on_error():
+    with _command_scope():
         cfg = _load(config_path)
         report = experiments.dispersion_payload(cfg, order)
         _warn_if_unstable(cfg.spec)
@@ -130,7 +142,7 @@ def dispersion(config_path, output_dir, fmt, order) -> None:
 @format_option
 def simulate(config_path, output_dir, fmt) -> None:
     """Run the scheme and write observables plus a final snapshot."""
-    with _exit_on_error():
+    with _command_scope():
         cfg = _load(config_path)
         payload, state = experiments.simulate_payload(cfg)
         path = _write_report(cfg, output_dir, fmt, "simulate", payload,
@@ -149,7 +161,7 @@ def simulate(config_path, output_dir, fmt) -> None:
 @output_option
 def verify(config_path, output_dir) -> None:
     """Run every verification channel, write verify.json; exit 0 only if all pass."""
-    with _exit_on_error():
+    with _command_scope():
         cfg = _load(config_path)
         report = experiments.verify_report(cfg)
         out = _out_dir(cfg, output_dir)
@@ -174,7 +186,7 @@ def verify(config_path, output_dir) -> None:
 @format_option
 def convergence(config_path, output_dir, fmt) -> None:
     """Refinement study of the equilibrium and transition residuals."""
-    with _exit_on_error():
+    with _command_scope():
         cfg = _load(config_path)
         study = experiments.convergence_payload(cfg)
         path = _write_report(cfg, output_dir, fmt, "convergence", study,

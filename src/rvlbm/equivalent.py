@@ -6,10 +6,12 @@ the fast moments,
     d_t rho = A_0 rho + Delta A_1 rho + Delta^2 A_2 rho + O(Delta^3),
 
 where each A_l is a constant-coefficient spatial differential operator.  This
-module builds the A_l by iterated substitution of the time derivative: the
-conservation defaults theta_k are formed from the per-velocity derivative
-E_j (d_t + v_j . grad) with d_t replaced by the series known so far, and the
-Henon parameters sigma_k = 1/s_k - 1/2 weight their contributions.  It also
+module builds the A_l by substitution of the time derivative: the conservation
+defaults theta_k are formed from the per-velocity derivative
+E_j (d_t + v_j . grad) with d_t replaced by A_0, and the Henon parameters
+sigma_k = 1/s_k - 1/2 weight their contributions.  The order-1 part of theta
+inside the Delta term is taken at zero shift, where e_b(0) = c_b, so a
+derivation does the same work at every constant shift.  The module also
 predicts the slaved non-conserved moments (xi_k) for the transition-residual
 experiments, and cross-checks A_2 against the zero-shift regrouped form based
 on the momentum-velocity tensor.
@@ -21,7 +23,7 @@ and adds the operator algebra; a Fourier symbol is that polynomial at ik.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -34,8 +36,8 @@ from .errors import (
     OrderUnavailable,
     ValidationError,
 )
-from .lattice import MomentPolynomial, build_moment_matrix
-from .scheme import SchemeSpec, VelocityShift
+from .lattice import MomentPolynomial
+from .scheme import SchemeSpec
 
 CROSSCHECK_RTOL = 1e-10
 
@@ -149,14 +151,11 @@ def advection_vector(spec: SchemeSpec) -> np.ndarray:
     return np.asarray(spec.equilibrium) @ spec.vset.velocities
 
 
-def conservation_defaults(spec: SchemeSpec, subst) -> tuple:
-    """theta_k = Sum_j M_kj(u) E_j (d_t + v_j . grad) with d_t -> Sum_l Delta^l subst[l].
+def conservation_defaults(spec: SchemeSpec, a0) -> tuple:
+    """theta_k^(0) = Sum_j M_kj(u) E_j (d_t + v_j . grad) with d_t -> a0, one per moment k.
 
-    `subst` is the time substitution, a tuple of operators starting at order 0.
-    Row k of the result is theta_k as a Delta-series: theta[k][l] is its
-    order-l part, and the series is as deep as subst.  The order-0 part
-    collects e_k(u) subst[0] + Sum_b g_k^b d_b with g_k^b = Sum_j M_kj(u) E_j
-    v_j^b; order l >= 1 is e_k(u) subst[l].
+    Entry k collects e_k(u) a0 + Sum_b g_k^b d_b with e_k(u) = Sum_j M_kj(u) E_j
+    and g_k^b = Sum_j M_kj(u) E_j v_j^b.
     """
     d = spec.dim
     mm = spec.moment_matrix
@@ -166,11 +165,8 @@ def conservation_defaults(spec: SchemeSpec, subst) -> tuple:
     e = (mm.m @ ew).tolist()
     g = (mm.m @ (ew[:, None] * vel)).tolist()  # g[k][b]
     partials = [DifferentialOperator.partial(d, b) for b in range(d)]
-    rows = []
-    for k in range(spec.q):
-        order0 = _sum(d, [e[k] * subst[0]] + [g[k][b] * partials[b] for b in range(d)])
-        rows.append((order0,) + tuple(e[k] * op for op in subst[1:]))
-    return tuple(rows)
+    return tuple(_sum(d, [e[k] * a0] + [g[k][b] * partials[b] for b in range(d)])
+                 for k in range(spec.q))
 
 
 def _sum(dim: int, ops) -> DifferentialOperator:
@@ -185,19 +181,11 @@ def _transport_sum(weights, transports) -> DifferentialOperator:
                 (w * t for w, t in zip(weights.tolist(), transports) if w != 0.0))
 
 
-def _relaxed_divergence(sigma, partials, theta, l: int) -> DifferentialOperator:
-    """Sum_b sigma_b d_b theta_b^(l): A_1 for l = 0, the Delta-term correction for l = 1."""
-    return _sum(len(partials), (sigma[b] * (pb @ theta[b][l]) for b, pb in enumerate(partials, 1)))
-
-
 @dataclass(frozen=True)
 class EquivalentEquation:
     """Operators [A_0, A_1, A_2] and the tensors read off them.
 
-    `a2_variant` is the third-order operator obtained when the order-1 theta
-    correction inside the Delta term keeps the scheme's own shift instead of
-    the zero shift; it coincides with ops[2] when the shift is zero.  The
-    arrays c, D and T are read-only, because derive_equivalent_equation hands
+    The arrays c, D and T are read-only, because derive_equivalent_equation hands
     one instance to every caller that asks for the same scheme and order.
     """
 
@@ -207,7 +195,6 @@ class EquivalentEquation:
     c: np.ndarray
     D: np.ndarray | None
     T: np.ndarray | None
-    a2_variant: DifferentialOperator | None
 
     def symbol_series(self, k) -> tuple[complex, ...]:
         """Predicted growth-rate coefficients (mu_0 .. mu_{order-1}) at k."""
@@ -223,16 +210,13 @@ class EquivalentEquation:
         return bad
 
     def to_json_dict(self) -> dict:
-        def op_terms(op):
-            return [
-                {"multi_index": list(e), "coefficient": c} for e, c in op.terms
-            ]
-
-        out = {
+        return {
             "dim": self.dim,
             "order": self.order,
             "operators": [
-                {"order": l, "terms": op_terms(op)} for l, op in enumerate(self.ops)
+                {"order": l, "terms": [{"multi_index": list(e), "coefficient": c}
+                                       for e, c in op.terms]}
+                for l, op in enumerate(self.ops)
             ],
             "tensors": {
                 "c": self.c.tolist(),
@@ -240,11 +224,6 @@ class EquivalentEquation:
                 "T": None if self.T is None else self.T.tolist(),
             },
         }
-        if self.a2_variant is not None:
-            out["a2_variant_terms"] = op_terms(self.a2_variant)
-            diff = self.ops[2] - self.a2_variant
-            out["theta_convention_max_difference"] = diff.max_abs_coefficient()
-        return out
 
     def pretty(self) -> str:
         """Text form, e.g. '∂t ρ + 0.5 ∂x ρ = Δ·(0.375 ∂xx ρ) + ...'."""
@@ -291,8 +270,7 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
     A_1 = Sum_b sigma_b d_b theta_b^(0); order 3 adds A_2 assembled from the
     shift-frame sigma-sigma group, the (1/12) fourth-moment group, the (1/6)
     mixed time-space group, and the order-1 correction of the Delta term taken
-    at zero shift.  The same correction taken at the scheme's shift is kept as
-    `a2_variant`.
+    at zero shift, Sum_b sigma_b d_b (c_b A_1).
 
     The result is shared by every caller that asks for the same (spec, order)
     while it stays among the 4 most recent; its c, D and T are read-only.
@@ -315,25 +293,22 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
     c.setflags(write=False)
     a0 = DifferentialOperator.gradient_dot(d, -c)
     if order == 1:
-        return EquivalentEquation(d, 1, (a0,), c, None, None, None)
+        return EquivalentEquation(d, 1, (a0,), c, None, None)
 
     sigma = henon_sigma(spec.s)
     partials = [DifferentialOperator.partial(d, b) for b in range(d)]
-    theta0 = conservation_defaults(spec, (a0,))
-    a1 = _relaxed_divergence(sigma, partials, theta0, 0)
+    theta0 = conservation_defaults(spec, a0)
+    a1 = _sum(d, (sigma[b] * (partials[b - 1] @ theta0[b]) for b in range(1, d + 1)))
     _require_finite(spec, f"order-{order} equivalent equation", (coef for _, coef in a1.terms))
     D = _symmetric_tensor(a1, 2, d)
     D.setflags(write=False)
     if order == 2:
-        return EquivalentEquation(d, 2, (a0, a1), c, D, None, None)
+        return EquivalentEquation(d, 2, (a0, a1), c, D, None)
 
-    # order-1 correction of the Delta term, at the scheme's shift and at zero shift
-    subst = (a0, a1)
-    delta_corr_u = _relaxed_divergence(sigma, partials, conservation_defaults(spec, subst), 1)
-    delta_corr_z = delta_corr_u
-    if any(v != 0.0 for v in spec.u_tilde.constant_vector(d)):
-        theta_z = conservation_defaults(replace(spec, u_tilde=VelocityShift.zero()), subst)
-        delta_corr_z = _relaxed_divergence(sigma, partials, theta_z, 1)
+    # order-1 correction of the Delta term at zero shift: theta_b^(1) = e_b(0) A_1, and
+    # e_b(0) = Sum_j v_j^b E_j = c_b because the basis fixes P_b = X_b for b = 1..d
+    delta_corr = _sum(d, (sigma[b] * (partials[b - 1] @ (cb * a1))
+                          for b, cb in enumerate(c.tolist(), 1)))
     m_inv = spec.moment_matrix.m_inv
     transports = [a0 + DifferentialOperator.gradient_dot(d, v) for v in vel]
 
@@ -342,7 +317,7 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
     for b in range(1, d + 1):
         for l in range(1, q):
             inner = _transport_sum(vel[:, b - 1] * m_inv[:, l], transports)
-            sigma_terms.append((sigma[b] * sigma[l]) * (partials[b - 1] @ inner @ theta0[l][0]))
+            sigma_terms.append((sigma[b] * sigma[l]) * (partials[b - 1] @ inner @ theta0[l]))
     sigma_group = _sum(d, sigma_terms)
 
     # (1/12) group: fourth moments of the per-velocity derivative
@@ -355,17 +330,14 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
     ))
 
     # (1/6) mixed time-space group
-    sixth = _sum(d, ((1.0 / 6.0) * (partials[b - 1] @ a0 @ theta0[b][0]) for b in range(1, d + 1)))
+    sixth = _sum(d, ((1.0 / 6.0) * (partials[b - 1] @ a0 @ theta0[b]) for b in range(1, d + 1)))
 
-    core = sixth + twelfth - sigma_group
-    a2 = delta_corr_z + core
-    a2_variant = delta_corr_u + core
-    _require_finite(spec, "order-3 equivalent equation",
-                    (coef for op in (a2, a2_variant) for _, coef in op.terms))
+    a2 = delta_corr + (sixth + twelfth - sigma_group)
+    _require_finite(spec, "order-3 equivalent equation", (coef for _, coef in a2.terms))
 
     T = _symmetric_tensor(a2, 3, d)
     T.setflags(write=False)
-    return EquivalentEquation(d, 3, (a0, a1, a2), c, D, T, a2_variant)
+    return EquivalentEquation(d, 3, (a0, a1, a2), c, D, T)
 
 
 @dataclass(frozen=True)
@@ -394,9 +366,9 @@ class XiPrediction:
 def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
     """Predict the non-conserved moments to O(Delta^order).
 
-    xi_k = theta_k - Delta Sum_{j, l>=1} sigma_l M_kj(u) (d_t + v_j . grad)
-    (M^-1(u))_jl theta_l^(0), with d_t already substituted; order 2 keeps only
-    theta_k^(0).
+    xi_k = theta_k^(0) + Delta (e_k(u) A_1 - Sum_{j, l>=1} sigma_l M_kj(u)
+    (d_t + v_j . grad) (M^-1(u))_jl theta_l^(0)), with d_t already substituted;
+    order 2 keeps only theta_k^(0).
     """
     if order not in (2, 3):
         raise OrderUnavailable(f"order {order!r} not predictable; choose 2 or 3")
@@ -408,20 +380,19 @@ def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
     a0 = eq.ops[0]
     sigma = henon_sigma(spec.s)
     mm = spec.moment_matrix
-    e = mm.m @ np.asarray(spec.equilibrium)
+    e = (mm.m @ np.asarray(spec.equilibrium)).tolist()
     vel = spec.vset.velocities
 
+    theta = conservation_defaults(spec, a0)
     if order == 2:
-        theta = conservation_defaults(spec, (a0,))
-        xi = tuple((theta[k][0],) for k in range(q))
+        xi = tuple((theta[k],) for k in range(q))
     else:
-        theta = conservation_defaults(spec, (a0, eq.ops[1]))
         transports = [a0 + DifferentialOperator.gradient_dot(d, v) for v in vel]
         xi = []
         for k in range(q):
             psi = _sum(d, (sigma[l] * (_transport_sum(mm.m[k] * mm.m_inv[:, l], transports)
-                                       @ theta[l][0]) for l in range(1, q)))
-            xi.append((theta[k][0], theta[k][1] - psi))
+                                       @ theta[l]) for l in range(1, q)))
+            xi.append((theta[k], e[k] * eq.ops[1] - psi))
     # the residuals scale xi_k by 1/2 + sigma_k and 1/2 - sigma_k, at most 1/2 + |sigma_k|
     _require_finite(spec, f"order-{order} transition prediction", (
         (0.5 + abs(sigma[k])) * coef for k in range(1, q) for op in xi[k] for _, coef in op.terms))
@@ -429,10 +400,10 @@ def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
 
 
 def momentum_velocity_tensor(spec: SchemeSpec) -> np.ndarray:
-    """Lambda^{bg}_l = Sum_j v_j^b v_j^g (M(0)^-1)_jl, shape (d, d, q)."""
-    mm = build_moment_matrix(spec.basis, spec.vset, (0.0,) * spec.dim)
+    """Lambda^{bg}_l = Sum_j v_j^b v_j^g (M(u)^-1)_jl at the scheme's constant shift u,
+    shape (d, d, q); the crosscheck reads it at u = 0."""
     vel = spec.vset.velocities
-    return np.einsum("jb,jg,jl->bgl", vel, vel, mm.m_inv)
+    return np.einsum("jb,jg,jl->bgl", vel, vel, spec.moment_matrix.m_inv)
 
 
 def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dict:
@@ -453,7 +424,7 @@ def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dic
     eq = derive_equivalent_equation(spec, 3)
     a0, a1, a2_direct = eq.ops
     sigma = henon_sigma(spec.s)
-    theta0 = conservation_defaults(spec, (a0,))
+    theta0 = conservation_defaults(spec, a0)
     lam = momentum_velocity_tensor(spec)
     c = eq.c
 
@@ -466,9 +437,9 @@ def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dic
             # order-1 theta correction: sigma_b c^b d_b A_1
             regrouped = regrouped + (sigma[b] * c[b - 1]) * (pb @ a1)
             # time part of the sigma-sigma group collapses onto moment b itself
-            regrouped = regrouped - sigma[b] ** 2 * (pb @ a0 @ theta0[b][0])
+            regrouped = regrouped - sigma[b] ** 2 * (pb @ a0 @ theta0[b])
             # (1/6) mixed group
-            regrouped = regrouped + (1.0 / 6.0) * (pb @ a0 @ theta0[b][0])
+            regrouped = regrouped + (1.0 / 6.0) * (pb @ a0 @ theta0[b])
         for b in range(d):
             for g in range(d):
                 pbg = DifferentialOperator.partial(d, b) @ DifferentialOperator.partial(d, g)
@@ -477,13 +448,13 @@ def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dic
                     if lam[b, g, l] == 0.0:
                         continue
                     regrouped = regrouped - (sigma[b + 1] * sigma[l] * lam[b, g, l]) * (
-                        pbg @ theta0[l][0]
+                        pbg @ theta0[l]
                     )
                 # (1/12) group via Lambda-contracted conservation defaults
                 contracted = DifferentialOperator.zero(d)
                 for l in range(q):
                     if lam[b, g, l] != 0.0:
-                        contracted = contracted + lam[b, g, l] * theta0[l][0]
+                        contracted = contracted + lam[b, g, l] * theta0[l]
                 regrouped = regrouped + (1.0 / 12.0) * (pbg @ contracted)
     _require_finite(spec, "regrouped order-3 operator", (coef for _, coef in regrouped.terms))
     diff = a2_direct - regrouped

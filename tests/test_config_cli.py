@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -531,6 +532,25 @@ class TestCli:
             assert result.exit_code == 0, result.output
             assert result.stderr.count("warning: scheme is linearly unstable: max |g| = 1.5 ") == 1
             assert (tmp_path / command / f"{command}.json").exists()
+
+    @pytest.mark.filterwarnings("default:relaxation rate s")
+    def test_rate_warning_prints_once_as_one_line(self, runner, tmp_path):
+        # verify builds the spec at load and again for each swept shift; each
+        # construction warns, and the user sees one plain line
+        doc = json.loads(reference_config("d1q3"))
+        doc["scheme"]["relaxation"] = [0.0, 2.5, 1.6]
+        path = tmp_path / "rate.json"
+        path.write_text(json.dumps(doc))
+        filters, hook = warnings.filters, warnings.showwarning
+        for command in ("verify", "dispersion"):
+            result = runner.invoke(main, [command, "--config", str(path),
+                                          "--output", str(tmp_path / command)])
+            assert result.exit_code in (0, 1), (command, result.output)
+            lines = result.stderr.splitlines()
+            assert lines.count("warning: relaxation rate s[1] = 2.5 outside (0, 2)") == 1
+            assert sum("relaxation rate" in line for line in lines) == 1
+            assert "UserWarning" not in result.stderr and ".py:" not in result.stderr
+        assert warnings.filters is filters and warnings.showwarning is hook
 
     @pytest.mark.parametrize("name", ["d1q2", "d1q3", "d2q5"])
     def test_shipped_configs_pass_stability_preflight(self, runner, tmp_path, name):

@@ -27,6 +27,7 @@ from rvlbm import (
     step,
 )
 from rvlbm.config import default_k_samples
+from rvlbm.experiments import INVARIANCE_RTOL
 import rvlbm.dispersion as dispersion
 from rvlbm.errors import (
     BranchAmbiguity,
@@ -497,6 +498,25 @@ def rounding_scale(spec) -> float:
             * spec.vset.lam ** 3 * float(np.abs(mm.m).max()) * float(np.abs(mm.m_inv).max()))
 
 
+def diffusion_rounding_scale(spec) -> float:
+    """Size of the terms that D is summed from, max|sigma| Sum|E_j| max(1, Sum|E_j|)
+    lam max|v_j^b - u_b|: the shift enters D only through terms that cancel
+    exactly, so two shifts round apart by about eps times this, however small D
+    itself comes out.  Rows 1..d of M(u) hold v_j^b - u_b."""
+    sigma = max(abs(1.0 / s - 0.5) for s in spec.s[1:])
+    weight = sum(abs(e) for e in spec.equilibrium)
+    rows = spec.moment_matrix.m[1:spec.dim + 1]
+    return sigma * weight * max(1.0, weight) * spec.vset.lam * float(np.abs(rows).max())
+
+
+def cancelled_diffusion_d1q2():
+    """c = 2e-12 - lam, so D = sigma (lam^2 - c^2) is 2e-12 and comes out 5.6e-5
+    apart, relative, between u = 0 and u = 0.25 lam."""
+    vset = VelocitySet(1, 1.0, RANDOM_SCHEME_SETS["d1q2"])
+    return SchemeSpec(vset, default_basis(vset), (0.0, 1.0), (1e-12, 1.0 - 1e-12),
+                      VelocityShift.constant((0.25,)))
+
+
 def cancelled_d1q2():
     """c rounds to -lam, so A_1 is 0 and A_2 is 1.3e-62 in the direct channel
     and 0 in the regrouped one."""
@@ -539,3 +559,34 @@ class TestRandomSchemeDerivation:
         assert equation.structure_violations() == []
         if report["relative_difference"] > 1e-10:
             assert report["max_abs_difference"] <= 1e-13 * rounding_scale(spec)
+
+    @given(random_schemes())
+    @example(cancelled_diffusion_d1q2())
+    @settings(max_examples=100, deadline=None)
+    def test_transport_and_diffusion_shift_invariant(self, spec):
+        # Criterion 2 over random schemes: c and D at the drawn shift against
+        # zero shift, by the relative bound of verify's u_invariance.  The only
+        # filter is cond M(u) <= 1e12.  Where D is cancellation noise that bound
+        # fails although both shifts agree to the rounding of the terms D is
+        # summed from; that is the open counterexample of ROADMAP item 2, and for
+        # it the difference must stay at that rounding: 1e-14 (45 eps) times
+        # diffusion_rounding_scale, against a worst of 1.24 eps in 5,337 finite
+        # random draws.
+        try:
+            spec.moment_matrix
+        except SingularMatrix:
+            assume(False)
+        zero = replace(spec, u_tilde=VelocityShift.zero())
+        try:
+            shifted = derive_equivalent_equation(spec, 2)
+            unshifted = derive_equivalent_equation(zero, 2)
+        except ValidationError as exc:
+            assert "non-finite coefficient" in str(exc)
+            return
+        for name, a, b in (("c", shifted.c, unshifted.c), ("D", shifted.D, unshifted.D)):
+            diff = float(np.max(np.abs(a - b)))
+            scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+            if diff / scale > INVARIANCE_RTOL:
+                assert name == "D", (name, diff / scale)
+                assert diff <= 1e-14 * max(diffusion_rounding_scale(spec),
+                                           diffusion_rounding_scale(zero))
