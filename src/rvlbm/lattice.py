@@ -205,9 +205,7 @@ def build_moment_matrix(basis, vset: VelocitySet, u_tilde) -> MomentMatrix:
         v = v[:, :, None]  # broadcast against (dim, 1, n)
     m = _evaluate_rows(basis, v - u[:, None])  # (q, q[, n])
     if u.ndim == 2:
-        # keep the cell axis fastest: collide's per-cell einsum rounds differently on a
-        # contiguous (n, q, q) copy
-        m = np.moveaxis(m, -1, 0)
+        m = np.moveaxis(m, -1, 0)  # a view: the cell axis stays fastest in memory
     try:
         m_inv = np.linalg.inv(m)
         cond = _one_norm(m) * _one_norm(m_inv)

@@ -1,10 +1,10 @@
 """Scheme definition and the collide-and-stream update.
 
-One update reads the distributions f, forms moments m = M(u) f, relaxes every
-non-conserved moment toward the equilibrium moments M(u) E rho, maps back with
-M(u)^-1, and streams each f_j by its integer lattice vector on the periodic
-grid.  The density moment is conserved exactly because s[0] = 0 and row 0 of
-M(u) is all ones for every shift u.
+One update relaxes every non-conserved moment m = M(u) f toward the
+equilibrium moments M(u) E rho, which is f + M(u)^-1 (K f) with the relaxation
+operator K = S (M(u) E 1^T - M(u)), and streams each f_j by its integer
+lattice vector on the periodic grid.  The density moment is conserved exactly
+because s[0] = 0 makes row 0 of K zero.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,86 +212,115 @@ def density(f) -> float | np.ndarray:
 
 
 def _contract(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a x for a (q, cells) x, a (q, q) matrix or a per-cell (cells, q, q) stack `a`."""
+    """out = a x for a (q, cells) x, a (q, q) matrix or a per-cell (q, q, cells) stack `a`."""
     if a.ndim == 2:
         return np.matmul(a, x, out=out)
-    np.einsum("ckj,cj->ck", a, x.T, out=out.T)
-    return out
+    return np.einsum("kjc,jc->kc", a, x, out=out)
 
 
-def _product_buffer(f: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Empty out for _contract(a, f, out), laid out as np.einsum lays out a fresh product.
+class _Collision(NamedTuple):
+    """The operators of f -> f + M(u)^-1 (K f), with K = S (M(u) E 1^T - M(u)).
 
-    That is cell-major for a stack that keeps its cells outermost (M(u)^-1) and
-    population-major otherwise; einsum's loop order, so its rounding, follows layout.
+    For a constant shift k and m_inv are K and M(u)^-1, and there are no
+    differences.  For a field shift k and m_inv are K_0 and M_0^-1 at the rest
+    frame, and dk, dm_inv are the per-cell stacks K(x) - K_0 and
+    M(x)^-1 - M_0^-1.  m is M(u) itself, for moment_field.  Stacks have shape
+    (q, q, cells), so the cell axis is the fastest: the per-cell einsum runs
+    2-3 times faster on that layout than on a C-ordered (cells, q, q) stack.
     """
-    dtype = np.result_type(f, a)
-    if a.ndim == 3 and a.strides[0] == max(a.strides):
-        return np.empty(f.shape[::-1], dtype).T
-    return np.empty(f.shape, dtype)
+
+    m: np.ndarray
+    k: np.ndarray
+    m_inv: np.ndarray
+    dk: np.ndarray | None = None
+    dm_inv: np.ndarray | None = None
+
+
+def _relaxation_operator(spec: SchemeSpec, m: np.ndarray) -> np.ndarray:
+    """K = S (m E 1^T - m) for a (q, q) m or a (q, q, cells) stack.
+
+    K is linear in m, and its row 0 is exactly 0 because s_0 = 0.
+    """
+    me = np.einsum("kj...,j->k...", m, np.asarray(spec.equilibrium))
+    k = np.subtract(me[:, None], m)
+    k *= np.asarray(spec.s).reshape((spec.q,) + (1,) * (m.ndim - 1))
+    return k
 
 
 @lru_cache(maxsize=4)
-def _field_matrices(spec: SchemeSpec, grid_sizes, box_lengths):
-    """Per-cell M(u) stack and M(u) E of shape (q, cells) for a field shift, built once per grid."""
+def _field_matrices(spec: SchemeSpec, grid_sizes, box_lengths) -> _Collision:
+    """A field shift's collision operators split at the rest frame, built once per grid.
+
+    K_0 and M_0^-1 take the same 2-D matmul as a constant shift, and the
+    per-cell differences are built from M(x) - M_0, so they are exactly 0
+    wherever the shift is: a zero-amplitude sine collides bit for bit as the
+    zero shift, for every scheme.
+    """
     x = cell_centers(grid_sizes, box_lengths)
     u = np.stack([v * np.sin(2.0 * np.pi * x[a] / box_lengths[a])
                   for a, v in enumerate(spec.u_tilde.value)]).reshape(spec.dim, -1)
-    matrix = build_moment_matrix(spec.basis, spec.vset, u)  # (cells, q, q)
-    e = (matrix.m @ np.asarray(spec.equilibrium)).T
-    e.setflags(write=False)
-    return matrix, e
+    matrix = build_moment_matrix(spec.basis, spec.vset, u)
+    rest = build_moment_matrix(spec.basis, spec.vset, np.zeros(spec.dim))
+    m = np.ascontiguousarray(np.moveaxis(matrix.m, 0, -1))  # (q, q, cells)
+    dm = m - rest.m[:, :, None]
+    # M(x)^-1 - M_0^-1 = -M_0^-1 (M(x) - M_0) M(x)^-1, cell by cell
+    left = np.tensordot(-rest.m_inv, dm, axes=1)
+    dm_inv = np.einsum("kjc,jic->kic", left, np.ascontiguousarray(np.moveaxis(matrix.m_inv, 0, -1)))
+    ops = _Collision(m, _relaxation_operator(spec, rest.m), rest.m_inv,
+                     _relaxation_operator(spec, dm), dm_inv)
+    for a in ops[1:]:
+        a.setflags(write=False)
+    return ops
 
 
-def _shift_matrices(spec: SchemeSpec, grid_sizes, box_lengths):
-    """M(u) and M(u) E for the scheme's shift, E of shape (q, 1) or, for a field, (q, cells)."""
+def _shift_matrices(spec: SchemeSpec, grid_sizes, box_lengths) -> _Collision:
+    """The collision operators for the scheme's shift on this grid."""
     if spec.u_tilde.is_constant:
         matrix = spec.moment_matrix
-        return matrix, (matrix.m @ np.asarray(spec.equilibrium)).reshape(spec.q, 1)
+        return _Collision(matrix.m, _relaxation_operator(spec, matrix.m), matrix.m_inv)
     return _field_matrices(spec, grid_sizes, box_lengths)
 
 
-def _rates(spec: SchemeSpec) -> np.ndarray:
-    """Relaxation rates as a (q, 1) column."""
-    return np.asarray(spec.s).reshape(spec.q, 1)
+def _scratch(f: np.ndarray, ops: _Collision) -> tuple:
+    """Buffers for _collide_f on a (q, cells) f: K f, the collided f and the per-cell products.
 
-
-def _scratch(f: np.ndarray, matrix: MomentMatrix) -> tuple:
-    """Buffers for _collide_f on a (q, cells) f: rho, M(u) f, M(u)^-1 s (...), the collided f.
-
-    The last is C-ordered, so it reshapes to (q, *grid) as a view; for one matrix it is the third.
+    The last exists for a field shift only.  The collided f is C-ordered, so
+    it reshapes to (q, *grid) as a view.
     """
-    out = np.empty(f.shape, np.result_type(f, matrix.m))
-    correction = out if matrix.m.ndim == 2 else _product_buffer(f, matrix.m_inv)
-    return np.empty(f.shape[1], out.dtype), _product_buffer(f, matrix.m), correction, out
+    dtype = np.result_type(f, ops.k)
+    products = np.empty(f.shape, dtype) if ops.dk is not None else None
+    return np.empty(f.shape, dtype), np.empty(f.shape, dtype), products
 
 
-def _collide_f(f: np.ndarray, matrix: MomentMatrix, e: np.ndarray, s: np.ndarray, scratch):
-    """Collided distributions f + M(u)^-1 s (M(u) E rho - M(u) f): the one collision formula.
+def _collide_f(f: np.ndarray, ops: _Collision, scratch) -> np.ndarray:
+    """Collided distributions f + M(u)^-1 (K f): the one collision formula.
 
     f is (q, cells); every intermediate and the result go into `scratch`, so a
-    call allocates nothing.  The update is kept in this delta form: with
-    s_0 = 0 the correction carries no mass component, so the rounding of the
-    M(u) round trip scales with the distance from equilibrium rather than with
-    f itself and the collision conserves mass to well below 1e-13 over long
-    runs.  Multiplying it out to one matrix I + M(u)^-1 S (...) loses that and
-    drifts by about 2e-13 over 10^4 d1q3 steps.
+    call allocates nothing.  K f = S (M(u) E rho - M(u) f) has row 0 exactly 0
+    because s_0 = 0, and M(u)^-1 stays its own contraction, so the correction
+    carries no mass component: its rounding scales with the distance from
+    equilibrium rather than with f, and the collision conserves mass to well
+    below 1e-13 over long runs.  Multiplying it out to one matrix
+    I + M(u)^-1 K loses that and drifts by about 2e-13 over 10^4 d1q3 steps.
+    A field shift adds the per-cell difference stacks to the rest-frame
+    products.
     """
-    rho, delta, correction, out = scratch
-    np.add.reduce(f, axis=0, out=rho)
-    _contract(matrix.m, f, delta)
-    np.multiply(e, rho, out=correction)
-    np.subtract(correction, delta, out=delta)
-    delta *= s
-    _contract(matrix.m_inv, delta, correction)
-    return np.add(f, correction, out=out)
+    kf, out, products = scratch
+    np.matmul(ops.k, f, out=kf)
+    if products is not None:
+        kf += _contract(ops.dk, f, products)
+    np.matmul(ops.m_inv, kf, out=out)
+    if products is not None:
+        out += _contract(ops.dm_inv, kf, products)
+    out += f
+    return out
 
 
 def collide(state: StateField, spec: SchemeSpec) -> StateField:
     """Relax all moments at every cell; no transport."""
-    matrix, e = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
+    ops = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
     f = state.f.reshape(spec.q, -1)
-    out = _collide_f(f, matrix, e, _rates(spec), _scratch(f, matrix))
+    out = _collide_f(f, ops, _scratch(f, ops))
     return replace(state, f=out.reshape(state.f.shape))
 
 
@@ -355,7 +385,7 @@ def run(state: StateField, spec: SchemeSpec, steps: int) -> StateField:
 def _advance(state: StateField, spec: SchemeSpec, steps: int):
     """Yield f after each of `steps` updates of `state`: the one collide-and-stream loop.
 
-    M(u), M(u) E, the rates, the stream plan and the collision scratch are
+    The collision operators, the stream plan and the collision scratch are
     built once; each step collides into the scratch and streams it into one
     preallocated buffer, so a step allocates nothing and every yielded array
     is that same buffer, overwritten by the next step.
@@ -368,16 +398,15 @@ def _advance(state: StateField, spec: SchemeSpec, steps: int):
         )
     if steps == 0:
         return
-    matrix, e = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
-    s = _rates(spec)
+    ops = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
     plan = _stream_plan(spec.vset, state.grid_sizes)
     f = state.f.reshape(spec.q, -1)
-    scratch = _scratch(f, matrix)
-    collided = scratch[3].reshape(state.f.shape)
+    scratch = _scratch(f, ops)
+    collided = scratch[1].reshape(state.f.shape)
     out = np.empty_like(collided)
     streamed = out.reshape(spec.q, -1)
     for _ in range(steps):
-        _collide_f(f, matrix, e, s, scratch)
+        _collide_f(f, ops, scratch)
         _stream_into(out, collided, plan)
         f = streamed
         yield out
@@ -385,9 +414,9 @@ def _advance(state: StateField, spec: SchemeSpec, steps: int):
 
 def moment_field(state: StateField, spec: SchemeSpec) -> np.ndarray:
     """Moments of the current state taken at the scheme's shift, shape (q, *grid)."""
-    matrix, _ = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
+    m = _shift_matrices(spec, state.grid_sizes, state.box_lengths).m
     f = state.f.reshape(spec.q, -1)
-    return _contract(matrix.m, f, _product_buffer(f, matrix.m)).reshape(state.f.shape)
+    return _contract(m, f, np.empty(f.shape, np.result_type(f, m))).reshape(state.f.shape)
 
 
 def spec_to_dict(spec: SchemeSpec) -> dict:

@@ -273,3 +273,25 @@ class TestAcceptance:
             f"{len(shifted_family())} scheme/shift combos checked",
         )
         assert ok, line + f" violations={violations}"
+
+    def test_9_sine_shift_gap_shrinks_as_dt_squared(self, report, reference_cfgs):
+        # the gap between a sine-shift and a zero-shift run enters at A_2 only
+        spec = reference_cfgs["d1q3"].spec
+        dts, gaps = [], []
+        for n in (64, 128, 256):
+            rho = sine_density((n,), (1.0,), 1.0, 0.01, (1,))
+            finals = []
+            for shift in (VelocityShift.sine((0.1,)), VelocityShift.zero()):
+                spec_u = replace(spec, u_tilde=shift)
+                state = equilibrium_state(spec_u, (n,), (1.0,), rho)
+                finals.append(run(state, spec_u, n // 4).f.sum(axis=0))
+            dts.append(state.dt)
+            gaps.append(float(np.max(np.abs(finals[0] - finals[1]))))
+        slope = float(np.polyfit(np.log(dts), np.log(gaps), 1)[0])
+        ok = 1.85 <= slope <= 2.15
+        ratios = ", ".join(f"{gaps[i] / gaps[i + 1]:.2f}" for i in range(len(gaps) - 1))
+        line = report(
+            9, "sine-shift gap slope 2.0 +/- 0.15", ok,
+            f"d1q3 slope {slope:.3f}, ratios per halving {ratios}",
+        )
+        assert ok, line

@@ -384,6 +384,47 @@ class TestStep:
             out[shift.mode] = run(equilibrium_state(spec_u, (32,), (1.0,), rho), spec_u, 200).f
         np.testing.assert_array_equal(out["sine"], out["zero"])
 
+    @pytest.mark.parametrize("name", ["d1q2", "d2q5"])
+    def test_zero_amplitude_sine_matches_zero_shift_on_shipped_configs(self, name):
+        # the field path adds differences from M(x) - M_0, which are exactly 0 here
+        spec = load_config(reference_config(name)).spec
+        grid, box = (32,) * spec.dim, (1.0,) * spec.dim
+        rho = sine_density(grid, box, 1.0, 0.1, (1,) * spec.dim)
+        out = {}
+        for shift in (VelocityShift.zero(), VelocityShift.sine((0.0,) * spec.dim)):
+            spec_u = replace(spec, u_tilde=shift)
+            out[shift.mode] = run(equilibrium_state(spec_u, grid, box, rho), spec_u, 200).f
+        np.testing.assert_array_equal(out["sine"], out["zero"])
+
+    def test_sine_shift_matches_per_cell_loop(self):
+        # independently coded: M(u(x)) from the basis terms at each cell, np.linalg.inv, plain loops
+        spec = replace(d1q3_spec(), u_tilde=VelocityShift.sine((0.2,)))
+        n = 16
+        rho = sine_density((n,), (1.0,), 1.0, 0.1, (1,))
+        state = equilibrium_state(spec, (n,), (1.0,), rho)
+
+        def moment_matrix(u):
+            return np.array([[sum(coef * (v - u) ** exps[0] for exps, coef in p.terms)
+                              for (v,) in spec.vset.velocities] for p in spec.basis])
+
+        cells = [moment_matrix(0.2 * np.sin(2.0 * np.pi * i / n)) for i in range(n)]
+        e = np.array(spec.equilibrium)
+        s = np.array(spec.s)
+        f = state.f.copy()
+        for _ in range(20):
+            f_star = np.empty_like(f)
+            for i, m_mat in enumerate(cells):
+                m = m_mat @ f[:, i]
+                m_eq = (m_mat @ e) * f[:, i].sum()
+                f_star[:, i] = np.linalg.inv(m_mat) @ (m + s * (m_eq - m))
+            f_new = np.empty_like(f)
+            for j, (v,) in enumerate(spec.vset.lattice_vectors):
+                for i in range(n):
+                    f_new[j, i] = f_star[j, (i - v) % n]
+            f = f_new
+
+        np.testing.assert_allclose(run(state, spec, 20).f, f, rtol=0, atol=1e-13)
+
     def test_collide_leaves_density_pointwise(self):
         spec = d1q3_spec(u=0.2)
         rho = sine_density((16,), (1.0,), 1.0, 0.2, (1,))
