@@ -20,6 +20,7 @@ schemes whose mu1 is exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ DEFAULT_LEVELS = 10
 WALK_INCREMENTS = 10
 STABILITY_POINTS = 33
 STABILITY_TOL = 1e-10
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 RELATIVE_TOLERANCES = (1e-8, 1e-6, 1e-4)
 ABSOLUTE_FLOORS = (1e-12, 1e-10, 1e-8)
@@ -152,9 +154,19 @@ def _walked_eigenvalue(spec: SchemeSpec, k: np.ndarray, dt: float) -> complex:
     return hint
 
 
-def geometric_dt_sequence(dt0: float, levels: int = DEFAULT_LEVELS) -> np.ndarray:
-    """dt0 / 2^m for m = 0..levels-1; a column of dt0 values gives one ladder per row."""
-    return dt0 / 2.0 ** np.arange(levels)
+def geometric_dt_sequence(dt0, levels: int = DEFAULT_LEVELS) -> np.ndarray:
+    """dt0 / 2^m for m = 0..levels-1; a column of dt0 values gives one ladder per row.
+
+    A positive dt0 whose smallest step would fall below the smallest normal
+    float raises ValidationError.
+    """
+    dts = np.ldexp(dt0, -np.arange(levels))  # exact halving, no overflow in 2^m
+    underflow = (dts[..., 0] > 0) & (dts[..., -1] < SMALLEST_NORMAL) if levels else np.False_
+    if underflow.any():
+        first = float(dts[..., 0][underflow].flat[0])
+        raise ValidationError(f"{levels} dt levels: dt0 = {first:g} halved {levels - 1} times "
+                              "underflows")
+    return dts
 
 
 def _branch_values(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> np.ndarray:
@@ -227,8 +239,8 @@ def _check_ladders(spec: SchemeSpec, ks, norms, ladders: np.ndarray) -> None:
     phase = np.asarray(norms, dtype=float) * spec.vset.lam * ordered[:, 0]
     failed = np.stack([
         shape_failed,
-        np.any(ladders <= 0, axis=-1),
-        np.any(np.abs(ratios - ratios[:, :1]) > 1e-9, axis=-1),
+        (ladders <= 0).any(axis=-1),
+        (np.abs(ratios - ratios[:, :1]) > 1e-9).any(axis=-1),
         ~(phase <= MAX_PHASE + 1e-12),
     ], axis=-1)
     if not failed.any():
@@ -244,44 +256,72 @@ def _check_ladders(spec: SchemeSpec, ks, norms, ladders: np.ndarray) -> None:
     )[test - 1])
 
 
-def _design_matrices(dts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even- and odd-power design matrices of the fit over t = dts / dt0, per (..., levels) ladder.
+def _fit(dts: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fit each row of z = log(g) over its (n, levels) ladder dts (see extract_symbol_series).
 
-    Built for every ladder in one step; a compare_with_prediction ladder gives
-    t = 2^-m, but no row is assumed to equal another.
+    Returns mu0, mu1, mu2 as an (n, 3) complex array and the fit residual (n,).
+    The even (Im) and odd (Re) fits run over t = dts / dt0 with one lstsq per
+    row and part; the reconstruction and the residual run for all rows at once.
     """
-    t = dts / dts.max(axis=-1, keepdims=True)
-    return np.stack([t, t**3, t**5, t**7], axis=-1), np.stack([t**2, t**4, t**6], axis=-1)
-
-
-def _fit_series(ks: np.ndarray, dts: np.ndarray, z: np.ndarray, even: np.ndarray,
-                odd: np.ndarray, on_poor_fit: str) -> list[SymbolSeries]:
-    """Fit each row of z = log(g) over its ladder and read off mu0, mu1, mu2
-    (see extract_symbol_series).
-
-    ks is (n, d), dts and z are (n, levels), and even and odd are the ladders'
-    design matrices.  lstsq runs once per wavevector and column; the
-    reconstruction, the residual and the poor-fit test run for all rows at
-    once.  A zero wavevector skips lstsq and gives the zero series.
-    """
-    moving = np.any(ks, axis=-1)
-    coef_even, coef_odd = np.zeros(even.shape[::2]), np.zeros(odd.shape[::2])  # (n, columns)
-    for r in np.flatnonzero(moving):
-        coef_even[r] = np.linalg.lstsq(even[r], z[r].imag, rcond=None)[0]
-        coef_odd[r] = np.linalg.lstsq(odd[r], z[r].real, rcond=None)[0]
+    dt0 = dts.max(axis=-1)
+    t = dts / dt0[:, None]
+    even, odd = np.stack([t, t**3, t**5, t**7], axis=-1), np.stack([t**2, t**4, t**6], axis=-1)
+    coef_even = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(even, z.imag)])
+    coef_odd = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(odd, z.real)])
     fitted = (odd @ coef_odd[..., None])[..., 0] + 1j * (even @ coef_even[..., None])[..., 0]
-    residual = np.where(moving, np.max(np.abs(fitted - z) / dts, axis=-1), 0.0)
-    # mu in scalar expressions on numpy scalars, as a one-row fit evaluates it
-    mu = [(1j * ce[0] / t, complex(co[0] / t**2), 1j * ce[1] / t**3)
-          for ce, co, t in zip(coef_even, coef_odd, dts.max(axis=-1))]
-    shifted = np.array([m[0] for m in mu]) + 1.0
+    residual = np.max(np.abs(fitted - z) / dts, axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked by the caller
+        mu = np.stack([1j * (coef_even[:, 0] / dt0), (coef_odd[:, 0] / dt0**2).astype(complex),
+                       1j * (coef_even[:, 1] / dt0**3)], axis=-1)
+    return mu, residual
+
+
+def _symbol_series(spec: SchemeSpec, ks: np.ndarray, norms: np.ndarray, dts: np.ndarray,
+                   phases: np.ndarray, on_poor_fit: str) -> list[SymbolSeries]:
+    """Fitted series at each (d,) wavevector ks[i] over its (levels,) dt ladder dts[i].
+
+    norms[i] is np.linalg.norm(ks[i]) and phases[i] is the phase ladder
+    |k| dts[i].  G(k, dt) depends on k and dt only through the phases
+    dt k.v_j = (|k| dt) khat.v_j with khat = k / |k|, so wavevectors whose
+    direction khat and phase ladder are bitwise equal share every matrix.
+    Each such group is solved once, at its first wavevector over that one's
+    ladder (one batched _branch_values call for all groups), and fitted once.
+    Every member is then scaled from it: mu_l(k) = mu_l(khat) |k|^(l+1) and
+    residual(k) = |k| residual(khat), so mu_l scales by (|k| / |k_first|)^(l+1)
+    and the residual by |k| / |k_first|.  The poor-fit test runs per
+    wavevector, against its own |mu0 + 1|.  A zero wavevector gives the zero
+    series.  A ladder so fine that some mu is not finite raises
+    ValidationError naming its dt0.
+    """
+    moving = np.flatnonzero(norms > 0)
+    directions = ks[moving] / norms[moving, None]
+    groups: dict[bytes, int] = {}
+    owner = np.array([groups.setdefault(khat.tobytes() + phase.tobytes(), len(groups))
+                      for khat, phase in zip(directions, phases[moving])], dtype=int)
+    mu = np.zeros((len(ks), 3), dtype=complex)
+    residual = np.zeros(len(ks))
+    if groups:
+        solved = moving[np.unique(owner, return_index=True)[1]]  # first member of each group
+        fits, misfit = _fit(dts[solved], np.log(_branch_values(spec, ks[solved], dts[solved])))
+        ratio = norms[moving] / norms[solved][owner]  # exactly 1 for a solved row
+        powers = ratio[:, None] ** np.arange(1, 4)
+        with np.errstate(over="ignore", invalid="ignore"):  # parts apart: keeps the sign of a zero
+            mu.real[moving] = fits.real[owner] * powers
+            mu.imag[moving] = fits.imag[owner] * powers
+        residual[moving] = ratio * misfit[owner]
+    finite = np.isfinite(mu).all(axis=-1)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        raise ValidationError(f"dt0 = {dts[r].max():g} is too small: the fitted mu "
+                              f"at k={tuple(float(x) for x in ks[r])} is not finite")
+    shifted = mu[:, 0] + 1.0
     poor = residual > POOR_FIT_FACTOR * np.hypot(shifted.real, shifted.imag)  # abs(mu0 + 1)
     if poor.any() and on_poor_fit != "flag":
         r = int(np.argmax(poor))
         raise PoorFit(f"fit residual {residual[r]:.3e} exceeds {POOR_FIT_FACTOR:g}*|mu0+1| "
-                      f"at k={tuple(ks[r])}")
-    return [SymbolSeries(tuple(k), *m, float(res), bool(p))
-            for k, m, res, p in zip(ks, mu, residual, poor)]
+                      f"at k={tuple(float(x) for x in ks[r])}")
+    return [SymbolSeries(tuple(k), *row, res, p)
+            for k, row, res, p in zip(ks.tolist(), mu.tolist(), residual.tolist(), poor.tolist())]
 
 
 def extract_symbol_series(
@@ -298,13 +338,15 @@ def extract_symbol_series(
     instead of on y where it grows like 1/dt.  Coefficients beyond mu2 are
     absorbed, not reported.  A fit residual above 1e-8 |mu0 + 1| (maximum
     deviation on the y scale) raises PoorFit, or flags the result when
-    on_poor_fit="flag".
+    on_poor_fit="flag".  compare_with_prediction fits the same way (see
+    _symbol_series).
     """
     k = np.asarray(k, dtype=float)
     dts = np.asarray(dt_sequence, dtype=float)
-    _check_ladders(spec, [k], [np.linalg.norm(k)], dts[None])
-    z = np.log(_branch_values(spec, k, dts)) if np.any(k) else np.zeros(dts.shape, complex)
-    return _fit_series(k[None], dts[None], z[None], *_design_matrices(dts[None]), on_poor_fit)[0]
+    norm = np.linalg.norm(k)
+    _check_ladders(spec, [k], [norm], dts[None])
+    return _symbol_series(spec, k[None], np.array([norm]), dts[None], norm * dts[None],
+                          on_poor_fit)[0]
 
 
 def predicted_symbols(equation, k) -> tuple[complex, ...]:
@@ -367,8 +409,10 @@ def compare_with_prediction(
     including poor oracle fits, are recorded rather than raised.
 
     No wavevectors, or any invalid ladder, raise ValidationError before the
-    oracle solves anything; the eigenvalues of every G(k, dt) are then taken
-    in one batch (see _branch_values).
+    oracle solves anything.  The oracle then solves and fits once per
+    direction and phase ladder (see _symbol_series): with the default dt0
+    every wavevector along one direction shares one phase ladder
+    target_phase / lambda / 2^m, while an explicit dt0 gives each |k| its own.
     """
     from .equivalent import derive_equivalent_equation
 
@@ -380,44 +424,50 @@ def compare_with_prediction(
         raise ValidationError("no nonzero wavevector to compare")
     ks = [k for _, k in keyed]
     equation = derive_equivalent_equation(spec, order)
+    norms = np.array([norm for norm, _ in keyed])
+    lam = spec.vset.lam
     if dt0 is not None:
         base_dts = [dt0] * len(ks)
     else:
-        lam = spec.vset.lam
         base_dts = [target_phase / (knorm * lam) if knorm > 0 else target_phase / lam
-                    for knorm in (float(norm) for norm, _ in keyed)]
+                    for knorm in (float(norm) for norm in norms)]
     ladders = geometric_dt_sequence(np.array(base_dts)[:, None], levels)
-    _check_ladders(spec, ks, [norm for norm, _ in keyed], ladders)
-    k_array = np.array(ks)
-    moving = np.any(k_array, axis=-1)
-    values = np.ones(ladders.shape, dtype=complex)  # log 1 = 0 where k = 0 is never read
-    values[moving] = _branch_values(spec, k_array[moving], ladders[moving])
-    fits = _fit_series(k_array, ladders, np.log(values), *_design_matrices(ladders), "flag")
+    _check_ladders(spec, ks, norms, ladders)
+    if dt0 is not None:
+        phases = norms[:, None] * ladders
+    else:  # one phase ladder for all: |k| dt0 can round apart between wavevectors
+        phases = np.broadcast_to(geometric_dt_sequence(target_phase / lam, levels), ladders.shape)
+    fits = _symbol_series(spec, np.array(ks), norms, ladders, phases, "flag")
 
     records = []
     all_pass = True
-    for k, base_dt, series in zip(ks, base_dts, fits):
-        predicted = predicted_symbols(equation, k)
-        measured = series.mu[:order]
-        abs_err, rel_err, order_pass = [], [], []
-        for l in range(order):
-            err = abs(predicted[l] - measured[l])
-            scale = abs(measured[l])
-            abs_err.append(err)
-            rel_err.append(err / scale if scale > 0 else None)
-            order_pass.append(bool(err <= max(relative[l] * scale, floors[l])))
-        record_pass = all(order_pass) and not series.poor_fit
-        all_pass = all_pass and record_pass
-        records.append({
-            "k": list(k),
-            "dt0": base_dt,
-            "mu": [_pair(m) for m in measured],
-            "predicted": [_pair(p) for p in predicted],
-            "abs_err": abs_err,
-            "rel_err": rel_err,
-            "order_pass": order_pass,
-            "fit_residual": series.fit_residual,
-            "poor_fit": series.poor_fit,
-            "pass": record_pass,
-        })
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for k, base_dt, series in zip(ks, base_dts, fits):
+            predicted = predicted_symbols(equation, k)
+            measured = series.mu[:order]
+            abs_err, rel_err, order_pass = [], [], []
+            for l in range(order):
+                err = abs(predicted[l] - measured[l])
+                scale = abs(measured[l])
+                rel = err / scale if scale > 0 else math.inf
+                abs_err.append(err)
+                rel_err.append(rel if rel < math.inf else None)  # None also where it overflows
+                order_pass.append(bool(err <= max(relative[l] * scale, floors[l])))
+            if not np.isfinite(abs_err).all():
+                raise ValidationError(f"order-{order} equivalent equation gives a non-finite "
+                                      f"predicted symbol at k={k}")
+            record_pass = all(order_pass) and not series.poor_fit
+            all_pass = all_pass and record_pass
+            records.append({
+                "k": list(k),
+                "dt0": base_dt,
+                "mu": [_pair(m) for m in measured],
+                "predicted": [_pair(p) for p in predicted],
+                "abs_err": abs_err,
+                "rel_err": rel_err,
+                "order_pass": order_pass,
+                "fit_residual": series.fit_residual,
+                "poor_fit": series.poor_fit,
+                "pass": record_pass,
+            })
     return ComparisonReport(tuple(records), all_pass)

@@ -464,6 +464,33 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (out / "simulate.json").exists()
 
+    @pytest.mark.parametrize("dt0", [1e-110, 1e-300])
+    def test_dt0_too_small_for_mu_exits_two(self, runner, tmp_path, dt0):
+        # (|k| dt0)^3 underflows, so mu2 cannot be scaled back from the fit
+        doc = json.loads(reference_config("d1q3"))
+        doc["analysis"]["dt0"] = dt0
+        path = tmp_path / "tiny_dt0.json"
+        path.write_text(json.dumps(doc))
+        for command in ("dispersion", "verify"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+            assert result.exit_code == 2, (command, result.output)
+            assert result.stderr == (f"error: dt0 = {dt0:g} is too small: the fitted mu at "
+                                     "k=(0.4,) is not finite\n")
+            assert not out.exists()
+
+    def test_underflowing_refinements_exit_two(self, runner, tmp_path):
+        doc = json.loads(reference_config("d1q3"))
+        doc["analysis"]["refinements"] = 2000
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        for command in ("dispersion", "verify"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+            assert result.exit_code == 2, (command, result.output)
+            assert result.stderr == "error: 2000 dt levels: dt0 = 0.125 halved 1999 times underflows\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [("amplitude", 0.0), ("mode", [0])])
     def test_uniform_sine_exits_two_without_output(self, runner, tmp_path, field, value):
         # a sine of zero amplitude or mode 0 is uniform: the residual studies

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from rvlbm import (
     MomentPolynomial,
@@ -132,6 +132,11 @@ class TestGeometricSequence:
         dts = geometric_dt_sequence(0.04, 6)
         np.testing.assert_allclose(dts, 0.04 / 2.0 ** np.arange(6))
 
+    def test_underflowing_ladder_rejected(self):
+        with pytest.raises(ValidationError, match="2000 dt levels"):
+            geometric_dt_sequence(0.05, 2000)
+        assert geometric_dt_sequence(0.05, 1000)[-1] > 0
+
 
 class TestExtractSymbolSeries:
     def ladder(self, k=1.0, levels=10):
@@ -174,23 +179,31 @@ class TestExtractSymbolSeries:
         with pytest.raises(ValidationError):
             extract_symbol_series(d1q2_spec(), [4.0], geometric_dt_sequence(0.05, 10))
 
-    def test_noisy_branch_raises_poor_fit(self, monkeypatch):
-        def jittered(spec, k, dts):
-            wobble = 1e-5 * np.cos(7.0 * np.arange(len(dts)))
-            return np.exp(-0.5j * dts) * (1.0 + wobble)
+    @staticmethod
+    def jittered(spec, k, dts):
+        wobble = 1e-5 * np.cos(7.0 * np.arange(np.shape(dts)[-1]))
+        return np.exp(-0.5j * dts) * (1.0 + wobble)
 
-        monkeypatch.setattr(dispersion, "_branch_values", jittered)
+    def test_noisy_branch_raises_poor_fit(self, monkeypatch):
+        monkeypatch.setattr(dispersion, "_branch_values", self.jittered)
         with pytest.raises(PoorFit):
             extract_symbol_series(d1q2_spec(), [1.0], self.ladder())
 
     def test_poor_fit_flag_mode(self, monkeypatch):
-        def jittered(spec, k, dts):
-            wobble = 1e-5 * np.cos(7.0 * np.arange(len(dts)))
-            return np.exp(-0.5j * dts) * (1.0 + wobble)
-
-        monkeypatch.setattr(dispersion, "_branch_values", jittered)
+        monkeypatch.setattr(dispersion, "_branch_values", self.jittered)
         series = extract_symbol_series(d1q2_spec(), [1.0], self.ladder(), on_poor_fit="flag")
         assert series.poor_fit
+
+    def test_poor_fit_names_the_callers_wavevector(self, monkeypatch):
+        # the fit runs along the direction of k; the error still names k itself
+        monkeypatch.setattr(dispersion, "_branch_values", self.jittered)
+        with pytest.raises(PoorFit, match=r"at k=\(-2\.0,\)"):
+            extract_symbol_series(d1q2_spec(), [-2.0], self.ladder(2.0))
+
+    def test_ladder_too_fine_for_mu_raises_validation_error(self):
+        # (|k| dt0)^3 underflows: mu2 would divide by zero
+        with pytest.raises(ValidationError, match="dt0 = 1e-110 is too small"):
+            extract_symbol_series(d1q2_spec(), [1.0], geometric_dt_sequence(1e-110, 10))
 
     @given(st.floats(0.1, 3.0))
     @settings(max_examples=25, deadline=None)
@@ -300,12 +313,14 @@ def d2q5_config_case():
     return cfg.spec, cfg.k_samples
 
 
+# each case with the number of directions its wavevectors lie along: the
+# shipped d2q5 samples lie along the two axes, the diagonal, (12, 5) and (5, 12)
 BATCH_CASES = {
-    "d1q2": lambda: (d1q2_spec(c=0.3, s1=1.4), default_k_samples(1)),
-    "d1q3_u0": lambda: (d1q3_spec(), default_k_samples(1)),
-    "d1q3_u0.2": lambda: (d1q3_spec(u=0.2), default_k_samples(1)),
-    "d1q3_u0.5": lambda: (d1q3_spec(u=0.5), default_k_samples(1)),
-    "d2q5": d2q5_config_case,
+    "d1q2": (lambda: (d1q2_spec(c=0.3, s1=1.4), default_k_samples(1)), 1),
+    "d1q3_u0": (lambda: (d1q3_spec(), default_k_samples(1)), 1),
+    "d1q3_u0.2": (lambda: (d1q3_spec(u=0.2), default_k_samples(1)), 1),
+    "d1q3_u0.5": (lambda: (d1q3_spec(u=0.5), default_k_samples(1)), 1),
+    "d2q5": (d2q5_config_case, 5),
 }
 
 
@@ -342,9 +357,26 @@ def rates_near_zero_d2q5():
 
 class TestBatchedOracle:
     def test_one_eigen_solve_per_comparison(self, monkeypatch):
+        # the 8 default samples lie along one direction in 1D: one ladder is solved
         spec = d1q3_spec(u=0.2)
         calls = counting_eigvals(monkeypatch)
         report = compare_with_prediction(spec, default_k_samples(1))
+        assert report.passed and len(report.records) == 8
+        assert calls == [(1, dispersion.DEFAULT_LEVELS, 3, 3)]
+
+    @pytest.mark.parametrize("dt0, solves", [(None, 3), (0.02, 8)], ids=["default", "explicit"])
+    def test_one_solve_per_direction_and_phase_ladder(self, monkeypatch, dt0, solves):
+        # the 8 default 2D samples lie along the x and y axes and the diagonal;
+        # an explicit dt0 gives each |k| its own phase ladder
+        spec = d2q5_config_case()[0]
+        calls = counting_eigvals(monkeypatch)
+        report = compare_with_prediction(spec, default_k_samples(2), dt0=dt0)
+        assert report.passed and len(report.records) == 8
+        assert calls == [(solves, dispersion.DEFAULT_LEVELS, 5, 5)]
+
+    def test_explicit_dt0_solves_every_wavevector(self, monkeypatch):
+        calls = counting_eigvals(monkeypatch)
+        report = compare_with_prediction(d1q3_spec(u=0.2), default_k_samples(1), dt0=0.02)
         assert report.passed and len(report.records) == 8
         assert calls == [(8, dispersion.DEFAULT_LEVELS, 3, 3)]
 
@@ -352,7 +384,8 @@ class TestBatchedOracle:
     def test_batched_branch_equals_per_matrix_walk(self, monkeypatch, name):
         # the per-matrix walk is the reference: one G(k, dt) and one
         # dominant_eigenvalue per level, smallest dt first
-        spec, ks = BATCH_CASES[name]()
+        case, directions = BATCH_CASES[name]
+        spec, ks = case()
         seen = []
         batched = dispersion._branch_values
 
@@ -364,7 +397,7 @@ class TestBatchedOracle:
         monkeypatch.setattr(dispersion, "_branch_values", spy)
         assert compare_with_prediction(spec, ks).passed
         [(k_stack, dt_stack, values)] = seen
-        assert len(k_stack) == len(ks)
+        assert len(k_stack) == directions
         for k, dts, row in zip(k_stack, dt_stack, values):
             hint = 1.0 + 0.0j
             for i in np.argsort(dts):
@@ -415,6 +448,7 @@ class TestBatchedOracle:
                     break
                 assert row[i] == hint
         assert walks == stops
+        event("checked, a level handed to the walk" if walks else "checked")
 
     def test_rule_runs_twice_per_unambiguous_ladder(self, monkeypatch):
         # once at the smallest dt with hint 1, once for every other level with
@@ -488,6 +522,175 @@ class TestBatchedOracle:
         assert report.records[1] == alone.records[0]
 
 
+EPS = float(np.finfo(float).eps)
+
+
+def reference_designs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fit's design over t = dt / dt0: odd powers for Im log g, even ones for Re."""
+    return np.column_stack([t, t**3, t**5, t**7]), np.column_stack([t**2, t**4, t**6])
+
+
+def reference_series(spec, k, dts) -> list[tuple[tuple[complex, ...], float]]:
+    """mu0, mu1, mu2 and the fit residual at one wavevector, the slow way.
+
+    One amplification_matrix and one dominant_eigenvalue per level, smallest
+    dt first, then one least-squares fit of this wavevector alone (Im log g
+    and Re log g, one lstsq each); nothing is shared with another wavevector.
+    One result per branch the rule may start on: the eigenvalue nearest 1 at
+    the smallest dt, or each of two that tie for nearest up to rounding (a
+    rate that rounds 1 - s to 1 conserves a second moment, and two branches
+    leave 1 as exp(+-i c k dt)).
+    """
+    k = np.asarray(k, dtype=float)
+    levels = sorted(dts)
+    eigs = np.linalg.eigvals(amplification_matrix(spec, k, levels[0]).g)
+    distance = np.abs(eigs - 1.0)
+    tied = eigs[distance <= distance.min() * (1.0 + 1e-8)]
+    dt0 = max(dts)
+    even, odd = reference_designs(np.asarray(dts) / dt0)
+    out = []
+    for start in (tied if len(tied) > 1 else [1.0 + 0.0j]):
+        hint, branch = complex(start), {}
+        for dt in levels:
+            hint = dominant_eigenvalue(amplification_matrix(spec, k, dt), hint)
+            branch[dt] = hint
+        z = np.log([branch[dt] for dt in dts])
+        ce = np.linalg.lstsq(even, z.imag, rcond=None)[0]
+        co = np.linalg.lstsq(odd, z.real, rcond=None)[0]
+        residual = float(np.max(np.abs(odd @ co + 1j * (even @ ce) - z) / dts))
+        out.append(((1j * (ce[0] / dt0), complex(co[0] / dt0**2), 1j * (ce[1] / dt0**3)), residual))
+    return out
+
+
+def fit_spread() -> tuple[float, float, float]:
+    """How far a misfit of R dt_m at every level m can move mu_l, in units of R / dt0^l:
+    sum_m |pinv(design)[l, m]| t_m over the default ladder t_m = 2^-m."""
+    t = geometric_dt_sequence(1.0, dispersion.DEFAULT_LEVELS)
+    even, odd = (np.abs(np.linalg.pinv(a)) @ t for a in reference_designs(t))
+    return float(even[0]), float(odd[0]), float(even[1])
+
+
+FIT_SPREAD = fit_spread()  # about (1.6, 6.9, 59)
+
+
+def assert_matches_reference(spec, ks, dt0=None, within_fit=False) -> set[str]:
+    """compare_with_prediction against reference_series at every wavevector.
+
+    Every mu must lie within a slack of the reference's: 4 eps of its size,
+    plus, with within_fit, the reference fit's own resolution at
+    that order, FIT_SPREAD[l] times its residual over dt0^l (never 0, so a mu
+    that is 0 has a floor).  A wavevector that shares its direction's solve
+    sees matrices that differ from its own by rounding, and an ill-conditioned
+    eigenproblem carries that rounding into mu at the resolution of the fit.
+    The per-order pass and poor-fit flags must be the reference's wherever its
+    value lies further than that slack from the flag's threshold (for the
+    poor-fit flag, with within_fit, the slack of the residual is the residual
+    itself); nearer, the flag is decided by rounding and may go either way.
+    Where the first pick ties, the record must match the reference on one of
+    the branches.  Returns notes on what was met: "tied first pick", "flag
+    decided by rounding", "reference pick ambiguous" (that record is skipped).
+    """
+    report = compare_with_prediction(spec, ks, dt0=dt0)
+    equation = derive_equivalent_equation(spec, 3)
+    notes = set()
+
+    def mismatch(record, mu, residual, dts) -> str | None:
+        slack = [4 * EPS * abs(m) + (FIT_SPREAD[l] * residual / dts[0] ** l if within_fit else 0.0)
+                 for l, m in enumerate(mu)]
+        for l, (got, want) in enumerate(zip(record["mu"], mu)):
+            if abs(complex(*got) - want) > slack[l]:
+                return f"mu{l}: {complex(*got)} against {want}"
+        predicted = equation.symbol_series(tuple(record["k"]))
+        flags = []
+        for l, (p, m) in enumerate(zip(predicted, mu)):
+            rel = dispersion.RELATIVE_TOLERANCES[l]
+            err, threshold = abs(p - m), max(rel * abs(m), dispersion.ABSOLUTE_FLOORS[l])
+            flags.append((f"order_pass[{l}]", record["order_pass"][l], err <= threshold,
+                          abs(err - threshold) <= (1 + rel) * slack[l]))
+        threshold = dispersion.POOR_FIT_FACTOR * abs(mu[0] + 1)
+        flags.append(("poor_fit", record["poor_fit"], residual > threshold,
+                      abs(residual - threshold) <= 4 * EPS * residual + (residual if within_fit else 0.0)
+                      + dispersion.POOR_FIT_FACTOR * slack[0]))
+        for name, got, want, near in flags:
+            if got != want:
+                if not near:
+                    return f"{name}: {got} against {want}"
+                notes.add("flag decided by rounding")
+        if record["pass"] != (all(record["order_pass"]) and not record["poor_fit"]):
+            return "pass disagrees with its flags"
+        return None
+
+    for record in report.records:
+        dts = geometric_dt_sequence(record["dt0"], dispersion.DEFAULT_LEVELS)
+        try:
+            branches = reference_series(spec, record["k"], dts)
+        except BranchAmbiguity:  # the oracle walked in k where the per-level rule cannot pick
+            notes.add("reference pick ambiguous")
+            continue
+        if len(branches) > 1:
+            notes.add("tied first pick")
+        failures = [mismatch(record, mu, residual, dts) for mu, residual in branches]
+        assert None in failures, (record["k"], failures)
+    return notes
+
+
+@st.composite
+def wavevector_sets(draw, dim: int) -> list[tuple[float, ...]]:
+    """One to three directions, each at one to three magnitudes in [0.05, 3] and
+    either sign (-k lies along a direction of its own)."""
+    ks = []
+    for _ in range(draw(st.integers(1, 3))):
+        direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+        direction[draw(st.integers(0, dim - 1))] = draw(st.sampled_from((1.0, -1.0))) * draw(
+            st.floats(0.25, 1.0))  # nonzero by construction
+        direction /= np.linalg.norm(direction)
+        for magnitude in draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3)):
+            sign = draw(st.sampled_from((1.0, -1.0)))
+            ks.append(tuple(float(x) for x in sign * magnitude * direction))
+    return ks
+
+
+class TestPerWavevectorReference:
+    """The per-direction oracle against a reference that solves and fits each
+    wavevector alone."""
+
+    @pytest.mark.parametrize("name", ["d1q2", "d1q3", "d2q5"])
+    @pytest.mark.parametrize("dt0", [None, 0.02])
+    def test_shipped_configs(self, name, dt0):
+        cfg = load_config(reference_config(name))
+        for u in cfg.u_sweep:
+            spec = replace(cfg.spec, u_tilde=VelocityShift.constant((u,) * cfg.spec.dim))
+            assert assert_matches_reference(spec, cfg.k_samples, dt0) == set()
+
+    @given(random_schemes(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_schemes(self, spec, data):
+        # The only filter is cond M(u) <= 1e12.  With the default dt0 the
+        # wavevectors along one direction share one solve, so the bound adds
+        # the fit's resolution; an explicit dt0 solves each |k| at its own
+        # ladder, and every mu stays within 4 eps of its size.
+        try:
+            spec.moment_matrix
+        except SingularMatrix:
+            assume(False)
+        ks = data.draw(wavevector_sets(spec.dim))
+        fraction = data.draw(st.none() | st.floats(1e-3, 1.0))
+        dt0 = (None if fraction is None else fraction * dispersion.MAX_PHASE
+               / (max(np.linalg.norm(k) for k in ks) * spec.vset.lam))
+        try:
+            notes = assert_matches_reference(spec, ks, dt0, within_fit=dt0 is None)
+        except ValidationError as exc:  # a derived coefficient or a predicted symbol overflows
+            assert "non-finite" in str(exc)
+            event("typed non-finite error")
+            return
+        except BranchAmbiguity:  # the oracle's walk in k could not pick either
+            event("typed branch ambiguity")
+            return
+        event("checked within the fit's resolution" if dt0 is None else "checked to 4 eps")
+        for note in sorted(notes):
+            event(note)
+
+
 def rounding_scale(spec) -> float:
     """Size of the terms that A_2 is summed from, (1 + max|sigma|)^2 Sum|E_j|
     lam^3 max|M| max|M^-1|: both channels round at about eps times this,
@@ -555,10 +758,14 @@ class TestRandomSchemeDerivation:
             report = dhumieres_crosscheck(spec, rtol=math.inf)
         except ValidationError as exc:
             assert "non-finite coefficient" in str(exc)
+            event("typed non-finite error")
             return
         assert equation.structure_violations() == []
         if report["relative_difference"] > 1e-10:
             assert report["max_abs_difference"] <= 1e-13 * rounding_scale(spec)
+            event("rounding-bound branch")
+            return
+        event("checked")
 
     @given(random_schemes())
     @example(cancelled_diffusion_d1q2())
@@ -582,7 +789,9 @@ class TestRandomSchemeDerivation:
             unshifted = derive_equivalent_equation(zero, 2)
         except ValidationError as exc:
             assert "non-finite coefficient" in str(exc)
+            event("typed non-finite error")
             return
+        outcome = "checked"
         for name, a, b in (("c", shifted.c, unshifted.c), ("D", shifted.D, unshifted.D)):
             diff = float(np.max(np.abs(a - b)))
             scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
@@ -590,3 +799,5 @@ class TestRandomSchemeDerivation:
                 assert name == "D", (name, diff / scale)
                 assert diff <= 1e-14 * max(diffusion_rounding_scale(spec),
                                            diffusion_rounding_scale(zero))
+                outcome = "rounding-bound branch"
+        event(outcome)
