@@ -304,6 +304,9 @@ def simulate_payload(cfg: ExperimentConfig) -> tuple[dict, StateField]:
     state = initial_state(cfg.spec, cfg.grid_sizes, cfg.box_lengths, cfg.initial)
     mode = cfg.initial.mode if cfg.initial.kind == "sine" else None
     mass0 = float(np.sum(state.f.real))
+    # the drift is relative to sum |f| at step 0, which is the mass itself unless
+    # a population is negative: the mass of a zero-mean density is rounding noise
+    scale = max(float(np.sum(np.abs(state.f.real))), 1e-300)
     observables = []
     for n, f in enumerate(itertools.chain([state.f], _advance(state, cfg.spec, cfg.steps))):
         record = {"step": n, "mass": float(np.sum(f.real))}
@@ -317,7 +320,7 @@ def simulate_payload(cfg: ExperimentConfig) -> tuple[dict, StateField]:
             record["mode_phase"] = float(np.angle(coeff))
         observables.append(record)
     state = replace(state, f=f)
-    drift = abs(observables[-1]["mass"] - mass0) / max(abs(mass0), 1e-300)
+    drift = abs(observables[-1]["mass"] - mass0) / scale
     payload = {
         "steps": cfg.steps,
         "grid": list(cfg.grid_sizes),

@@ -281,15 +281,20 @@ def _shift_matrices(spec: SchemeSpec, grid_sizes, box_lengths) -> _Collision:
     return _field_matrices(spec, grid_sizes, box_lengths)
 
 
-def _scratch(f: np.ndarray, ops: _Collision) -> tuple:
-    """Buffers for _collide_f on a (q, cells) f: K f, the collided f and the per-cell products.
+def _scratch(f: np.ndarray, ops: _Collision) -> tuple[_Collision, tuple]:
+    """`ops` in the collided dtype and the buffers of _collide_f on a (q, cells) f.
 
-    The last exists for a field shift only.  The collided f is C-ordered, so
-    it reshapes to (q, *grid) as a view.
+    K and M(u)^-1 are cast to the dtype of the collided f once, so a complex
+    state's matmul does not cast them on every call; for a real state the
+    cast is free.  The per-cell stacks stay real: a complex copy of one would
+    take over 100 MB for d2q5 at 512^2.  The buffers are K f, the
+    collided f and, for a field shift only, the per-cell products.  The
+    collided f is C-ordered, so it reshapes to (q, *grid) as a view.
     """
     dtype = np.result_type(f, ops.k)
+    ops = ops._replace(k=ops.k.astype(dtype, copy=False), m_inv=ops.m_inv.astype(dtype, copy=False))
     products = np.empty(f.shape, dtype) if ops.dk is not None else None
-    return np.empty(f.shape, dtype), np.empty(f.shape, dtype), products
+    return ops, (np.empty(f.shape, dtype), np.empty(f.shape, dtype), products)
 
 
 def _collide_f(f: np.ndarray, ops: _Collision, scratch) -> np.ndarray:
@@ -320,42 +325,43 @@ def collide(state: StateField, spec: SchemeSpec) -> StateField:
     """Relax all moments at every cell; no transport."""
     ops = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
     f = state.f.reshape(spec.q, -1)
-    out = _collide_f(f, ops, _scratch(f, ops))
+    out = _collide_f(f, *_scratch(f, ops))
     return replace(state, f=out.reshape(state.f.shape))
 
 
-def _stream_plan(vset: VelocitySet, grid_sizes) -> list[tuple[tuple, tuple]]:
-    """Index pairs (dst, src) with out[dst] = f[src] that stream f on the periodic grid.
+def _stream_plan(vset: VelocitySet, out: np.ndarray, f: np.ndarray) -> list[tuple]:
+    """View pairs (dst, src) of `out` and `f` whose copies stream f into out periodically.
 
     Per velocity j these are the block copies np.roll(f[j], n_j) performs: an
     axis whose shift is 0 modulo its size is one block, any other axis splits
-    into two.
+    into two.  The views stay bound to the two arrays, so a loop that reuses
+    its buffers builds the plan once and streams with _stream alone.
     """
     plan = []
     for j, n in enumerate(vset.lattice_vectors):
         pairs = [((j,), (j,))]
-        for shift, size in zip(n, grid_sizes):
+        for shift, size in zip(n, f.shape[1:]):
             k = shift % size
             if k == 0:
                 cuts = [(slice(None), slice(None))]
             else:
                 cuts = [(slice(k, None), slice(None, size - k)), (slice(None, k), slice(size - k, None))]
             pairs = [(dst + (d,), src + (c,)) for dst, src in pairs for d, c in cuts]
-        plan.extend(pairs)
+        plan.extend((out[dst], f[src]) for dst, src in pairs)
     return plan
 
 
-def _stream_into(out: np.ndarray, f: np.ndarray, plan) -> np.ndarray:
-    """Periodic transport of f into the preallocated `out` by the plan's block copies."""
+def _stream(plan) -> None:
+    """Periodic transport: copy each of the plan's source views into its destination."""
     for dst, src in plan:
-        out[dst] = f[src]
-    return out
+        dst[...] = src
 
 
 def stream(state: StateField, vset: VelocitySet) -> StateField:
     """Periodic transport: each f_j gathers from the cell one lattice vector upwind."""
-    f = state.f
-    return replace(state, f=_stream_into(np.empty_like(f), f, _stream_plan(vset, f.shape[1:])))
+    out = np.empty_like(state.f)
+    _stream(_stream_plan(vset, out, state.f))
+    return replace(state, f=out)
 
 
 def _step_count(steps) -> int:
@@ -385,10 +391,12 @@ def run(state: StateField, spec: SchemeSpec, steps: int) -> StateField:
 def _advance(state: StateField, spec: SchemeSpec, steps: int):
     """Yield f after each of `steps` updates of `state`: the one collide-and-stream loop.
 
-    The collision operators, the stream plan and the collision scratch are
-    built once; each step collides into the scratch and streams it into one
-    preallocated buffer, so a step allocates nothing and every yielded array
-    is that same buffer, overwritten by the next step.
+    The collision operators, cast to the state's dtype, the collision scratch
+    and the stream plan's view pairs are built once, the pairs bound to the
+    collided f and to one preallocated stream buffer.  Each step collides
+    into the scratch and streams by the pairs' block copies, so a step
+    allocates nothing, builds no view, and every yielded array is that same
+    buffer, overwritten by the next step.
     The step count and dx/dt are checked on the first iteration.
     """
     steps = _step_count(steps)
@@ -398,16 +406,15 @@ def _advance(state: StateField, spec: SchemeSpec, steps: int):
         )
     if steps == 0:
         return
-    ops = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
-    plan = _stream_plan(spec.vset, state.grid_sizes)
     f = state.f.reshape(spec.q, -1)
-    scratch = _scratch(f, ops)
+    ops, scratch = _scratch(f, _shift_matrices(spec, state.grid_sizes, state.box_lengths))
     collided = scratch[1].reshape(state.f.shape)
     out = np.empty_like(collided)
+    plan = _stream_plan(spec.vset, out, collided)
     streamed = out.reshape(spec.q, -1)
     for _ in range(steps):
         _collide_f(f, ops, scratch)
-        _stream_into(out, collided, plan)
+        _stream(plan)
         f = streamed
         yield out
 

@@ -32,6 +32,7 @@ from rvlbm import (
     refinement_study,
     run,
     sine_density,
+    spectral_apply,
     step,
 )
 from rvlbm.config import REFERENCE_NAMES, default_k_samples
@@ -295,3 +296,44 @@ class TestAcceptance:
             f"d1q3 slope {slope:.3f}, ratios per halving {ratios}",
         )
         assert ok, line
+
+    def test_10_constant_shift_gap_follows_a2(self, report, reference_cfgs):
+        # a constant shift moves only A_2, so the gap between the shifted and the
+        # zero-shift run is dt^2 t (A_2(u) - A_2(0)) rho up to O(dt^3)
+        grids = {"d1q2": (64, 128, 256), "d1q3": (64, 128, 256), "d2q5": (32, 64, 128)}
+        bad, detail = [], []
+        for name, sizes in grids.items():
+            spec = reference_cfgs[name].spec
+            zero, shifted = with_shift(spec, 0.0), with_shift(spec, 0.1)
+            da2 = (derive_equivalent_equation(shifted, 3).ops[2]
+                   - derive_equivalent_equation(zero, 3).ops[2])
+            dts, gaps, errs = [], [], []
+            for n in sizes:
+                grid, box = (n,) * spec.dim, (1.0,) * spec.dim
+                rho = sine_density(grid, box, 1.0, 0.01, (1,) * spec.dim)
+                finals = []
+                for spec_u in (shifted, zero):
+                    state = equilibrium_state(spec_u, grid, box, rho)
+                    finals.append(run(state, spec_u, n // 4).f.sum(axis=0))
+                gap = finals[0] - finals[1]
+                t = (n // 4) * state.dt
+                pred = state.dt ** 2 * t * spectral_apply(da2, finals[1], box)
+                dts.append(state.dt)
+                gaps.append(float(np.max(np.abs(gap))))
+                errs.append(float(np.max(np.abs(gap - pred))))
+            if name == "d1q2":
+                # shift-exact: the shifted run is the zero-shift run
+                if max(gaps) > 1e-15:
+                    bad.append(f"{name} gap {max(gaps):.1e}")
+                detail.append(f"{name} max gap {max(gaps):.1e}")
+                continue
+            slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
+            if not 2.7 <= slope <= 3.3:
+                bad.append(f"{name} slope {slope}")
+            detail.append(f"{name} slope {slope:.3f}")
+        ok = not bad
+        line = report(
+            10, "constant-shift gap minus dt^2 t dA_2 rho, slope 3.0 +/- 0.3", ok,
+            ", ".join(detail),
+        )
+        assert ok, line + f" bad={bad}"

@@ -275,6 +275,19 @@ class TestCli:
         payload = json.loads((out / "simulate.json").read_text())
         assert abs(payload["mass_relative_drift"]) < 1e-13
 
+    def test_simulate_drift_of_zero_mean_density(self, runner, tmp_path):
+        # the mass of a zero-mean density is rounding noise, so the drift is
+        # taken relative to sum |f| at step 0 rather than to the mass
+        doc = json.loads(reference_config("d1q3"))
+        doc["initial"] = {"type": "sine", "base": 0.0, "amplitude": 0.01, "mode": [1]}
+        path = tmp_path / "zero_mean.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(path), "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        payload = json.loads((out / "simulate.json").read_text())
+        assert payload["mass_relative_drift"] <= 1e-13
+
     def test_verify_all_sections_pass(self, runner, config_file, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(main, ["verify", "--config", str(config_file),

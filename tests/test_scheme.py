@@ -481,6 +481,22 @@ class TestRun:
             np.testing.assert_array_equal(out.f[j], np.roll(f[j], shift=n, axis=(0, 1)))
         np.testing.assert_array_equal(state.f, f)
 
+    def test_run_matches_collide_and_roll_on_wrapping_vectors(self):
+        # run streams through views bound to its buffers once; np.roll shares
+        # none of that, so a view bound to the wrong buffer shows after step 1
+        vset = VelocitySet(2, 1.0, ((0, 0), (1, 0), (0, -1), (2, 3), (-5, 4), (4, -6)))
+        rng = np.random.default_rng(11)
+        e = rng.uniform(0.5, 1.0, vset.q)
+        s = (0.0,) + tuple(rng.uniform(0.8, 1.6, vset.q - 1))
+        spec = SchemeSpec(vset, default_basis(vset), s, tuple(e / e.sum()))
+        state = make_state(vset, (4, 3), (4.0, 3.0), rng.uniform(size=(vset.q, 4, 3)))
+        ref = state.f
+        for _ in range(6):
+            collided = collide(replace(state, f=ref), spec).f
+            ref = np.stack([np.roll(collided[j], shift=n, axis=(0, 1))
+                            for j, n in enumerate(vset.lattice_vectors)])
+        np.testing.assert_array_equal(run(state, spec, 6).f, ref)
+
     def test_matrices_built_once_per_run(self, monkeypatch):
         calls = []
         build = scheme._shift_matrices
