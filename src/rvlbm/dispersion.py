@@ -82,7 +82,7 @@ def _collision_factor(spec: SchemeSpec) -> np.ndarray:
     mm = spec.moment_matrix
     s = np.asarray(spec.s)
     e_moments = mm.m @ np.asarray(spec.equilibrium)
-    return mm.m_inv @ ((1.0 - s)[:, None] * mm.m + np.outer(s * e_moments, np.ones(spec.q)))
+    return mm.m_inv @ ((1.0 - s)[:, None] * mm.m + (s * e_moments)[:, None])
 
 
 def von_neumann_radius(spec: SchemeSpec) -> tuple[float, tuple[float, ...]]:
@@ -129,8 +129,11 @@ def _nearest(eigs: np.ndarray, hints) -> tuple[np.ndarray, np.ndarray]:
 
     The rows of eigs broadcast against the hints."""
     hints = np.asarray(hints, dtype=complex)
-    order = np.argsort(np.abs(eigs - hints[..., None]), axis=-1)
-    if eigs.shape[-1] < 2:
+    distance = np.abs(eigs - hints[..., None])
+    order = np.argsort(distance, axis=-1)
+    # an ambiguous pick needs two eigenvalues within AMBIGUITY_GAP of its hint; the margin
+    # of 2 covers np.abs rounding |eig - hint| apart below, where it sees a shorter array
+    if (distance < 2 * AMBIGUITY_GAP).sum(axis=-1).max(initial=0) < 2:
         return order[..., 0], np.zeros(order.shape[:-1], dtype=bool)
     ranked = np.take_along_axis(eigs, order[..., :2], axis=-1)
     best = ranked[..., 0]
@@ -193,10 +196,14 @@ def _branch_values(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> np.ndarr
     eigs = eigs.reshape(dts.shape + eigs.shape[-1:])[rows, levels]
     start, start_ambiguous = _nearest(eigs[:, 0], np.ones(len(dts)))
     step, step_ambiguous = _nearest(eigs[:, 1:, None, :], eigs[:, :-1])  # (rows, levels - 1, q)
-    chain = np.empty(dts.shape, dtype=int)
-    chain[:, 0] = start
-    for m in range(shape[-1] - 1):  # one gather per level
-        chain[:, m + 1] = step[rows[:, 0], m, chain[:, m]]
+    chain = []
+    for index, picks in zip(start.tolist(), step.tolist()):  # one lookup per row and level
+        path = [index]
+        for pick in picks:
+            index = pick[index]
+            path.append(index)
+        chain.append(path)
+    chain = np.array(chain, dtype=int).reshape(dts.shape)
     values = eigs[rows, columns, chain]
     ambiguous = np.column_stack([start_ambiguous,
                                  step_ambiguous[rows, columns[:-1], chain[:, :-1]]])
@@ -216,19 +223,19 @@ def _branch_values(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> np.ndarr
     return out.reshape(shape)
 
 
-def _check_ladders(spec: SchemeSpec, ks, norms, ladders: np.ndarray) -> None:
-    """Raise ValidationError unless ladders[i] is a usable dt ladder for the (d,) wavevector ks[i].
+def _check_ladders(spec: SchemeSpec, shapes, norms, ladders: np.ndarray) -> None:
+    """Raise ValidationError unless ladders[i] is a usable dt ladder for a (d,) wavevector k_i.
 
-    norms[i] is np.linalg.norm(ks[i]).  A ladder must be geometric and
-    positive with at least 5 levels, and |k| lambda dt0 must be at most
-    MAX_PHASE; a NaN anywhere fails that test.  All rows are tested in one
+    shapes[i] is the shape of k_i and norms[i] is np.linalg.norm(k_i).  A
+    ladder must be geometric and positive with at least 5 levels, and
+    |k| lambda dt0 must be at most MAX_PHASE; a NaN anywhere fails that test.  All rows are tested in one
     pass; the first unusable row raises the first test it fails, so the error
     is the one a row-by-row check would give.
     """
     def shape_error(i):
-        return ValidationError(f"wavevector shape {np.shape(ks[i])}, expected ({spec.dim},)")
+        return ValidationError(f"wavevector shape {shapes[i]}, expected ({spec.dim},)")
 
-    shape_failed = np.array([np.shape(k) != (spec.dim,) for k in ks])
+    shape_failed = np.array([shape != (spec.dim,) for shape in shapes])
     levels = ladders.shape[-1]
     if levels < 5:  # every row fails here, so row 0 raises
         raise shape_error(0) if shape_failed[0] else ValidationError(
@@ -237,12 +244,12 @@ def _check_ladders(spec: SchemeSpec, ks, norms, ladders: np.ndarray) -> None:
     with np.errstate(divide="ignore", invalid="ignore"):  # only unusable rows divide by 0
         ratios = ordered[:, 1:] / ordered[:, :-1]
     phase = np.asarray(norms, dtype=float) * spec.vset.lam * ordered[:, 0]
-    failed = np.stack([
+    failed = np.array([
         shape_failed,
         (ladders <= 0).any(axis=-1),
         (np.abs(ratios - ratios[:, :1]) > 1e-9).any(axis=-1),
         ~(phase <= MAX_PHASE + 1e-12),
-    ], axis=-1)
+    ]).T
     if not failed.any():
         return
     row = int(np.argmax(failed.any(axis=-1)))
@@ -277,10 +284,13 @@ def _fit(dts: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _symbol_series(spec: SchemeSpec, ks: np.ndarray, norms: np.ndarray, dts: np.ndarray,
-                   phases: np.ndarray, on_poor_fit: str) -> list[SymbolSeries]:
+                   phases: np.ndarray, on_poor_fit: str
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fitted series at each (d,) wavevector ks[i] over its (levels,) dt ladder dts[i].
 
-    norms[i] is np.linalg.norm(ks[i]) and phases[i] is the phase ladder
+    Returns arrays, one row per wavevector: mu0, mu1, mu2 as an (n, 3) complex
+    array, the fit residual (n,) and the poor-fit flag (n,).  norms[i] is
+    np.linalg.norm(ks[i]) and phases[i] is the phase ladder
     |k| dts[i].  G(k, dt) depends on k and dt only through the phases
     dt k.v_j = (|k| dt) khat.v_j with khat = k / |k|, so wavevectors whose
     direction khat and phase ladder are bitwise equal share every matrix.
@@ -296,12 +306,18 @@ def _symbol_series(spec: SchemeSpec, ks: np.ndarray, norms: np.ndarray, dts: np.
     moving = np.flatnonzero(norms > 0)
     directions = ks[moving] / norms[moving, None]
     groups: dict[bytes, int] = {}
-    owner = np.array([groups.setdefault(khat.tobytes() + phase.tobytes(), len(groups))
-                      for khat, phase in zip(directions, phases[moving])], dtype=int)
+    owner, first = [], []  # each moving row's group, and each group's first row
+    for i, (khat, phase) in enumerate(zip(directions, phases[moving])):
+        key = khat.tobytes() + phase.tobytes()
+        if key not in groups:
+            groups[key] = len(first)
+            first.append(i)
+        owner.append(groups[key])
+    owner = np.array(owner, dtype=int)
     mu = np.zeros((len(ks), 3), dtype=complex)
     residual = np.zeros(len(ks))
     if groups:
-        solved = moving[np.unique(owner, return_index=True)[1]]  # first member of each group
+        solved = moving[first]
         fits, misfit = _fit(dts[solved], np.log(_branch_values(spec, ks[solved], dts[solved])))
         ratio = norms[moving] / norms[solved][owner]  # exactly 1 for a solved row
         powers = ratio[:, None] ** np.arange(1, 4)
@@ -320,8 +336,7 @@ def _symbol_series(spec: SchemeSpec, ks: np.ndarray, norms: np.ndarray, dts: np.
         r = int(np.argmax(poor))
         raise PoorFit(f"fit residual {residual[r]:.3e} exceeds {POOR_FIT_FACTOR:g}*|mu0+1| "
                       f"at k={tuple(float(x) for x in ks[r])}")
-    return [SymbolSeries(tuple(k), *row, res, p)
-            for k, row, res, p in zip(ks.tolist(), mu.tolist(), residual.tolist(), poor.tolist())]
+    return mu, residual, poor
 
 
 def extract_symbol_series(
@@ -344,9 +359,10 @@ def extract_symbol_series(
     k = np.asarray(k, dtype=float)
     dts = np.asarray(dt_sequence, dtype=float)
     norm = np.linalg.norm(k)
-    _check_ladders(spec, [k], [norm], dts[None])
-    return _symbol_series(spec, k[None], np.array([norm]), dts[None], norm * dts[None],
-                          on_poor_fit)[0]
+    _check_ladders(spec, [k.shape], [norm], dts[None])
+    mu, residual, poor = _symbol_series(spec, k[None], np.array([norm]), dts[None],
+                                        norm * dts[None], on_poor_fit)
+    return SymbolSeries(tuple(k.tolist()), *mu[0].tolist(), float(residual[0]), bool(poor[0]))
 
 
 def predicted_symbols(equation, k) -> tuple[complex, ...]:
@@ -387,8 +403,9 @@ class ComparisonReport:
         return rows
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pairs(z: np.ndarray) -> list:
+    """Each complex entry of the (n, m) array z as a [re, im] list of floats."""
+    return z.view(float).reshape(z.shape + (2,)).tolist()
 
 
 def compare_with_prediction(
@@ -413,6 +430,9 @@ def compare_with_prediction(
     direction and phase ladder (see _symbol_series): with the default dt0
     every wavevector along one direction shares one phase ladder
     target_phase / lambda / 2^m, while an explicit dt0 gives each |k| its own.
+    predicted_symbols runs once per wavevector; the errors, relative errors
+    and flags of all wavevectors are then taken as whole arrays, and the first
+    wavevector in norm order whose error is not finite raises ValidationError.
     """
     from .equivalent import derive_equivalent_equation
 
@@ -432,42 +452,45 @@ def compare_with_prediction(
         base_dts = [target_phase / (knorm * lam) if knorm > 0 else target_phase / lam
                     for knorm in (float(norm) for norm in norms)]
     ladders = geometric_dt_sequence(np.array(base_dts)[:, None], levels)
-    _check_ladders(spec, ks, norms, ladders)
+    _check_ladders(spec, [(len(k),) for k in ks], norms, ladders)
     if dt0 is not None:
         phases = norms[:, None] * ladders
     else:  # one phase ladder for all: |k| dt0 can round apart between wavevectors
-        phases = np.broadcast_to(geometric_dt_sequence(target_phase / lam, levels), ladders.shape)
-    fits = _symbol_series(spec, np.array(ks), norms, ladders, phases, "flag")
-
-    records = []
-    all_pass = True
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        for k, base_dt, series in zip(ks, base_dts, fits):
-            predicted = predicted_symbols(equation, k)
-            measured = series.mu[:order]
-            abs_err, rel_err, order_pass = [], [], []
-            for l in range(order):
-                err = abs(predicted[l] - measured[l])
-                scale = abs(measured[l])
-                rel = err / scale if scale > 0 else math.inf
-                abs_err.append(err)
-                rel_err.append(rel if rel < math.inf else None)  # None also where it overflows
-                order_pass.append(bool(err <= max(relative[l] * scale, floors[l])))
-            if not np.isfinite(abs_err).all():
-                raise ValidationError(f"order-{order} equivalent equation gives a non-finite "
-                                      f"predicted symbol at k={k}")
-            record_pass = all(order_pass) and not series.poor_fit
-            all_pass = all_pass and record_pass
-            records.append({
-                "k": list(k),
-                "dt0": base_dt,
-                "mu": [_pair(m) for m in measured],
-                "predicted": [_pair(p) for p in predicted],
-                "abs_err": abs_err,
-                "rel_err": rel_err,
-                "order_pass": order_pass,
-                "fit_residual": series.fit_residual,
-                "poor_fit": series.poor_fit,
-                "pass": record_pass,
-            })
-    return ComparisonReport(tuple(records), all_pass)
+        phases = geometric_dt_sequence(np.full((len(ks), 1), target_phase / lam), levels)
+    mu, residual, poor = _symbol_series(spec, np.array(ks), norms, ladders, phases, "flag")
+    measured = mu[:, :order]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an overflow raises below
+        predicted = np.array([predicted_symbols(equation, k) for k in ks], dtype=complex)
+        diff = predicted[:, :order] - measured
+        # hypot is abs() on one complex number; np.abs on an array can round apart from it
+        abs_err = np.hypot(diff.real, diff.imag)
+        scale = np.hypot(measured.real, measured.imag)
+        rel_err = abs_err / scale
+        bound = np.maximum(np.asarray(relative[:order], dtype=float) * scale, floors[:order])
+    finite = np.isfinite(abs_err).all(axis=-1)
+    if not finite.all():
+        raise ValidationError(f"order-{order} equivalent equation gives a non-finite "
+                              f"predicted symbol at k={ks[int(np.argmin(finite))]}")
+    order_pass = abs_err <= bound
+    record_pass = order_pass.all(axis=-1) & ~poor
+    # null where mu is 0 (0/0 or err/0) and where err/|mu| overflows
+    rel_err = np.where(rel_err < math.inf, rel_err, None)
+    records = tuple(
+        {
+            "k": list(k),
+            "dt0": base_dt,
+            "mu": m,
+            "predicted": p,
+            "abs_err": a,
+            "rel_err": r,
+            "order_pass": o,
+            "fit_residual": res,
+            "poor_fit": bad_fit,
+            "pass": ok,
+        }
+        for k, base_dt, m, p, a, r, o, res, bad_fit, ok in zip(
+            ks, base_dts, _pairs(measured), _pairs(predicted), abs_err.tolist(),
+            rel_err.tolist(), order_pass.tolist(), residual.tolist(), poor.tolist(),
+            record_pass.tolist())
+    )
+    return ComparisonReport(records, bool(record_pass.all()))

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from operator import add
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import (
     OrderUnavailable,
     ValidationError,
 )
-from .lattice import MomentPolynomial
+from .lattice import MomentPolynomial, _canonical
 from .scheme import SchemeSpec
 
 CROSSCHECK_RTOL = 1e-10
@@ -45,6 +46,14 @@ CROSSCHECK_RTOL = 1e-10
 def _derivative_name(exps, dim: int) -> str:
     """Axis letters of the derivative d^exps, e.g. 'xyy' for (1, 2)."""
     return "".join(("xyz"[a] if dim <= 3 else f"x{a + 1}") * e for a, e in enumerate(exps))
+
+
+def _fourier_point(k, dim: int) -> np.ndarray:
+    """ik for a (dim,) wavevector k, where an operator's symbol is its polynomial."""
+    k = np.asarray(k, dtype=float)
+    if k.shape != (dim,):
+        raise DimensionMismatch(f"wavevector shape {k.shape}, expected ({dim},)")
+    return 1j * k
 
 
 class DifferentialOperator(MomentPolynomial):
@@ -79,21 +88,24 @@ class DifferentialOperator(MomentPolynomial):
     def max_abs_coefficient(self) -> float:
         return max((abs(c) for _, c in self.terms), default=0.0)
 
+    # the algebra builds its results with _build from terms that are already checked
     def __add__(self, other: "DifferentialOperator") -> "DifferentialOperator":
         if self.dim != other.dim:
             raise DimensionMismatch("operator dimensions differ")
-        return DifferentialOperator(self.dim, self.terms + other.terms)
+        return DifferentialOperator._build(self.dim, _canonical(self.terms + other.terms))
 
     def __sub__(self, other: "DifferentialOperator") -> "DifferentialOperator":
         return self + (-other)
 
     def __neg__(self) -> "DifferentialOperator":
-        return DifferentialOperator(self.dim, tuple((e, -c) for e, c in self.terms))
+        # the order stays canonical, and negation turns no nonzero into a zero
+        return DifferentialOperator._build(self.dim, tuple((e, -c) for e, c in self.terms))
 
     def __mul__(self, scalar) -> "DifferentialOperator":
-        return DifferentialOperator(
-            self.dim, tuple((e, c * float(scalar)) for e, c in self.terms)
-        )
+        s = float(scalar)
+        # the order stays canonical; only products that underflow or meet s = 0 drop out
+        return DifferentialOperator._build(
+            self.dim, tuple((e, p) for e, c in self.terms if (p := c * s) != 0.0))
 
     __rmul__ = __mul__
 
@@ -101,18 +113,11 @@ class DifferentialOperator(MomentPolynomial):
         """Composition; exponents add since all coefficients are constant."""
         if self.dim != other.dim:
             raise DimensionMismatch("operator dimensions differ")
-        out: dict[tuple[int, ...], float] = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, 0.0) + ca * cb
-        return DifferentialOperator(self.dim, tuple(out.items()))
+        return DifferentialOperator._build(self.dim, _canonical(
+            (tuple(map(add, ea, eb)), ca * cb) for ea, ca in self.terms for eb, cb in other.terms))
 
     def symbol(self, k) -> complex:
-        k = np.asarray(k, dtype=float)
-        if k.shape != (self.dim,):
-            raise DimensionMismatch(f"wavevector shape {k.shape}, expected ({self.dim},)")
-        return self.evaluate(1j * k)
+        return self.evaluate(_fourier_point(k, self.dim))
 
     def __str__(self) -> str:
         parts = []
@@ -171,7 +176,7 @@ def conservation_defaults(spec: SchemeSpec, a0) -> tuple:
 
 def _sum(dim: int, ops) -> DifferentialOperator:
     """Sum of the operators, canonicalized once: the additions of a chain of +, in its order."""
-    return DifferentialOperator(dim, tuple(term for op in ops for term in op.terms))
+    return DifferentialOperator._build(dim, _canonical(term for op in ops for term in op.terms))
 
 
 def _transport_sum(weights, transports) -> DifferentialOperator:
@@ -197,8 +202,10 @@ class EquivalentEquation:
     T: np.ndarray | None
 
     def symbol_series(self, k) -> tuple[complex, ...]:
-        """Predicted growth-rate coefficients (mu_0 .. mu_{order-1}) at k."""
-        return tuple(op.symbol(k) for op in self.ops)
+        """Predicted growth-rate coefficients (mu_0 .. mu_{order-1}) at k: each
+        operator's symbol, with ik formed once."""
+        ik = list(_fourier_point(k, self.dim))
+        return tuple(op.evaluate(ik) for op in self.ops)
 
     def structure_violations(self) -> list[tuple[int, tuple[int, ...]]]:
         """Multi-indices whose derivative order differs from Delta-order + 1."""

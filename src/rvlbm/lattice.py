@@ -26,12 +26,24 @@ def _graded_lex_key(exponents: tuple[int, ...]) -> tuple:
     return (sum(exponents), exponents)
 
 
+def _canonical(pairs) -> tuple:
+    """Canonical terms of (exponents, coef) pairs: repeats added in first-seen order,
+    sorted by _graded_lex_key, exact zeros dropped."""
+    acc: dict[tuple[int, ...], float] = {}
+    for exps, coef in pairs:
+        acc[exps] = acc.get(exps, 0.0) + coef
+    order = sorted(acc, key=_graded_lex_key) if len(acc) > 1 else acc  # one term needs no sort
+    return tuple((e, acc[e]) for e in order if acc[e] != 0.0)
+
+
 @dataclass(frozen=True)
 class MomentPolynomial:
     """Sparse multivariate polynomial, a sum of coef * x^exponents terms.
 
     Terms are stored in graded lexicographic order with exact-zero coefficients
-    dropped, so equal polynomials compare equal structurally.
+    dropped, so equal polynomials compare equal structurally.  The constructor
+    checks the dimension and every exponent tuple; results of the operator
+    algebra come from terms already checked and skip that (see _build).
     """
 
     dim: int
@@ -40,8 +52,7 @@ class MomentPolynomial:
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionMismatch(f"polynomial dimension must be >= 1, got {self.dim}")
-        # accumulate first and drop zeros once: the derivation builds thousands of these
-        acc: dict[tuple[int, ...], float] = {}
+        checked = []
         for exps, coef in self.terms:
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.dim:
@@ -50,11 +61,21 @@ class MomentPolynomial:
                 )
             if any(e < 0 for e in exps):
                 raise ValidationError(f"negative exponent in {exps}")
-            acc[exps] = acc.get(exps, 0.0) + float(coef)
-        canon = tuple(
-            (e, acc[e]) for e in sorted(acc, key=_graded_lex_key) if acc[e] != 0.0
-        )
-        object.__setattr__(self, "terms", canon)
+            checked.append((exps, float(coef)))
+        self._settle(self.dim, _canonical(checked))
+
+    def _settle(self, dim: int, terms: tuple) -> None:
+        """Write the fields; every polynomial built, checked or not, passes here once."""
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _build(cls, dim: int, terms: tuple):
+        """A polynomial of terms already in canonical form with float coefficients,
+        without the dataclass __init__ or its checks: the operator algebra's results."""
+        poly = object.__new__(cls)
+        poly._settle(dim, terms)
+        return poly
 
     @classmethod
     def constant(cls, dim: int, value: float = 1.0) -> "MomentPolynomial":

@@ -691,6 +691,156 @@ class TestPerWavevectorReference:
             event(note)
 
 
+def loop_records(spec, ks, dt0=None, order=3):
+    """compare_with_prediction's report, and its records rebuilt the way a loop
+    over the wavevectors builds them.
+
+    The oracle's arrays (mu, fit residual, poor-fit flag), the wavevectors in
+    norm order and their ladders are caught on their way into and out of
+    _symbol_series.  The loop then calls predicted_symbols once per k, takes
+    errors and flags in Python scalars, sets rel_err None where |mu| is 0 or
+    err/|mu| overflows, and raises at the first k with a non-finite error.
+    Returns (report, records), or (error, message) where either side raised
+    ValidationError; (error, None) where the oracle raised before any record.
+    """
+    caught = []
+    symbol_series = dispersion._symbol_series
+
+    def spy(spec_, ks_, norms, dts, phases, on_poor_fit):
+        out = symbol_series(spec_, ks_, norms, dts, phases, on_poor_fit)
+        caught.append((ks_, dts, out))
+        return out
+
+    with mock.patch.object(dispersion, "_symbol_series", spy):
+        try:
+            report = compare_with_prediction(spec, ks, order=order, dt0=dt0)
+        except ValidationError as exc:
+            report = exc
+    if not caught:
+        return report, None
+    [(k_rows, ladders, (mu, residual, poor))] = caught
+    equation = derive_equivalent_equation(spec, order)
+    relative, floors = dispersion.RELATIVE_TOLERANCES, dispersion.ABSOLUTE_FLOORS
+    records = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, ladder, mu_row, res, bad_fit in zip(k_rows.tolist(), ladders, mu.tolist(),
+                                                   residual.tolist(), poor.tolist()):
+            k = tuple(k)
+            predicted = dispersion.predicted_symbols(equation, k)
+            measured = mu_row[:order]
+            abs_err, rel_err, order_pass = [], [], []
+            for l in range(order):
+                err = abs(predicted[l] - measured[l])
+                scale = abs(measured[l])
+                rel = err / scale if scale > 0 else math.inf
+                abs_err.append(err)
+                rel_err.append(rel if rel < math.inf else None)
+                order_pass.append(bool(err <= max(relative[l] * scale, floors[l])))
+            if not np.isfinite(abs_err).all():
+                return report, (f"order-{order} equivalent equation gives a non-finite "
+                                f"predicted symbol at k={k}")
+            records.append({
+                "k": list(k),
+                "dt0": float(ladder[0]),
+                "mu": [[m.real, m.imag] for m in measured],
+                "predicted": [[float(p.real), float(p.imag)] for p in predicted],
+                "abs_err": abs_err,
+                "rel_err": rel_err,
+                "order_pass": order_pass,
+                "fit_residual": res,
+                "poor_fit": bad_fit,
+                "pass": all(order_pass) and not bad_fit,
+            })
+    return report, tuple(records)
+
+
+def assert_records_match_loop(spec, ks, dt0=None) -> str:
+    """The records equal the loop's bit for bit, or both sides raise one error."""
+    report, reference = loop_records(spec, ks, dt0)
+    if reference is None:
+        assert isinstance(report, ValidationError)
+        return "raised before the records"
+    if isinstance(report, ValidationError) or isinstance(reference, str):
+        assert str(report) == reference
+        return "raised at a record"
+    assert report.records == reference
+    # json keeps the sign of a zero, which == does not tell apart
+    assert json.dumps(report.records) == json.dumps(reference)
+    assert report.passed == all(r["pass"] for r in reference)
+    return "checked"
+
+
+class TestRecordsAgainstLoop:
+    """The records, taken from whole arrays, against a per-wavevector loop."""
+
+    @pytest.mark.parametrize("name", ["d1q2", "d1q3", "d2q5"])
+    @pytest.mark.parametrize("dt0", [None, 0.02])
+    def test_shipped_configs(self, name, dt0):
+        cfg = load_config(reference_config(name))
+        for u in cfg.u_sweep:
+            spec = replace(cfg.spec, u_tilde=VelocityShift.constant((u,) * cfg.spec.dim))
+            assert assert_records_match_loop(spec, cfg.k_samples, dt0) == "checked"
+
+    @given(random_schemes(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_schemes(self, spec, data):
+        try:
+            spec.moment_matrix
+        except SingularMatrix:
+            assume(False)
+        ks = data.draw(wavevector_sets(spec.dim))
+        fraction = data.draw(st.none() | st.floats(1e-3, 1.0))
+        dt0 = (None if fraction is None else fraction * dispersion.MAX_PHASE
+               / (max(np.linalg.norm(k) for k in ks) * spec.vset.lam))
+        try:
+            event(assert_records_match_loop(spec, ks, dt0))
+        except BranchAmbiguity:  # the oracle's walk in k could not pick either
+            event("typed branch ambiguity")
+
+    def test_overflowing_prediction_raises_where_the_loop_does(self):
+        # s = 2.2e-308 makes sigma about 4e307: the derived coefficients are
+        # finite, but the order-3 symbol at |k| = 3 overflows
+        vset = VelocitySet(2, 1.0, RANDOM_SCHEME_SETS["d2q9"])
+        spec = SchemeSpec(vset, default_basis(vset),
+                          (0.0, 0.5, 1.0, 1.0, 1.0, 2.2250738585072014e-308, 1.0, 1.0, 1.0),
+                          (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5))
+        ks = [(0.5, 0.0), (3.0, 0.0), (0.2, 0.1)]
+        assert assert_records_match_loop(spec, ks) == "raised at a record"
+        with pytest.raises(ValidationError, match=r"at k=\(3\.0, 0\.0\)$"):
+            compare_with_prediction(spec, ks)
+
+    def test_overflowing_relative_error_is_null(self, monkeypatch):
+        # s = 2 leaves mu1 at about 1e-14; a prediction 1e300 off gives an
+        # err/|mu1| beyond the float range, written as null like a zero mu's
+        true_predictor = dispersion.predicted_symbols
+
+        def far_off(equation, k):
+            mu = true_predictor(equation, k)
+            return (mu[0], mu[1] + 1e300, mu[2])
+
+        monkeypatch.setattr(dispersion, "predicted_symbols", far_off)
+        spec, ks = d1q2_spec(c=0.3, s1=2.0), [[0.5], [1.0]]
+        assert assert_records_match_loop(spec, ks) == "checked"
+        report = compare_with_prediction(spec, ks)
+        assert [r["rel_err"][1] for r in report.records] == [None, None]
+        assert [r["abs_err"][1] for r in report.records] == [1e300, 1e300]
+
+    def test_non_finite_prediction_names_its_wavevector(self, monkeypatch):
+        # the third k in norm order predicts inf; the error names it, not a later one
+        true_predictor = dispersion.predicted_symbols
+        calls = []
+
+        def inf_at_third(equation, k):
+            calls.append(k)
+            mu = true_predictor(equation, k)
+            return (complex(math.inf, 0.0),) + mu[1:] if len(calls) in (3, 4) else mu
+
+        monkeypatch.setattr(dispersion, "predicted_symbols", inf_at_third)
+        with pytest.raises(ValidationError, match=r"non-finite predicted symbol at k=\(1\.1,\)$"):
+            compare_with_prediction(d1q2_spec(c=0.3, s1=1.2), [[1.5], [-0.3], [1.1], [0.7]])
+        assert calls[:3] == [(-0.3,), (0.7,), (1.1,)]
+
+
 def rounding_scale(spec) -> float:
     """Size of the terms that A_2 is summed from, (1 + max|sigma|)^2 Sum|E_j|
     lam^3 max|M| max|M^-1|: both channels round at about eps times this,

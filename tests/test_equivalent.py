@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -29,6 +31,7 @@ from rvlbm.config import default_k_samples
 from rvlbm.equivalent import henon_sigma
 import rvlbm.equivalent as equivalent
 from rvlbm.errors import (
+    DimensionMismatch,
     MismatchBeyondTolerance,
     NonConstantShift,
     OrderUnavailable,
@@ -112,6 +115,90 @@ class TestDifferentialOperator:
     def test_str_names_axes(self):
         op = DifferentialOperator.from_terms(2, {(1, 2): 1.5})
         assert "xyy" in str(op) or "∂xyy" in str(op)
+
+
+# exact zeros of either sign, the smallest subnormal, values whose products
+# overflow or underflow, NaN and infinities, besides any float
+COEFFICIENTS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, math.nan, math.inf, -math.inf,
+     1.0, -1.0, 0.5, 3.0]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def operator_pairs(draw, dim: int, cancel=()):
+    """(exponents, coef) pairs with exponents 0..3 and repeats; each pair of
+    `cancel` may come back negated, so sums cancel exactly."""
+    exponents = st.tuples(*[st.integers(0, 3)] * dim)
+    pairs = draw(st.lists(st.tuples(exponents, COEFFICIENTS), max_size=6))
+    pairs += [(e, -c) for e, c in cancel if draw(st.booleans())]
+    return tuple(draw(st.permutations(pairs)))
+
+
+class TestFastAlgebra:
+    """The algebra builds its results without the constructor's checks; they
+    must be the operators the checking constructor makes of the same pairs."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_results_equal_the_checking_constructor(self, data):
+        dim = data.draw(st.integers(1, 3))
+        a = DifferentialOperator(dim, data.draw(operator_pairs(dim)))
+        b = DifferentialOperator(dim, data.draw(operator_pairs(dim, cancel=a.terms)))
+        s = data.draw(COEFFICIENTS)
+        neg_b = tuple((e, -c) for e, c in b.terms)
+        cases = {
+            "a + b": (a + b, a.terms + b.terms),
+            "a - b": (a - b, a.terms + neg_b),
+            "-a": (-a, tuple((e, -c) for e, c in a.terms)),
+            "s * a": (s * a, tuple((e, c * s) for e, c in a.terms)),
+            "a * s": (a * s, tuple((e, c * s) for e, c in a.terms)),
+            "a @ b": (a @ b, tuple((tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                                   for ea, ca in a.terms for eb, cb in b.terms)),
+            "_sum": (equivalent._sum(dim, [a, b, -a]),
+                     a.terms + b.terms + tuple((e, -c) for e, c in a.terms)),
+        }
+        for name, (fast, pairs) in cases.items():
+            checked = DifferentialOperator(dim, pairs)
+            assert type(fast) is type(checked) is DifferentialOperator, name
+            assert fast.dim == checked.dim, name
+            # repr tells the sign of a zero and NaN apart, where == would not
+            assert repr(fast.terms) == repr(checked.terms), name
+            assert all(type(c) is float for _, c in fast.terms), name
+
+
+class TestConstructorChecks:
+    """Checks stay at the public boundary."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: MomentPolynomial(2, (((1,), 1.0),)),
+        lambda: MomentPolynomial.from_terms(1, {(1, 0): 1.0}),
+        lambda: DifferentialOperator(2, (((1, 0, 0), 1.0),)),
+        lambda: DifferentialOperator.from_terms(3, [((1, 1), 2.0)]),
+    ], ids=["MomentPolynomial", "from_terms", "DifferentialOperator", "operator_from_terms"])
+    def test_wrong_length_exponents_rejected(self, build):
+        with pytest.raises(DimensionMismatch, match="expected"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: MomentPolynomial(0, ()),
+        lambda: MomentPolynomial.constant(0),
+        lambda: MomentPolynomial.coordinate(0, 0),
+        lambda: DifferentialOperator(0, ()),
+        lambda: DifferentialOperator.zero(-1),
+    ], ids=["MomentPolynomial", "constant", "coordinate", "DifferentialOperator", "zero"])
+    def test_dimension_below_one_rejected(self, build):
+        with pytest.raises(DimensionMismatch, match=">= 1"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: MomentPolynomial(1, (((-1,), 1.0),)),
+        lambda: MomentPolynomial.from_terms(2, {(1, -2): 1.0}),
+        lambda: DifferentialOperator(2, (((0, -1), 1.0),)),
+    ], ids=["MomentPolynomial", "from_terms", "DifferentialOperator"])
+    def test_negative_exponent_rejected(self, build):
+        with pytest.raises(ValidationError, match="negative exponent"):
+            build()
 
 
 class TestSpectralApply:
@@ -351,9 +438,9 @@ class TestDerivationWork:
                        else VelocityShift.constant((u * lam,) * spec.dim))
         spec.moment_matrix
         count = []
-        init = MomentPolynomial.__post_init__
-        monkeypatch.setattr(MomentPolynomial, "__post_init__",
-                            lambda self: count.append(1) or init(self))
+        settle = MomentPolynomial._settle  # every polynomial, checked or built by the algebra
+        monkeypatch.setattr(MomentPolynomial, "_settle",
+                            lambda self, dim, terms: count.append(1) or settle(self, dim, terms))
         derive_equivalent_equation(spec, 3)
         assert len(count) == built
 
