@@ -1,9 +1,10 @@
 """Experiment configuration: JSON schema, validation, shipped reference files.
 
-Structural problems (wrong type, missing key) raise SchemaError carrying a
-JSON-pointer path to the offending element; semantic problems (rate vector
-not starting at zero, non-lattice velocity, inconsistent grid spacing) raise
-ValidationError with the scheme's own message.
+Structural problems (wrong type, missing or unknown key) raise SchemaError
+carrying a JSON-pointer path to the offending element; semantic problems (rate
+vector not starting at zero, non-lattice velocity, inconsistent grid spacing)
+raise ValidationError with the scheme's own message. Every key is read through
+`_Object.field`, which settles its pointer, default and type in one place.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from importlib import resources
 
 import numpy as np
 
+from .dispersion import ABSOLUTE_FLOORS, DEFAULT_LEVELS, RELATIVE_TOLERANCES
 from .errors import SchemaError, ValidationError
 from .lattice import MomentPolynomial, VelocitySet, default_basis
 from .scheme import SchemeSpec, VelocityShift, _grid_spacing
 
 DEFAULT_ORDER = 3
-DEFAULT_LEVELS = 10
 DEFAULT_WARMUP = 20
 DEFAULT_STEPS = 200
 DEFAULT_GRIDS = (64, 128, 256)
@@ -60,35 +61,13 @@ class ExperimentConfig:
     output_format: str
 
 
-def _type_name(value) -> str:
-    return type(value).__name__
-
-
-def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in obj:
-        if required:
-            raise SchemaError(f"{path}/{key}: missing required key")
-        return default
-    return obj[key]
-
-
-def _expect_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{path}: expected object, got {_type_name(value)}")
-    return value
-
-def _expect_array(value, path: str, length: int | None = None) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{path}: expected array, got {_type_name(value)}")
-    if length is not None and len(value) != length:
-        raise SchemaError(f"{path}: expected {length} elements, got {len(value)}")
-    return value
+_REQUIRED = object()
 
 
 def _expect_number(value, path: str) -> float:
     """`value` as a finite float; JSON's NaN, Infinity and overflowing literals are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected number, got {_type_name(value)}")
+        raise SchemaError(f"{path}: expected number, got {type(value).__name__}")
     try:
         number = float(value)
     except OverflowError:
@@ -100,7 +79,7 @@ def _expect_number(value, path: str) -> float:
 
 def _expect_int(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: expected integer, got {_type_name(value)}")
+        raise SchemaError(f"{path}: expected integer, got {type(value).__name__}")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{path}: expected integer >= {minimum}, got {value}")
     return value
@@ -108,78 +87,128 @@ def _expect_int(value, path: str, minimum: int | None = None) -> int:
 
 def _expect_string(value, path: str, choices=None) -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"{path}: expected string, got {_type_name(value)}")
+        raise SchemaError(f"{path}: expected string, got {type(value).__name__}")
     if choices is not None and value not in choices:
         raise SchemaError(f"{path}: expected one of {sorted(choices)}, got {value!r}")
     return value
 
 
-def _number_vector(value, path: str, length: int | None = None) -> tuple[float, ...]:
-    arr = _expect_array(value, path, length)
-    return tuple(_expect_number(v, f"{path}/{i}") for i, v in enumerate(arr))
+def _array(item, length: int | None = None, **constraints):
+    """Parser of an array whose elements `item` parses, each under its own index."""
+    def parse(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise SchemaError(f"{path}: expected array, got {type(value).__name__}")
+        if length is not None and len(value) != length:
+            raise SchemaError(f"{path}: expected {length} elements, got {len(value)}")
+        return tuple(item(v, f"{path}/{i}", **constraints) for i, v in enumerate(value))
+    return parse
 
 
-def _parse_polynomials(raw, path: str, dim: int) -> tuple[MomentPolynomial, ...]:
-    polys = []
-    for i, entry in enumerate(_expect_array(raw, path)):
-        terms = []
-        for j, term in enumerate(_expect_array(entry, f"{path}/{i}")):
-            term = _expect_object(term, f"{path}/{i}/{j}")
-            exps = _expect_array(_get(term, "exps", f"{path}/{i}/{j}"), f"{path}/{i}/{j}/exps", dim)
-            exps = tuple(
-                _expect_int(e, f"{path}/{i}/{j}/exps/{a}", minimum=0)
-                for a, e in enumerate(exps)
-            )
-            coef = _expect_number(_get(term, "coef", f"{path}/{i}/{j}"), f"{path}/{i}/{j}/coef")
-            terms.append((exps, coef))
-        polys.append(MomentPolynomial.from_terms(dim, terms))
-    return tuple(polys)
+class _Object:
+    """A JSON object at pointer `path` ("" for the document root), read key by key.
+
+    Its methods are the one place where a key's pointer is formed; `field` also
+    settles the key's presence, default and type. `close` rejects every key that
+    was not read, so a misspelled key fails instead of falling back to a default.
+    """
+
+    def __init__(self, value, path: str):
+        if not isinstance(value, dict):
+            raise SchemaError(f"{path or '/'}: expected object, got {type(value).__name__}")
+        self.items, self.path, self.read = value, path, set()
+
+    def field(self, key: str, parse, default=_REQUIRED, nullable=False, **constraints):
+        """`key` parsed by `parse`; `default` when absent, or null and `nullable`."""
+        self.read.add(key)
+        if key not in self.items or (nullable and self.items[key] is None):
+            if default is _REQUIRED:
+                raise self.error(key, "missing required key")
+            return default
+        return parse(self.items[key], f"{self.path}/{key}", **constraints)
+
+    def section(self, key: str) -> _Object:
+        """The object under `key`, to be read by its own fields; absent reads as empty."""
+        self.read.add(key)
+        return _Object(self.items.get(key, {}), f"{self.path}/{key}")
+
+    def close(self, *unread: str) -> None:
+        """Reject the first key that was neither read nor listed in `unread`."""
+        for key in self.items:
+            if key not in self.read and key not in unread:
+                # RFC 6901 escapes, since the key is the user's own text
+                raise self.error(key.replace("~", "~0").replace("/", "~1"), "unknown key")
+
+    def error(self, key: str, message: str) -> SchemaError:
+        """A SchemaError pointing at `key`, for checks that span more than one value."""
+        return SchemaError(f"{self.path}/{key}: {message}")
 
 
-def _parse_scheme(raw, path: str) -> SchemeSpec:
-    raw = _expect_object(raw, path)
-    dim = _expect_int(_get(raw, "d", path), f"{path}/d", minimum=1)
-    lam = _expect_number(_get(raw, "lambda", path, required=False, default=1.0), f"{path}/lambda")
-    q_declared = _get(raw, "q", path, required=False)
-    vel_raw = _expect_array(_get(raw, "velocities", path), f"{path}/velocities")
-    if q_declared is not None:
-        q_declared = _expect_int(q_declared, f"{path}/q", minimum=dim + 1)
-        if q_declared != len(vel_raw):
-            raise ValidationError(
-                f"q = {q_declared} does not match the {len(vel_raw)} velocities given"
-            )
-    vectors = tuple(
-        _number_vector(v, f"{path}/velocities/{j}", dim) for j, v in enumerate(vel_raw)
-    )
+def _parse_term(value, path: str, dim: int) -> tuple:
+    term = _Object(value, path)
+    exps = term.field("exps", _array(_expect_int, dim, minimum=0))
+    coef = term.field("coef", _expect_number)
+    term.close()
+    return exps, coef
+
+
+def _parse_polynomial(value, path: str, dim: int) -> MomentPolynomial:
+    return MomentPolynomial.from_terms(dim, _array(_parse_term, dim=dim)(value, path))
+
+
+def _parse_shift(value, path: str, dim: int) -> VelocityShift:
+    shift = _Object(value, path)
+    mode = shift.field("mode", _expect_string, choices={"zero", "constant", "sine"})
+    if mode == "zero":
+        shift.close("value")  # the shipped files write "value": [] with a zero shift
+        return VelocityShift.zero()
+    value = shift.field("value", _array(_expect_number, dim))
+    shift.close()
+    return VelocityShift(mode, value)
+
+
+def _parse_scheme(value, path: str) -> SchemeSpec:
+    scheme = _Object(value, path)
+    dim = scheme.field("d", _expect_int, minimum=1)
+    lam = scheme.field("lambda", _expect_number, 1.0)
+    q = scheme.field("q", _expect_int, None, nullable=True, minimum=dim + 1)
+    vectors = scheme.field("velocities", _array(_array(_expect_number, dim)))
+    if q is not None and q != len(vectors):
+        raise ValidationError(f"q = {q} does not match the {len(vectors)} velocities given")
     vset = VelocitySet(dim, lam, vectors)
-
-    polys_raw = _get(raw, "polynomials", path, required=False)
-    basis = (
-        default_basis(vset)
-        if polys_raw is None
-        else _parse_polynomials(polys_raw, f"{path}/polynomials", dim)
-    )
-    s = _number_vector(_get(raw, "relaxation", path), f"{path}/relaxation")
-    ew = _number_vector(_get(raw, "equilibrium", path), f"{path}/equilibrium")
-
-    shift_raw = _get(raw, "u_tilde", path, required=False)
-    if shift_raw is None:
-        shift = VelocityShift.zero()
-    else:
-        shift_raw = _expect_object(shift_raw, f"{path}/u_tilde")
-        mode = _expect_string(
-            _get(shift_raw, "mode", f"{path}/u_tilde"),
-            f"{path}/u_tilde/mode",
-            choices={"zero", "constant", "sine"},
-        )
-        if mode == "zero":
-            shift = VelocityShift.zero()
-        else:
-            value = _number_vector(
-                _get(shift_raw, "value", f"{path}/u_tilde"), f"{path}/u_tilde/value", dim
-            )
-            shift = VelocityShift(mode, value)
+    basis = scheme.field("polynomials", _array(_parse_polynomial, dim=dim), None, nullable=True)
+    if basis is None:
+        basis = default_basis(vset)
+    s = scheme.field("relaxation", _array(_expect_number))
+    ew = scheme.field("equilibrium", _array(_expect_number))
+    shift = scheme.field("u_tilde", _parse_shift, VelocityShift.zero(), nullable=True, dim=dim)
+    scheme.close()
     return SchemeSpec(vset, basis, s, ew, shift)
+
+
+def _parse_grid(value, path: str, dim: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    grid = _Object(value, path)
+    sizes = grid.field("n", _array(_expect_int, dim, minimum=2))
+    lengths = grid.field("length", _array(_expect_number, dim), (1.0,) * dim)
+    grid.close()
+    return sizes, lengths
+
+
+def _parse_initial(value, path: str, dim: int) -> InitialData:
+    initial = _Object(value, path)
+    kind = initial.field("type", _expect_string, choices={"uniform", "sine"})
+    if kind == "uniform":
+        data = InitialData("uniform", value=initial.field("value", _expect_number, 1.0))
+    else:
+        mode = initial.field("mode", _array(_expect_int, dim))
+        amplitude = initial.field("amplitude", _expect_number)
+        # a uniform "sine" leaves the residual studies nothing to measure
+        if amplitude == 0.0:
+            raise initial.error("amplitude", "expected a nonzero amplitude, got 0")
+        if not any(mode):
+            raise initial.error("mode", f"expected a nonzero mode, got {list(mode)}")
+        data = InitialData("sine", initial.field("base", _expect_number, 1.0), amplitude, mode)
+    initial.close()
+    return data
 
 
 def default_k_samples(dim: int, count: int = 8) -> tuple[tuple[float, ...], ...]:
@@ -203,163 +232,49 @@ def load_config(text: str) -> ExperimentConfig:
         raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise SchemaError(f"/: invalid JSON ({exc})") from None
-    raw = _expect_object(raw, "/")
-    spec = _parse_scheme(_get(raw, "scheme", ""), "/scheme")
+    root = _Object(raw, "")
+    spec = root.field("scheme", _parse_scheme)
     dim = spec.dim
-
-    grid_raw = _get(raw, "grid", "", required=False)
-    if grid_raw is None:
-        grid_sizes = (64,) * dim
-        box_lengths = (1.0,) * dim
-    else:
-        grid_raw = _expect_object(grid_raw, "/grid")
-        grid_sizes = tuple(
-            _expect_int(n, f"/grid/n/{i}", minimum=2)
-            for i, n in enumerate(_expect_array(_get(grid_raw, "n", "/grid"), "/grid/n", dim))
-        )
-        box_lengths = _number_vector(
-            _get(grid_raw, "length", "/grid", required=False, default=[1.0] * dim),
-            "/grid/length",
-            dim,
-        )
+    grid_sizes, box_lengths = root.field(
+        "grid", _parse_grid, ((64,) * dim, (1.0,) * dim), nullable=True, dim=dim
+    )
     _grid_spacing(grid_sizes, box_lengths)
+    initial = root.field("initial", _parse_initial, InitialData("uniform"), nullable=True, dim=dim)
 
-    init_raw = _get(raw, "initial", "", required=False)
-    if init_raw is None:
-        initial = InitialData("uniform")
-    else:
-        init_raw = _expect_object(init_raw, "/initial")
-        kind = _expect_string(
-            _get(init_raw, "type", "/initial"), "/initial/type", choices={"uniform", "sine"}
-        )
-        if kind == "uniform":
-            initial = InitialData(
-                "uniform",
-                value=_expect_number(
-                    _get(init_raw, "value", "/initial", required=False, default=1.0),
-                    "/initial/value",
-                ),
-            )
-        else:
-            mode = tuple(
-                _expect_int(m, f"/initial/mode/{i}")
-                for i, m in enumerate(
-                    _expect_array(_get(init_raw, "mode", "/initial"), "/initial/mode", dim)
-                )
-            )
-            amplitude = _expect_number(
-                _get(init_raw, "amplitude", "/initial"), "/initial/amplitude"
-            )
-            # a uniform "sine" leaves the residual studies nothing to measure
-            if amplitude == 0.0:
-                raise SchemaError("/initial/amplitude: expected a nonzero amplitude, got 0")
-            if not any(mode):
-                raise SchemaError(f"/initial/mode: expected a nonzero mode, got {list(mode)}")
-            initial = InitialData(
-                "sine",
-                value=_expect_number(
-                    _get(init_raw, "base", "/initial", required=False, default=1.0),
-                    "/initial/base",
-                ),
-                amplitude=amplitude,
-                mode=mode,
-            )
-
-    ana_raw = _expect_object(_get(raw, "analysis", "", required=False, default={}), "/analysis")
-    order = _expect_int(
-        _get(ana_raw, "order", "/analysis", required=False, default=DEFAULT_ORDER),
-        "/analysis/order",
-    )
+    analysis = root.section("analysis")
+    order = analysis.field("order", _expect_int, DEFAULT_ORDER)
     if order not in (1, 2, 3):
-        raise SchemaError(f"/analysis/order: expected 1, 2 or 3, got {order}")
-    ks_raw = _get(ana_raw, "k_samples", "/analysis", required=False)
-    if ks_raw is None:
-        k_samples = default_k_samples(dim)
-    else:
-        k_samples = tuple(
-            _number_vector(k, f"/analysis/k_samples/{i}", dim)
-            for i, k in enumerate(_expect_array(ks_raw, "/analysis/k_samples"))
-        )
-    dt0_raw = _get(ana_raw, "dt0", "/analysis", required=False)
-    dt0 = None if dt0_raw is None else _expect_number(dt0_raw, "/analysis/dt0")
-    levels = _expect_int(
-        _get(ana_raw, "refinements", "/analysis", required=False, default=DEFAULT_LEVELS),
-        "/analysis/refinements",
-        minimum=5,
-    )
-    tol_raw = _expect_object(
-        _get(ana_raw, "tolerances", "/analysis", required=False, default={}),
-        "/analysis/tolerances",
-    )
-    rel = _number_vector(
-        _get(tol_raw, "relative", "/analysis/tolerances", required=False,
-             default=[1e-8, 1e-6, 1e-4]),
-        "/analysis/tolerances/relative",
-        3,
-    )
-    floors = _number_vector(
-        _get(tol_raw, "floors", "/analysis/tolerances", required=False,
-             default=[1e-12, 1e-10, 1e-8]),
-        "/analysis/tolerances/floors",
-        3,
-    )
-    u_sweep = _number_vector(
-        _get(ana_raw, "u_sweep", "/analysis", required=False, default=list(DEFAULT_U_SWEEP)),
-        "/analysis/u_sweep",
-    )
+        raise analysis.error("order", f"expected 1, 2 or 3, got {order}")
+    k_samples = analysis.field("k_samples", _array(_array(_expect_number, dim)), None,
+                               nullable=True)
+    dt0 = analysis.field("dt0", _expect_number, None, nullable=True)
+    levels = analysis.field("refinements", _expect_int, DEFAULT_LEVELS, minimum=5)
+    tolerances = analysis.section("tolerances")
+    relative = tolerances.field("relative", _array(_expect_number, 3), RELATIVE_TOLERANCES)
+    floors = tolerances.field("floors", _array(_expect_number, 3), ABSOLUTE_FLOORS)
+    tolerances.close()
+    u_sweep = analysis.field("u_sweep", _array(_expect_number), DEFAULT_U_SWEEP)
     if len(u_sweep) < 2:
-        raise SchemaError(f"/analysis/u_sweep: expected at least 2 values, got {len(u_sweep)}")
-    grids = tuple(
-        _expect_int(n, f"/analysis/grids/{i}", minimum=2)
-        for i, n in enumerate(
-            _expect_array(
-                _get(ana_raw, "grids", "/analysis", required=False, default=list(DEFAULT_GRIDS)),
-                "/analysis/grids",
-            )
-        )
-    )
+        raise analysis.error("u_sweep", f"expected at least 2 values, got {len(u_sweep)}")
+    grids = analysis.field("grids", _array(_expect_int, minimum=2), DEFAULT_GRIDS)
     if len(grids) < 2 or len(set(grids)) != len(grids):
         # a slope fitted through fewer than two distinct dx means nothing
-        raise SchemaError(
-            f"/analysis/grids: expected at least 2 distinct values, got {list(grids)}"
-        )
-    warmup = _expect_int(
-        _get(ana_raw, "warmup", "/analysis", required=False, default=DEFAULT_WARMUP),
-        "/analysis/warmup",
-        minimum=0,
-    )
-    steps = _expect_int(
-        _get(ana_raw, "steps", "/analysis", required=False, default=DEFAULT_STEPS),
-        "/analysis/steps",
-        minimum=1,
-    )
+        raise analysis.error("grids", f"expected at least 2 distinct values, got {list(grids)}")
+    warmup = analysis.field("warmup", _expect_int, DEFAULT_WARMUP, minimum=0)
+    steps = analysis.field("steps", _expect_int, DEFAULT_STEPS, minimum=1)
+    analysis.close()
 
-    out_raw = _expect_object(_get(raw, "output", "", required=False, default={}), "/output")
-    output_path = _expect_string(
-        _get(out_raw, "dir", "/output", required=False, default="."), "/output/dir"
-    )
-    output_format = _expect_string(
-        _get(out_raw, "format", "/output", required=False, default="json"),
-        "/output/format",
-        choices={"json", "csv"},
-    )
+    output = root.section("output")
+    output_path = output.field("dir", _expect_string, ".")
+    output_format = output.field("format", _expect_string, "json", choices={"json", "csv"})
+    output.close()
+    root.close()
 
     return ExperimentConfig(
-        spec=spec,
-        grid_sizes=grid_sizes,
-        box_lengths=box_lengths,
-        initial=initial,
-        order=order,
-        k_samples=k_samples,
-        dt0=dt0,
-        levels=levels,
-        relative_tolerances=rel,
-        absolute_floors=floors,
-        u_sweep=u_sweep,
-        grids=grids,
-        warmup=warmup,
-        steps=steps,
-        output_path=output_path,
+        spec=spec, grid_sizes=grid_sizes, box_lengths=box_lengths, initial=initial, order=order,
+        k_samples=default_k_samples(dim) if k_samples is None else k_samples, dt0=dt0,
+        levels=levels, relative_tolerances=relative, absolute_floors=floors, u_sweep=u_sweep,
+        grids=grids, warmup=warmup, steps=steps, output_path=output_path,
         output_format=output_format,
     )
 

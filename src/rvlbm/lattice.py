@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,10 +163,12 @@ class VelocitySet:
     def q(self) -> int:
         return len(self.lattice_vectors)
 
-    @property
+    @cached_property
     def velocities(self) -> np.ndarray:
-        """Physical velocities as a (q, dim) float array."""
-        return self.lam * np.array(self.lattice_vectors, dtype=float)
+        """Physical velocities as a read-only (q, dim) float array, built once."""
+        v = self.lam * np.array(self.lattice_vectors, dtype=float)
+        v.setflags(write=False)
+        return v
 
 
 @dataclass(frozen=True, eq=False)

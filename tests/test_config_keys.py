@@ -1,0 +1,286 @@
+"""Every key of the experiment file, one table row per fault.
+
+Each row edits one key of a fully explicit document (the shipped d1q3 file
+plus its tolerances) and pins the exact exception type and message: a key
+that is missing where it is required, null, of the wrong type or out of
+range.  A JSON `null` reads as an absent key for `q`, `polynomials`,
+`u_tilde`, `grid`, `initial`, `k_samples` and `dt0`, and as a wrong type
+everywhere else.
+"""
+
+import copy
+import json
+import math
+
+import pytest
+from click.testing import CliRunner
+
+from rvlbm import load_config, reference_config
+from rvlbm.cli import main
+from rvlbm.config import REFERENCE_NAMES
+from rvlbm.errors import DimensionMismatch, NonLatticeVelocity, SchemaError, ValidationError
+from rvlbm.scheme import spec_to_dict
+
+DELETE = object()
+
+FULL = json.loads(reference_config("d1q3"))
+FULL["analysis"]["tolerances"] = {"relative": [1e-8, 1e-6, 1e-4], "floors": [1e-12, 1e-10, 1e-8]}
+SINE = FULL["initial"]
+UNIFORM = {"type": "uniform", "value": 1.0}
+
+
+def edited(path, value, doc=FULL):
+    """`doc` with the element at `path` replaced by `value`, or removed for DELETE."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+def key_faults(path, kind, required=False, nullable=False):
+    """The missing, null and wrong-type rows of one key whose value is a `kind`."""
+    pointer = "/" + "/".join(str(p) for p in path)
+    rows = []
+    if required:
+        rows.append((path, DELETE, SchemaError, f"{pointer}: missing required key"))
+    if not nullable:
+        rows.append((path, None, SchemaError, f"{pointer}: expected {kind}, got NoneType"))
+    wrong = {"object": [], "array": {"a": 1}, "string": 1, "number": "1", "integer": 1.0}[kind]
+    rows.append((path, wrong, SchemaError,
+                 f"{pointer}: expected {kind}, got {type(wrong).__name__}"))
+    if kind in ("number", "integer"):
+        rows.append((path, True, SchemaError, f"{pointer}: expected {kind}, got bool"))
+    return rows
+
+
+S = ("scheme",)
+POLY = S + ("polynomials",)
+TERM = POLY + (0, 0)
+SHIFT = S + ("u_tilde",)
+A = ("analysis",)
+TOL = A + ("tolerances",)
+
+ROWS = [
+    ((), [], SchemaError, "/: expected object, got list"),
+    ((), None, SchemaError, "/: expected object, got NoneType"),
+    *key_faults(S, "object", required=True),
+    # scheme
+    *key_faults(S + ("d",), "integer", required=True),
+    (S + ("d",), 0, SchemaError, "/scheme/d: expected integer >= 1, got 0"),
+    *key_faults(S + ("lambda",), "number"),
+    (S + ("lambda",), 0.0, ValidationError, "lattice speed must be positive, got 0.0"),
+    (S + ("lambda",), math.inf, SchemaError, "/scheme/lambda: expected finite number, got inf"),
+    *key_faults(S + ("q",), "integer", nullable=True),
+    (S + ("q",), 1, SchemaError, "/scheme/q: expected integer >= 2, got 1"),
+    (S + ("q",), 4, ValidationError, "q = 4 does not match the 3 velocities given"),
+    *key_faults(S + ("velocities",), "array", required=True),
+    (S + ("velocities", 2), "x", SchemaError, "/scheme/velocities/2: expected array, got str"),
+    (S + ("velocities", 2), [-1, 0], SchemaError,
+     "/scheme/velocities/2: expected 1 elements, got 2"),
+    (S + ("velocities", 2, 0), None, SchemaError,
+     "/scheme/velocities/2/0: expected number, got NoneType"),
+    (S + ("velocities", 2, 0), math.nan, SchemaError,
+     "/scheme/velocities/2/0: expected finite number, got nan"),
+    (S + ("velocities", 2, 0), -0.5, NonLatticeVelocity,
+     "velocity 2 = (-0.5,) is not an integer lattice vector "
+     "(an integer multiple of lam per axis)"),
+    (S + ("velocities", 2), [1], ValidationError, "velocities must be pairwise distinct"),
+    *key_faults(POLY, "array", nullable=True),
+    (POLY + (0,), {}, SchemaError, "/scheme/polynomials/0: expected array, got dict"),
+    *key_faults(TERM, "object"),
+    *key_faults(TERM + ("exps",), "array", required=True),
+    (TERM + ("exps",), [0, 0], SchemaError,
+     "/scheme/polynomials/0/0/exps: expected 1 elements, got 2"),
+    *key_faults(TERM + ("exps", 0), "integer"),
+    (TERM + ("exps", 0), -1, SchemaError,
+     "/scheme/polynomials/0/0/exps/0: expected integer >= 0, got -1"),
+    *key_faults(TERM + ("coef",), "number", required=True),
+    *key_faults(S + ("relaxation",), "array", required=True),
+    *key_faults(S + ("relaxation", 1), "number"),
+    (S + ("relaxation", 0), 0.1, ValidationError, "s[0] must be 0"),
+    (S + ("relaxation",), [0.0, 1.2], DimensionMismatch,
+     "relaxation vector has length 2, expected 3"),
+    *key_faults(S + ("equilibrium",), "array", required=True),
+    *key_faults(S + ("equilibrium", 0), "number"),
+    (S + ("equilibrium", 0), 1.5, ValidationError,
+     "equilibrium coefficients sum to 2.0, expected 1"),
+    *key_faults(SHIFT, "object", nullable=True),
+    *key_faults(SHIFT + ("mode",), "string", required=True),
+    (SHIFT + ("mode",), "linear", SchemaError,
+     "/scheme/u_tilde/mode: expected one of ['constant', 'sine', 'zero'], got 'linear'"),
+    *key_faults(SHIFT + ("value",), "array", required=True),
+    (SHIFT + ("value",), [0.1, 0.0], SchemaError,
+     "/scheme/u_tilde/value: expected 1 elements, got 2"),
+    *key_faults(SHIFT + ("value", 0), "number"),
+    # grid
+    *key_faults(("grid",), "object", nullable=True),
+    *key_faults(("grid", "n"), "array", required=True),
+    (("grid", "n"), [64, 64], SchemaError, "/grid/n: expected 1 elements, got 2"),
+    *key_faults(("grid", "n", 0), "integer"),
+    (("grid", "n", 0), 1, SchemaError, "/grid/n/0: expected integer >= 2, got 1"),
+    *key_faults(("grid", "length"), "array"),
+    (("grid", "length"), [], SchemaError, "/grid/length: expected 1 elements, got 0"),
+    *key_faults(("grid", "length", 0), "number"),
+    # initial
+    *key_faults(("initial",), "object", nullable=True),
+    *key_faults(("initial", "type"), "string", required=True),
+    (("initial", "type"), "cosine", SchemaError,
+     "/initial/type: expected one of ['sine', 'uniform'], got 'cosine'"),
+    *key_faults(("initial", "mode"), "array", required=True),
+    (("initial", "mode"), [1, 0], SchemaError, "/initial/mode: expected 1 elements, got 2"),
+    *key_faults(("initial", "mode", 0), "integer"),
+    (("initial", "mode"), [0], SchemaError, "/initial/mode: expected a nonzero mode, got [0]"),
+    *key_faults(("initial", "amplitude"), "number", required=True),
+    (("initial", "amplitude"), 0.0, SchemaError,
+     "/initial/amplitude: expected a nonzero amplitude, got 0"),
+    *key_faults(("initial", "base"), "number"),
+    # analysis
+    *key_faults(A, "object"),
+    *key_faults(A + ("order",), "integer"),
+    (A + ("order",), 4, SchemaError, "/analysis/order: expected 1, 2 or 3, got 4"),
+    (A + ("order",), 0, SchemaError, "/analysis/order: expected 1, 2 or 3, got 0"),
+    *key_faults(A + ("k_samples",), "array", nullable=True),
+    (A + ("k_samples", 1), 0.8, SchemaError, "/analysis/k_samples/1: expected array, got float"),
+    (A + ("k_samples", 1), [0.8, 0.0], SchemaError,
+     "/analysis/k_samples/1: expected 1 elements, got 2"),
+    *key_faults(A + ("k_samples", 1, 0), "number"),
+    *key_faults(A + ("dt0",), "number", nullable=True),
+    (A + ("dt0",), -math.inf, SchemaError, "/analysis/dt0: expected finite number, got -inf"),
+    *key_faults(A + ("refinements",), "integer"),
+    (A + ("refinements",), 4, SchemaError, "/analysis/refinements: expected integer >= 5, got 4"),
+    *key_faults(TOL, "object"),
+    *key_faults(TOL + ("relative",), "array"),
+    (TOL + ("relative",), [1e-8, 1e-6], SchemaError,
+     "/analysis/tolerances/relative: expected 3 elements, got 2"),
+    *key_faults(TOL + ("relative", 2), "number"),
+    *key_faults(TOL + ("floors",), "array"),
+    (TOL + ("floors",), [1e-12] * 4, SchemaError,
+     "/analysis/tolerances/floors: expected 3 elements, got 4"),
+    *key_faults(TOL + ("floors", 0), "number"),
+    *key_faults(A + ("u_sweep",), "array"),
+    (A + ("u_sweep",), [0.0], SchemaError,
+     "/analysis/u_sweep: expected at least 2 values, got 1"),
+    *key_faults(A + ("u_sweep", 1), "number"),
+    *key_faults(A + ("grids",), "array"),
+    (A + ("grids",), [64], SchemaError,
+     "/analysis/grids: expected at least 2 distinct values, got [64]"),
+    (A + ("grids",), [64, 128, 64], SchemaError,
+     "/analysis/grids: expected at least 2 distinct values, got [64, 128, 64]"),
+    *key_faults(A + ("grids", 0), "integer"),
+    (A + ("grids", 0), 1, SchemaError, "/analysis/grids/0: expected integer >= 2, got 1"),
+    *key_faults(A + ("warmup",), "integer"),
+    (A + ("warmup",), -1, SchemaError, "/analysis/warmup: expected integer >= 0, got -1"),
+    *key_faults(A + ("steps",), "integer"),
+    (A + ("steps",), 0, SchemaError, "/analysis/steps: expected integer >= 1, got 0"),
+    # output
+    *key_faults(("output",), "object"),
+    *key_faults(("output", "dir"), "string"),
+    *key_faults(("output", "format"), "string"),
+    (("output", "format"), "yaml", SchemaError,
+     "/output/format: expected one of ['csv', 'json'], got 'yaml'"),
+]
+
+# keys read only under one initial type are checked on a document of that type
+UNIFORM_ROWS = [
+    *key_faults(("initial", "value"), "number"),
+    (("initial", "value"), math.nan, SchemaError, "/initial/value: expected finite number, got nan"),
+]
+
+
+def _row_id(row):
+    path, value, _, message = row
+    return "/" + "/".join(map(str, path)) + " <- " + (
+        "DELETE" if value is DELETE else json.dumps(value))
+
+
+def _raises(doc, exc, message):
+    with pytest.raises(Exception) as info:
+        load_config(json.dumps(doc))
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("path,value,exc,message", ROWS, ids=[_row_id(r) for r in ROWS])
+def test_key_fault(path, value, exc, message):
+    _raises(edited(path, value), exc, message)
+
+
+@pytest.mark.parametrize("path,value,exc,message", UNIFORM_ROWS,
+                         ids=[_row_id(r) for r in UNIFORM_ROWS])
+def test_uniform_initial_key_fault(path, value, exc, message):
+    _raises(edited(path, value, edited(("initial",), UNIFORM)), exc, message)
+
+
+def test_full_document_loads():
+    cfg = load_config(json.dumps(FULL))
+    assert cfg == load_config(reference_config("d1q3"))
+
+
+NULL_AS_ABSENT = [S + ("q",), POLY, SHIFT, ("grid",), ("initial",), A + ("k_samples",), A + ("dt0",)]
+
+
+@pytest.mark.parametrize("path", NULL_AS_ABSENT, ids=["/".join(p) for p in NULL_AS_ABSENT])
+def test_null_reads_as_absent(path):
+    absent = load_config(json.dumps(edited(path, DELETE)))
+    assert load_config(json.dumps(edited(path, None))) == absent
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+def test_scheme_layout_round_trips(name):
+    """The layout `spec_to_dict` writes (snapshot_meta.json) reads back as the same scheme."""
+    spec = load_config(reference_config(name)).spec
+    assert load_config(json.dumps({"scheme": spec_to_dict(spec)})).spec == spec
+
+
+UNKNOWN = [
+    ((), "warmpu"),
+    (S, "lamda"),
+    (TERM, "coeff"),
+    (SHIFT, "values"),
+    (("grid",), "size"),
+    (("initial",), "phase"),
+    (("initial",), "value"),  # a uniform field's key, not read for a sine one
+    (A, "warmpu"),
+    (TOL, "relatve"),
+    (("output",), "fmt"),
+]
+
+
+@pytest.mark.parametrize("path,key", UNKNOWN, ids=["/".join(map(str, p + (k,))) for p, k in UNKNOWN])
+def test_unknown_key_rejected(path, key):
+    doc = edited(path + (key,), 5)
+    pointer = "".join(f"/{p}" for p in path + (key,))
+    _raises(doc, SchemaError, f"{pointer}: unknown key")
+
+
+def test_unknown_key_pointer_is_escaped():
+    _raises(edited(A + ("warm/up~",), 5), SchemaError, "/analysis/warm~1up~0: unknown key")
+
+
+def test_unknown_key_under_uniform_initial():
+    doc = edited(("initial",), {**UNIFORM, "amplitude": 0.01})
+    _raises(doc, SchemaError, "/initial/amplitude: unknown key")
+
+
+@pytest.mark.parametrize("value", [[], [0.3]])
+def test_zero_shift_accepts_an_unread_value(value):
+    doc = edited(SHIFT, {"mode": "zero", "value": value})
+    assert load_config(json.dumps(doc)).spec.u_tilde.mode == "zero"
+
+
+def test_misspelled_key_exits_two(tmp_path):
+    path = tmp_path / "d1q3.json"
+    path.write_text(json.dumps(edited(A + ("warmpu",), 5)))
+    result = CliRunner().invoke(main, ["verify", "--config", str(path),
+                                       "--output", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "error: /analysis/warmpu: unknown key" in result.output
+    assert not (tmp_path / "out").exists()

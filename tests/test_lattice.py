@@ -88,6 +88,12 @@ class TestVelocitySet:
         assert vset.q == 3
         np.testing.assert_allclose(vset.velocities[:, 0], [0.0, 1.0, -1.0])
 
+    def test_velocities_built_once_and_read_only(self):
+        vset = d1q3_vset()
+        assert vset.velocities is vset.velocities
+        with pytest.raises(ValueError):
+            vset.velocities[0, 0] = 5.0
+
     def test_lambda_scales_velocities(self):
         vset = d1q2_vset(lam=2.0)
         np.testing.assert_allclose(vset.velocities[:, 0], [2.0, -2.0])
