@@ -104,18 +104,37 @@ def _array(item, length: int | None = None, **constraints):
     return parse
 
 
+class _Repeated(dict):
+    """A JSON object in which the key `repeated` is given more than once."""
+
+    repeated: str
+
+
+def _object_pairs(pairs: list) -> dict:
+    """json.loads's object hook: a plain dict, or a _Repeated one when a key repeats."""
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        seen = set()
+        value = _Repeated(value)
+        value.repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+    return value
+
+
 class _Object:
     """A JSON object at pointer `path` ("" for the document root), read key by key.
 
     Its methods are the one place where a key's pointer is formed; `field` also
     settles the key's presence, default and type. `close` rejects every key that
-    was not read, so a misspelled key fails instead of falling back to a default.
+    was not read, so a misspelled key fails instead of falling back to a default,
+    and a key given twice is rejected before any is read.
     """
 
     def __init__(self, value, path: str):
         if not isinstance(value, dict):
             raise SchemaError(f"{path or '/'}: expected object, got {type(value).__name__}")
         self.items, self.path, self.read = value, path, set()
+        if isinstance(value, _Repeated):
+            raise self.error(value.repeated, "duplicate key")
 
     def field(self, key: str, parse, default=_REQUIRED, nullable=False, **constraints):
         """`key` parsed by `parse`; `default` when absent, or null and `nullable`."""
@@ -135,12 +154,12 @@ class _Object:
         """Reject the first key that was neither read nor listed in `unread`."""
         for key in self.items:
             if key not in self.read and key not in unread:
-                # RFC 6901 escapes, since the key is the user's own text
-                raise self.error(key.replace("~", "~0").replace("/", "~1"), "unknown key")
+                raise self.error(key, "unknown key")
 
     def error(self, key: str, message: str) -> SchemaError:
         """A SchemaError pointing at `key`, for checks that span more than one value."""
-        return SchemaError(f"{self.path}/{key}: {message}")
+        # RFC 6901 escapes, since the key can be the user's own text
+        return SchemaError(f"{self.path}/{key.replace('~', '~0').replace('/', '~1')}: {message}")
 
 
 def _parse_term(value, path: str, dim: int) -> tuple:
@@ -211,10 +230,10 @@ def _parse_initial(value, path: str, dim: int) -> InitialData:
     return data
 
 
-def default_k_samples(dim: int, count: int = 8) -> tuple[tuple[float, ...], ...]:
-    """Wavevectors cycling through the axes and the main diagonal."""
+def default_k_samples(dim: int) -> tuple[tuple[float, ...], ...]:
+    """Eight wavevectors cycling through the axes and the main diagonal."""
     samples = []
-    for i in range(1, count + 1):
+    for i in range(1, 9):
         magnitude = 0.4 * i
         pick = (i - 1) % (dim + 1) if dim > 1 else 0
         if dim > 1 and pick == dim:
@@ -229,7 +248,7 @@ def default_k_samples(dim: int, count: int = 8) -> tuple[tuple[float, ...], ...]
 def load_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment document."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object_pairs)
     except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise SchemaError(f"/: invalid JSON ({exc})") from None
     root = _Object(raw, "")

@@ -416,20 +416,19 @@ def compare_with_prediction(
     floors=ABSOLUTE_FLOORS,
     dt0: float | None = None,
     levels: int = DEFAULT_LEVELS,
-    target_phase: float = DEFAULT_PHASE,
 ) -> ComparisonReport:
     """Confront the derived operators with the Fourier oracle at each k.
 
     Each order-l coefficient passes when |predicted - measured| is below
     max(relative[l] |measured|, floors[l]).  When dt0 is not given it is
-    chosen per wavevector so that |k| lambda dt0 = target_phase.  Failures,
+    chosen per wavevector so that |k| lambda dt0 = DEFAULT_PHASE.  Failures,
     including poor oracle fits, are recorded rather than raised.
 
     No wavevectors, or any invalid ladder, raise ValidationError before the
     oracle solves anything.  The oracle then solves and fits once per
     direction and phase ladder (see _symbol_series): with the default dt0
     every wavevector along one direction shares one phase ladder
-    target_phase / lambda / 2^m, while an explicit dt0 gives each |k| its own.
+    DEFAULT_PHASE / lambda / 2^m, while an explicit dt0 gives each |k| its own.
     predicted_symbols runs once per wavevector; the errors, relative errors
     and flags of all wavevectors are then taken as whole arrays, and the first
     wavevector in norm order whose error is not finite raises ValidationError.
@@ -449,14 +448,14 @@ def compare_with_prediction(
     if dt0 is not None:
         base_dts = [dt0] * len(ks)
     else:
-        base_dts = [target_phase / (knorm * lam) if knorm > 0 else target_phase / lam
+        base_dts = [DEFAULT_PHASE / (knorm * lam) if knorm > 0 else DEFAULT_PHASE / lam
                     for knorm in (float(norm) for norm in norms)]
     ladders = geometric_dt_sequence(np.array(base_dts)[:, None], levels)
     _check_ladders(spec, [(len(k),) for k in ks], norms, ladders)
     if dt0 is not None:
         phases = norms[:, None] * ladders
     else:  # one phase ladder for all: |k| dt0 can round apart between wavevectors
-        phases = geometric_dt_sequence(np.full((len(ks), 1), target_phase / lam), levels)
+        phases = geometric_dt_sequence(np.full((len(ks), 1), DEFAULT_PHASE / lam), levels)
     mu, residual, poor = _symbol_series(spec, np.array(ks), norms, ladders, phases, "flag")
     measured = mu[:, :order]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an overflow raises below

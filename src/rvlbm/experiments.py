@@ -31,11 +31,13 @@ from .scheme import (
     SchemeSpec,
     StateField,
     VelocityShift,
+    cell_centers,
     density,
     equilibrium_state,
     moment_field,
     run,
     sine_density,
+    spec_to_dict,
     _advance,
 )
 
@@ -74,25 +76,19 @@ def initial_state(spec: SchemeSpec, grid_sizes, box_lengths, initial: InitialDat
     return equilibrium_state(spec, grid_sizes, box_lengths, rho)
 
 
-def residual_pair(
-    spec: SchemeSpec,
-    grid_sizes,
-    box_lengths,
-    initial: InitialData,
-    warmup: int,
-    order: int = 3,
-) -> dict:
+def residual_pair(spec: SchemeSpec, grid_sizes, box_lengths, initial: InitialData,
+                  warmup: int) -> dict:
     """Equilibrium-proximity and slaved-moment residuals after warm-up.
 
     The first residual is max_j ||f_j - E_j rho||_inf.  The second compares
     the pre-collision moments against e_k rho - dt (1/2 + sigma_k) xi_k rho
     with xi_k evaluated spectrally on the measured density.
     """
-    prediction = transition_prediction(spec, order)
-    return _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction, order)
+    prediction = transition_prediction(spec, 3)
+    return _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction)
 
 
-def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction, order) -> dict:
+def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction) -> dict:
     """residual_pair given the transition prediction; one FFT of rho serves every xi_k."""
     state = initial_state(spec, grid_sizes, box_lengths, initial)
     state = run(state, spec, warmup)
@@ -107,8 +103,7 @@ def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction, o
     for k in range(1, spec.q):
         xi = prediction.xi[k]
         xi_field = _spectral_inverse(xi[0], rho_hat, box_lengths).real
-        if order == 3:
-            xi_field = xi_field + dt * _spectral_inverse(xi[1], rho_hat, box_lengths).real
+        xi_field = xi_field + dt * _spectral_inverse(xi[1], rho_hat, box_lengths).real
         predicted = prediction.e[k] * rho + dt * prediction.pre_collision_factor(k) * xi_field
         r_tr = max(r_tr, float(np.max(np.abs(m[k] - predicted))))
     return {
@@ -124,25 +119,17 @@ def _fit_slope(dxs, residuals) -> float:
     return float(np.polyfit(np.log(dxs), np.log(residuals), 1)[0])
 
 
-def refinement_study(
-    spec: SchemeSpec,
-    box_lengths,
-    grids,
-    initial: InitialData,
-    warmup: int,
-    order: int = 3,
-) -> dict:
+def refinement_study(spec: SchemeSpec, box_lengths, grids, initial: InitialData,
+                     warmup: int) -> dict:
     """Residual scaling across grid refinements, with fitted log-log slopes.
 
     Residuals at the rounding floor are reported with slope "floor" instead of
     a meaningless fit.
     """
     d = len(box_lengths)
-    prediction = transition_prediction(spec, order)
-    rows = [
-        _residual_pair(spec, (int(n),) * d, box_lengths, initial, warmup, prediction, order)
-        for n in grids
-    ]
+    prediction = transition_prediction(spec, 3)
+    rows = [_residual_pair(spec, (int(n),) * d, box_lengths, initial, warmup, prediction)
+            for n in grids]
     dxs = np.array([row["dx"] for row in rows])
     out = {"rows": rows}
     for key, label in (
@@ -175,67 +162,36 @@ def _transition_pass(study: dict) -> bool:
     )
 
 
-def _sweep_specs(spec: SchemeSpec, u_sweep) -> list[tuple[float, SchemeSpec]]:
-    lam = spec.vset.lam
-    out = []
-    for m in u_sweep:
-        shift = (
-            VelocityShift.zero()
-            if m == 0.0
-            else VelocityShift.constant((float(m) * lam,) * spec.dim)
-        )
-        out.append((float(m), replace(spec, u_tilde=shift)))
-    return out
-
-
 def verify_report(cfg: ExperimentConfig) -> dict:
     """Run every verification channel of the configured scheme.
 
-    Sections: predictor_vs_oracle (shift sweep), u_invariance (first- and
-    second-order tensors must not move; the third-order spread is recorded),
-    transition_scaling (refinement study of the slaved-moment residual), and
-    dhumieres_crosscheck (zero-shift regrouping).  The sweep values are
-    multiples of lambda applied to every component of the shift.
+    Sections, in this order: predictor_vs_oracle (shift sweep), u_invariance
+    (first- and second-order tensors must not move; the third-order spread is
+    recorded), transition_scaling (refinement study of the slaved-moment
+    residual), and dhumieres_crosscheck (zero-shift regrouping).  The sweep
+    values are multiples of lambda applied to every component of the shift.
     """
-    sweep = _sweep_specs(cfg.spec, cfg.u_sweep)
-    oracle_runs = []
-    oracle_pass = True
-    for m, spec_u in sweep:
-        report = compare_with_prediction(
-            spec_u,
-            cfg.k_samples,
-            order=cfg.order,
-            relative=cfg.relative_tolerances,
-            floors=cfg.absolute_floors,
-            dt0=cfg.dt0,
-            levels=cfg.levels,
-        )
-        oracle_runs.append({"u_multiplier": m, "report": report.to_json_dict()})
-        oracle_pass = oracle_pass and report.passed
+    lam, dim = cfg.spec.vset.lam, cfg.spec.dim
+    sweep = [replace(cfg.spec, u_tilde=VelocityShift.zero() if m == 0.0
+                     else VelocityShift.constant((float(m) * lam,) * dim))
+             for m in cfg.u_sweep]
+    reports = [dispersion_payload(replace(cfg, spec=spec_u)) for spec_u in sweep]
+    oracle_pass = all(report.passed for report in reports)
 
-    equations = [(m, derive_equivalent_equation(spec_u, 3)) for m, spec_u in sweep]
-    c_scale = max(max(np.max(np.abs(eq.c)) for _, eq in equations), 1e-300)
-    d_scale = max(max(np.max(np.abs(eq.D)) for _, eq in equations), 1e-300)
-    c_diff = 0.0
-    d_diff = 0.0
-    for i in range(len(equations)):
-        for j in range(i + 1, len(equations)):
-            c_diff = max(c_diff, float(np.max(np.abs(equations[i][1].c - equations[j][1].c))))
-            d_diff = max(d_diff, float(np.max(np.abs(equations[i][1].D - equations[j][1].D))))
+    # max - min of each entry is the largest difference over pairs of sweep members
+    equations = [derive_equivalent_equation(spec_u, 3) for spec_u in sweep]
+    c = np.stack([eq.c for eq in equations])
+    d = np.stack([eq.D for eq in equations])
+    c_rel = float(np.max(np.ptp(c, axis=0))) / max(np.max(np.abs(c)), 1e-300)
+    d_rel = float(np.max(np.ptp(d, axis=0))) / max(np.max(np.abs(d)), 1e-300)
     mu2_spread = 0.0
-    if len(oracle_runs) > 1 and cfg.order >= 3:
-        by_k: dict[str, list[complex]] = {}
-        for entry in oracle_runs:
-            for rec in entry["report"]["records"]:
-                mu2 = complex(rec["mu"][2][0], rec["mu"][2][1])
-                by_k.setdefault(json.dumps(rec["k"]), []).append(mu2)
-        for values in by_k.values():
-            for i in range(len(values)):
-                for j in range(i + 1, len(values)):
-                    mu2_spread = max(mu2_spread, abs(values[i] - values[j]))
-    invariance_pass = bool(
-        c_diff / c_scale <= INVARIANCE_RTOL and d_diff / d_scale <= INVARIANCE_RTOL
-    )
+    if cfg.order >= 3:
+        # every member's records are sorted alike, by (|k|, k), so position i is one k
+        mu2 = np.array([[rec["mu"][2] for rec in report.records] for report in reports])
+        diff = mu2[:, None] - mu2[None, :]
+        # hypot is abs() on one complex number
+        mu2_spread = float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
+    invariance_pass = bool(c_rel <= INVARIANCE_RTOL and d_rel <= INVARIANCE_RTOL)
 
     study = refinement_study(
         cfg.spec, cfg.box_lengths, cfg.grids[:3], _transition_initial(cfg), cfg.warmup
@@ -250,11 +206,15 @@ def verify_report(cfg: ExperimentConfig) -> dict:
 
     overall = bool(oracle_pass and invariance_pass and scaling_pass and crosscheck["pass"])
     return {
-        "predictor_vs_oracle": {"pass": oracle_pass, "sweep": oracle_runs},
+        "predictor_vs_oracle": {
+            "pass": oracle_pass,
+            "sweep": [{"u_multiplier": float(m), "report": report.to_json_dict()}
+                      for m, report in zip(cfg.u_sweep, reports)],
+        },
         "u_invariance": {
             "pass": invariance_pass,
-            "c_max_rel_difference": c_diff / c_scale,
-            "D_max_rel_difference": d_diff / d_scale,
+            "c_max_rel_difference": c_rel,
+            "D_max_rel_difference": d_rel,
             "mu2_max_spread": mu2_spread,
         },
         "transition_scaling": {"pass": scaling_pass, **study},
@@ -358,11 +318,28 @@ def write_json(payload: dict, path) -> None:
         fh.write(text + "\n")
 
 
-def write_csv(rows: list[list], path) -> None:
+def write_csv(rows, path) -> None:
+    """Write an iterable of rows; a generator is written as it runs."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(fh).writerows(rows)
+
+
+def save_snapshot(state: StateField, spec: SchemeSpec, csv_path, meta_path, step_count: int) -> None:
+    """Write one CSV row per cell (coordinates, rho, f_j) plus a JSON header."""
+    x = cell_centers(state.grid_sizes, state.box_lengths).reshape(state.dim, -1)
+    f = state.f.reshape(spec.q, -1)
+    rho = f.sum(axis=0).real
+    header = [f"x{a + 1}" for a in range(state.dim)] + ["rho"] + [f"f{j}" for j in range(spec.q)]
+    cells = ([repr(v) for v in x[:, c]] + [repr(float(rho[c]))]
+             + [repr(float(v)) for v in f[:, c].real] for c in range(x.shape[1]))
+    write_csv(itertools.chain([header], cells), csv_path)
+    write_json({
+        "scheme": spec_to_dict(spec),
+        "grid": {"n": list(state.grid_sizes), "length": list(state.box_lengths)},
+        "dx": state.dx,
+        "dt": state.dt,
+        "step": int(step_count),
+    }, meta_path)
 
 
 def analyze_csv_rows(payload: dict) -> list[list]:

@@ -9,8 +9,6 @@ because s[0] = 0 makes row 0 of K zero.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -440,33 +438,3 @@ def spec_to_dict(spec: SchemeSpec) -> dict:
         "equilibrium": list(spec.equilibrium),
         "u_tilde": {"mode": spec.u_tilde.mode, "value": list(spec.u_tilde.value)},
     }
-
-
-def save_snapshot(state: StateField, spec: SchemeSpec, csv_path, meta_path, step_count: int) -> None:
-    """Write one CSV row per cell (coordinates, rho, f_j) plus a JSON header."""
-    x = cell_centers(state.grid_sizes, state.box_lengths).reshape(state.dim, -1)
-    f = state.f.reshape(spec.q, -1)
-    rho = f.sum(axis=0)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"x{a + 1}" for a in range(state.dim)]
-            + ["rho"]
-            + [f"f{j}" for j in range(spec.q)]
-        )
-        for c in range(x.shape[1]):
-            writer.writerow(
-                [repr(v) for v in x[:, c]]
-                + [repr(float(np.real(rho[c])))]
-                + [repr(float(np.real(f[j, c]))) for j in range(spec.q)]
-            )
-    meta = {
-        "scheme": spec_to_dict(spec),
-        "grid": {"n": list(state.grid_sizes), "length": list(state.box_lengths)},
-        "dx": state.dx,
-        "dt": state.dt,
-        "step": int(step_count),
-    }
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")

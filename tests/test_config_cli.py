@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pathlib
@@ -5,11 +6,21 @@ import subprocess
 import sys
 import warnings
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rvlbm import load_config, reference_config, run, scheme
+from rvlbm import (
+    VelocityShift,
+    compare_with_prediction,
+    derive_equivalent_equation,
+    load_config,
+    reference_config,
+    run,
+    scheme,
+)
 from rvlbm.cli import main
 from rvlbm.config import default_k_samples
 from rvlbm.errors import SchemaError, ValidationError
@@ -225,6 +236,73 @@ class TestRefinementStudy:
         assert len(transforms) == len(grids)
 
 
+def loop_invariance(cfg):
+    """The u_invariance section as pairwise loops: the largest c and D difference
+    over every pair of sweep members, and the mu2 spread grouped by json.dumps(k)."""
+    lam, dim = cfg.spec.vset.lam, cfg.spec.dim
+    specs = [
+        replace(cfg.spec, u_tilde=VelocityShift.zero() if m == 0.0
+                else VelocityShift.constant((float(m) * lam,) * dim))
+        for m in cfg.u_sweep
+    ]
+    equations = [derive_equivalent_equation(spec, 3) for spec in specs]
+    c_scale = max(max(np.max(np.abs(eq.c)) for eq in equations), 1e-300)
+    d_scale = max(max(np.max(np.abs(eq.D)) for eq in equations), 1e-300)
+    c_diff = d_diff = 0.0
+    for i in range(len(equations)):
+        for j in range(i + 1, len(equations)):
+            c_diff = max(c_diff, float(np.max(np.abs(equations[i].c - equations[j].c))))
+            d_diff = max(d_diff, float(np.max(np.abs(equations[i].D - equations[j].D))))
+    by_k = {}
+    for spec in specs:
+        report = compare_with_prediction(
+            spec, cfg.k_samples, order=cfg.order, relative=cfg.relative_tolerances,
+            floors=cfg.absolute_floors, dt0=cfg.dt0, levels=cfg.levels,
+        ).to_json_dict()
+        for rec in report["records"]:
+            by_k.setdefault(json.dumps(rec["k"]), []).append(complex(*rec["mu"][2]))
+    mu2_spread = 0.0
+    for values in by_k.values():
+        for i in range(len(values)):
+            for j in range(i + 1, len(values)):
+                mu2_spread = max(mu2_spread, abs(values[i] - values[j]))
+    return {
+        "pass": bool(c_diff / c_scale <= 1e-10 and d_diff / d_scale <= 1e-10),
+        "c_max_rel_difference": c_diff / c_scale,
+        "D_max_rel_difference": d_diff / d_scale,
+        "mu2_max_spread": mu2_spread,
+    }
+
+
+def d2q5_repeated_samples():
+    """d2q5 over four shifts, with a repeated wavevector and -0.0 components."""
+    doc = json.loads(reference_config("d2q5"))
+    doc["analysis"].update(
+        u_sweep=[0.0, 0.1, 0.3, -0.2], grids=[16, 32],
+        k_samples=[[0.4, -0.0], [0.4, -0.0], [0.4, 0.0], [0.0, 0.4], [-0.0, 0.8], [1.2, 0.5]],
+    )
+    return doc
+
+
+def d1q2_cancelling_diffusion():
+    """D1Q2 whose D is cancellation noise, so it moves with u well above rounding
+    (the invariance check fails); the largest move is not between the first and
+    last sweep members."""
+    doc = json.loads(reference_config("d1q2"))
+    doc["scheme"].update(equilibrium=[1e-12, 1 - 1e-12], relaxation=[0.0, 1.0])
+    doc["analysis"].update(u_sweep=[0.0, 0.25, -0.3, 0.1], grids=[16, 32])
+    return doc
+
+
+class TestVerifyReport:
+    @pytest.mark.parametrize("make_doc", [d2q5_repeated_samples, d1q2_cancelling_diffusion])
+    def test_u_invariance_matches_pairwise_loops(self, make_doc):
+        cfg = load_config(json.dumps(make_doc()))
+        section = experiments.verify_report(cfg)["u_invariance"]
+        assert section == loop_invariance(cfg)
+        assert section["mu2_max_spread"] > 0.0
+
+
 class TestCli:
     def test_analyze_writes_report(self, runner, config_file, tmp_path):
         out = tmp_path / "out"
@@ -262,6 +340,47 @@ class TestCli:
         lines = (out / "dispersion.csv").read_text().splitlines()
         assert lines[0].startswith("k,order,measured_re")
         assert len(lines) == 1 + 3 * 3
+
+    def both_formats(self, runner, config_path, tmp_path, command):
+        """The JSON payload and the CSV rows that `command` writes for one config."""
+        for fmt in ("json", "csv"):
+            result = runner.invoke(main, [command, "--config", str(config_path),
+                                          "--output", str(tmp_path / fmt), "--format", fmt])
+            assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "json" / f"{command}.json").read_text())
+        with open(tmp_path / "csv" / f"{command}.csv", newline="", encoding="utf-8") as fh:
+            return payload, list(csv.reader(fh))
+
+    def test_analyze_csv_layout(self, runner, config_file, tmp_path):
+        payload, rows = self.both_formats(runner, config_file, tmp_path, "analyze")
+        assert rows[0] == ["order", "multi_index", "coefficient"]
+        terms = [(entry["order"], term) for entry in payload["equation"]["operators"]
+                 for term in entry["terms"]]
+        assert len(rows) == 1 + len(terms) and len(terms) == 3  # c, D and the dispersion term
+        for row, (order, term) in zip(rows[1:], terms):
+            assert row == [str(order), " ".join(map(str, term["multi_index"])),
+                           repr(term["coefficient"])]
+
+    def test_convergence_csv_layout(self, runner, config_file, tmp_path):
+        study, rows = self.both_formats(runner, config_file, tmp_path, "convergence")
+        assert rows[0] == ["grid", "dx", "dt", "equilibrium_residual", "transition_residual"]
+        assert len(rows) == 1 + len(BASE["analysis"]["grids"])
+        for row, entry in zip(rows[1:], study["rows"]):
+            assert row == ["x".join(map(str, entry["grid"]))] + [
+                repr(entry[key]) for key in ("dx", "dt", "equilibrium_residual", "transition_residual")]
+
+    @pytest.mark.parametrize("initial,header", [
+        (BASE["initial"], ["step", "mass", "mode_amplitude", "mode_phase"]),
+        ({"type": "uniform", "value": 1.0}, ["step", "mass"]),
+    ], ids=["sine", "uniform"])
+    def test_simulate_csv_layout(self, runner, tmp_path, initial, header):
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps({**BASE, "initial": initial}))
+        payload, rows = self.both_formats(runner, path, tmp_path, "simulate")
+        assert rows[0] == header
+        assert len(rows) == 1 + BASE["analysis"]["steps"] + 1
+        for row, rec in zip(rows[1:], payload["observables"]):
+            assert row == [str(rec["step"])] + [repr(rec[key]) for key in header[1:]]
 
     def test_simulate_writes_snapshot(self, runner, config_file, tmp_path):
         out = tmp_path / "out"
@@ -560,6 +679,31 @@ class TestCli:
             assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
             assert str(blocker) in result.stderr
         assert blocker.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("blocked", ["snapshot.csv", "snapshot_meta.json"])
+    def test_unwritable_snapshot_exits_two_without_output(self, runner, config_file, tmp_path,
+                                                          blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        result = runner.invoke(main, ["simulate", "--config", str(config_file),
+                                      "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == [blocked]
+
+    def test_snapshot_internal_error_exits_three_without_output(self, runner, config_file,
+                                                                tmp_path, monkeypatch):
+        def fail(state, spec, csv_path, meta_path, step_count):
+            csv_path.write_text("partial")
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(experiments, "save_snapshot", fail)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(config_file),
+                                      "--output", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "internal error: RuntimeError: unexpected\n"
+        assert list(out.iterdir()) == []
 
     def test_unstable_scheme_warns_and_exits_zero(self, runner, tmp_path):
         doc = json.loads(reference_config("d1q3"))

@@ -284,3 +284,35 @@ def test_misspelled_key_exits_two(tmp_path):
     assert result.exit_code == 2
     assert "error: /analysis/warmpu: unknown key" in result.output
     assert not (tmp_path / "out").exists()
+
+
+REPEATED = [((), "grid"), (A, "warmup"), (TERM, "coef")]
+
+
+def repeated(path, key):
+    """Text of the explicit document with `key` given a second time at `path`."""
+    doc = edited(path + ("<repeat>",), 5)
+    return json.dumps(doc).replace('"<repeat>"', json.dumps(key))
+
+
+@pytest.mark.parametrize("path,key", REPEATED, ids=["/".join(map(str, p + (k,))) for p, k in REPEATED])
+def test_repeated_key_rejected(path, key):
+    with pytest.raises(SchemaError) as info:
+        load_config(repeated(path, key))
+    assert str(info.value) == "".join(f"/{p}" for p in path + (key,)) + ": duplicate key"
+
+
+def test_repeated_key_pointer_is_escaped():
+    text = json.dumps(edited(A + ("a/b~",), 5)).replace('"a/b~": 5', '"a/b~": 5, "a/b~": 5')
+    with pytest.raises(SchemaError, match=r"^/analysis/a~1b~0: duplicate key$"):
+        load_config(text)
+
+
+def test_repeated_key_exits_two(tmp_path):
+    path = tmp_path / "d1q3.json"
+    path.write_text(reference_config("d1q3").replace('"warmup": 40', '"warmup": 5, "warmup": 40'))
+    result = CliRunner().invoke(main, ["verify", "--config", str(path),
+                                       "--output", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "error: /analysis/warmup: duplicate key" in result.output
+    assert not (tmp_path / "out").exists()
