@@ -64,10 +64,17 @@ class ExperimentConfig:
 _REQUIRED = object()
 
 
+def _wrong_type(path: str, kind: str, value) -> SchemaError:
+    """The error for a value at `path` that is not a `kind`; an object is a dict,
+    also when one of its keys repeats."""
+    name = "dict" if isinstance(value, dict) else type(value).__name__
+    return SchemaError(f"{path}: expected {kind}, got {name}")
+
+
 def _expect_number(value, path: str) -> float:
     """`value` as a finite float; JSON's NaN, Infinity and overflowing literals are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected number, got {type(value).__name__}")
+        raise _wrong_type(path, "number", value)
     try:
         number = float(value)
     except OverflowError:
@@ -79,7 +86,7 @@ def _expect_number(value, path: str) -> float:
 
 def _expect_int(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: expected integer, got {type(value).__name__}")
+        raise _wrong_type(path, "integer", value)
     if minimum is not None and value < minimum:
         raise SchemaError(f"{path}: expected integer >= {minimum}, got {value}")
     return value
@@ -87,7 +94,7 @@ def _expect_int(value, path: str, minimum: int | None = None) -> int:
 
 def _expect_string(value, path: str, choices=None) -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"{path}: expected string, got {type(value).__name__}")
+        raise _wrong_type(path, "string", value)
     if choices is not None and value not in choices:
         raise SchemaError(f"{path}: expected one of {sorted(choices)}, got {value!r}")
     return value
@@ -97,7 +104,7 @@ def _array(item, length: int | None = None, **constraints):
     """Parser of an array whose elements `item` parses, each under its own index."""
     def parse(value, path: str) -> tuple:
         if not isinstance(value, list):
-            raise SchemaError(f"{path}: expected array, got {type(value).__name__}")
+            raise _wrong_type(path, "array", value)
         if length is not None and len(value) != length:
             raise SchemaError(f"{path}: expected {length} elements, got {len(value)}")
         return tuple(item(v, f"{path}/{i}", **constraints) for i, v in enumerate(value))
@@ -131,7 +138,7 @@ class _Object:
 
     def __init__(self, value, path: str):
         if not isinstance(value, dict):
-            raise SchemaError(f"{path or '/'}: expected object, got {type(value).__name__}")
+            raise _wrong_type(path or "/", "object", value)
         self.items, self.path, self.read = value, path, set()
         if isinstance(value, _Repeated):
             raise self.error(value.repeated, "duplicate key")

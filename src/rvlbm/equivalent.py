@@ -11,10 +11,13 @@ defaults theta_k are formed from the per-velocity derivative
 E_j (d_t + v_j . grad) with d_t replaced by A_0, and the Henon parameters
 sigma_k = 1/s_k - 1/2 weight their contributions.  The order-1 part of theta
 inside the Delta term is taken at zero shift, where e_b(0) = c_b, so a
-derivation does the same work at every constant shift.  The module also
-predicts the slaved non-conserved moments (xi_k) for the transition-residual
-experiments, and cross-checks A_2 against the zero-shift regrouped form based
-on the momentum-velocity tensor.
+derivation does the same work at every constant shift.  A_l holds only
+derivatives of order l + 1, so it is a symmetric rank-(l + 1) tensor, and the
+derivation is a few tensor contractions read off as operators.  The module
+also predicts the slaved non-conserved moments (xi_k) for the
+transition-residual experiments, and cross-checks A_2 against the zero-shift
+regrouped form based on the momentum-velocity tensor; both are built through
+the operator algebra.
 
 DifferentialOperator subclasses lattice.MomentPolynomial, read with X_b = d_b,
 and adds the operator algebra; a Fourier symbol is that polynomial at ik.
@@ -22,10 +25,10 @@ and adds the operator algebra; a Fourier symbol is that polynomial at ik.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from operator import add
 
 import numpy as np
@@ -251,25 +254,6 @@ class EquivalentEquation:
         return " ".join(lhs) + " = " + (" + ".join(rhs) if rhs else "0")
 
 
-def _symmetric_tensor(op: DifferentialOperator, rank: int, dim: int) -> np.ndarray:
-    """Coefficients of op as a fully symmetric rank-`rank` tensor.
-
-    A multi-index a is spread uniformly over its rank!/a! index permutations,
-    so Sum over tensor indices reproduces the operator exactly.
-    """
-    out = np.zeros((dim,) * rank)
-    for exps, coef in op.terms:
-        axes = []
-        for a, e in enumerate(exps):
-            axes.extend([a] * e)
-        if len(axes) != rank:
-            continue
-        spread = set(permutations(axes))
-        for idx in spread:
-            out[idx] = coef / len(spread)
-    return out
-
-
 def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquation:
     """Build the equivalent equation of `spec` up to the requested Delta order.
 
@@ -289,61 +273,92 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
     return _derive(spec, order)
 
 
+@lru_cache(maxsize=None)
+def _index_classes(dim: int, rank: int) -> tuple:
+    """The multi-indices of degree `rank` in canonical order and, for a flat
+    (dim,)*rank tensor: its positions grouped by multi-index (lexicographic within
+    a group), the first position of each group, and for each position its group
+    and that group's size."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for flat, idx in enumerate(itertools.product(range(dim), repeat=rank)):
+        groups.setdefault(tuple(idx.count(a) for a in range(dim)), []).append(flat)
+    exps = sorted(groups)  # one degree, so graded lexicographic is lexicographic
+    members = [flat for e in exps for flat in groups[e]]
+    sizes = [len(groups[e]) for e in exps]
+    of = np.empty(dim ** rank, dtype=np.intp)
+    of[members] = np.repeat(np.arange(len(exps)), sizes)
+    return (tuple(exps), np.array(members), np.cumsum(sizes) - sizes, of,
+            np.array(sizes, dtype=float)[of])
+
+
+def _read_operator(tensor: np.ndarray) -> tuple:
+    """The operator Sum over index tuples of tensor[i_1..i_r] d_i1 .. d_ir, and its
+    coefficients as a list and as a fully symmetric read-only tensor.
+
+    A multi-index's coefficient sums the entries of its index tuples in one fixed
+    order; the symmetric tensor spreads it uniformly over them, so summing over its
+    indices reproduces the operator.
+    """
+    dim = tensor.shape[0]
+    exps, members, starts, of, size = _index_classes(dim, tensor.ndim)
+    coefs = np.add.reduceat(tensor.reshape(-1)[members], starts) + 0.0  # no -0.0 left
+    values = coefs.tolist()
+    spread = (coefs[of] / size).reshape(tensor.shape)
+    spread.setflags(write=False)
+    op = DifferentialOperator._build(dim, tuple((e, v) for e, v in zip(exps, values) if v != 0.0))
+    return op, values, spread
+
+
+def _scaled(factor, x: np.ndarray) -> np.ndarray:
+    """factor * x, but 0 wherever x is exactly 0: a sigma that overflowed to inf scales
+    only the terms an operator holds, as the operator algebra does, and adds no inf * 0."""
+    return np.where(x == 0.0, 0.0, factor * x)
+
+
 @lru_cache(maxsize=4)
 def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
-    """derive_equivalent_equation after validation, once per (spec, order)."""
+    """derive_equivalent_equation after validation, once per (spec, order).
+
+    Each A_l is one symmetric tensor contraction, read off as an operator:
+    with Theta = M(u) (E o v) - (M(u) E) (x) c, the (q, d) coefficients of the
+    conservation defaults theta_k^(0), A_1 is sigma_b Theta_b, and A_2 is the
+    Delta-term correction sigma_b c_b A_1, the (1/6) group -c (x) Theta_b / 6,
+    the (1/12) group Sum_j E_j v_j (x) v_j (x) (v_j - c) / 12, less the
+    sigma-sigma group sigma_b sigma_l (Sum_j v_j^b M^-1_jl (v_j - c)) (x) Theta_l,
+    with b = 1..d and l = 1..q-1.
+    """
     d = spec.dim
-    q = spec.q
     vel = spec.vset.velocities
 
     c = advection_vector(spec)
     c.setflags(write=False)
-    a0 = DifferentialOperator.gradient_dot(d, -c)
+    a0, _, _ = _read_operator(-c)
     if order == 1:
         return EquivalentEquation(d, 1, (a0,), c, None, None)
 
-    sigma = henon_sigma(spec.s)
-    partials = [DifferentialOperator.partial(d, b) for b in range(d)]
-    theta0 = conservation_defaults(spec, a0)
-    a1 = _sum(d, (sigma[b] * (partials[b - 1] @ theta0[b]) for b in range(1, d + 1)))
-    _require_finite(spec, f"order-{order} equivalent equation", (coef for _, coef in a1.terms))
-    D = _symmetric_tensor(a1, 2, d)
-    D.setflags(write=False)
-    if order == 2:
-        return EquivalentEquation(d, 2, (a0, a1), c, D, None)
+    what = f"order-{order} equivalent equation"
+    mm = spec.moment_matrix
+    ew = np.asarray(spec.equilibrium)
+    theta = mm.m @ (ew[:, None] * vel) - (mm.m @ ew)[:, None] * c
+    sigma = np.array(henon_sigma(spec.s)[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient raises
+        a1, values, D = _read_operator(_scaled(sigma[:d, None], theta[1:d + 1]))
+        _require_finite(spec, what, values)
+        if order == 2:
+            return EquivalentEquation(d, 2, (a0, a1), c, D, None)
 
-    # order-1 correction of the Delta term at zero shift: theta_b^(1) = e_b(0) A_1, and
-    # e_b(0) = Sum_j v_j^b E_j = c_b because the basis fixes P_b = X_b for b = 1..d
-    delta_corr = _sum(d, (sigma[b] * (partials[b - 1] @ (cb * a1))
-                          for b, cb in enumerate(c.tolist(), 1)))
-    m_inv = spec.moment_matrix.m_inv
-    transports = [a0 + DifferentialOperator.gradient_dot(d, v) for v in vel]
-
-    # sigma_b sigma_l group, built from M(u)^-1 without simplification
-    sigma_terms = []
-    for b in range(1, d + 1):
-        for l in range(1, q):
-            inner = _transport_sum(vel[:, b - 1] * m_inv[:, l], transports)
-            sigma_terms.append((sigma[b] * sigma[l]) * (partials[b - 1] @ inner @ theta0[l]))
-    sigma_group = _sum(d, sigma_terms)
-
-    # (1/12) group: fourth moments of the per-velocity derivative
-    second = [[pb @ pg for pg in partials] for pb in partials]
-    weighted = [w * t for w, t in zip(spec.equilibrium, transports)]  # E_j (A_0 + v_j . grad)
-    v = vel.tolist()
-    twelfth = _sum(d, (
-        (v[j][b] * v[j][g] / 12.0) * (second[b][g] @ weighted[j])
-        for j in range(q) for b in range(d) for g in range(d) if v[j][b] * v[j][g] != 0.0
-    ))
-
-    # (1/6) mixed time-space group
-    sixth = _sum(d, ((1.0 / 6.0) * (partials[b - 1] @ a0 @ theta0[b]) for b in range(1, d + 1)))
-
-    a2 = delta_corr + (sixth + twelfth - sigma_group)
-    _require_finite(spec, "order-3 equivalent equation", (coef for _, coef in a2.terms))
-
-    T = _symmetric_tensor(a2, 3, d)
-    T.setflags(write=False)
+        # order-1 correction of the Delta term at zero shift: theta_b^(1) = e_b(0) A_1, and
+        # e_b(0) = Sum_j v_j^b E_j = c_b because the basis fixes P_b = X_b for b = 1..d
+        correction = _scaled(sigma[:d, None, None], c[:, None, None] * D)
+        sixth = theta[1:d + 1, None, :] * (c[None, :, None] / -6.0)
+        rel = vel - c  # v_j - c: the transport A_0 + v_j . grad
+        twelfth = np.einsum("jb,jg,jh->bgh", ew[:, None] * vel, vel, rel) / 12.0
+        # sigma_b sigma_l group, summed over j in order; w[b, l, g] = Sum_j v_j^b M^-1_jl (v_j - c)_g
+        w = (vel[:, :, None, None] * mm.m_inv[:, None, 1:, None] * rel[:, None, None, :]).sum(axis=0)
+        pairs = _scaled((sigma[:d, None] * sigma)[:, :, None, None],
+                        w[:, :, :, None] * theta[None, 1:, None, :]).sum(axis=1)
+        a2, values, T = _read_operator(correction + sixth + twelfth - pairs)
+        _require_finite(spec, what, values)
     return EquivalentEquation(d, 3, (a0, a1, a2), c, D, T)
 
 

@@ -330,7 +330,7 @@ def save_snapshot(state: StateField, spec: SchemeSpec, csv_path, meta_path, step
     f = state.f.reshape(spec.q, -1)
     rho = f.sum(axis=0).real
     header = [f"x{a + 1}" for a in range(state.dim)] + ["rho"] + [f"f{j}" for j in range(spec.q)]
-    cells = ([repr(v) for v in x[:, c]] + [repr(float(rho[c]))]
+    cells = ([repr(float(v)) for v in x[:, c]] + [repr(float(rho[c]))]
              + [repr(float(v)) for v in f[:, c].real] for c in range(x.shape[1]))
     write_csv(itertools.chain([header], cells), csv_path)
     write_json({

@@ -34,6 +34,7 @@ from rvlbm import (
     sine_density,
     spectral_apply,
     step,
+    transition_prediction,
 )
 from rvlbm.config import REFERENCE_NAMES, default_k_samples
 
@@ -337,3 +338,19 @@ class TestAcceptance:
             ", ".join(detail),
         )
         assert ok, line + f" bad={bad}"
+
+
+class TestOperatorStructure:
+    def test_transition_prediction_parts_carry_matching_derivative_orders(self):
+        # Criterion 8's structure check on the operators still built term by term
+        # by the operator algebra: xi_k = theta_k^(0) + Delta xi_k^(1) holds only
+        # first derivatives in its order-0 part and only second derivatives in its
+        # order-1 part, for every moment k of every scheme/shift combo.  The
+        # equation's A_l are homogeneous by construction, each one contraction.
+        violations = []
+        for name, spec in shifted_family():
+            for k, parts in enumerate(transition_prediction(spec, 3).xi):
+                assert len(parts) == 2
+                violations += [(name, k, l, exps) for l, part in enumerate(parts)
+                               for exps, _ in part.terms if sum(exps) != l + 1]
+        assert violations == []

@@ -394,6 +394,19 @@ class TestCli:
         payload = json.loads((out / "simulate.json").read_text())
         assert abs(payload["mass_relative_drift"]) < 1e-13
 
+    def test_snapshot_fields_are_numbers(self, runner, config_file, tmp_path):
+        # each coordinate is written as a float's repr, not a numpy scalar's
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(config_file),
+                                      "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        with open(out / "snapshot.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[0] == "x1" and rows
+        for row in rows:
+            assert len(row) == len(header)
+            assert [repr(float(field)) for field in row] == row
+
     def test_simulate_drift_of_zero_mean_density(self, runner, tmp_path):
         # the mass of a zero-mean density is rounding noise, so the drift is
         # taken relative to sum |f| at step 0 rather than to the mass

@@ -316,3 +316,21 @@ def test_repeated_key_exits_two(tmp_path):
     assert result.exit_code == 2
     assert "error: /analysis/warmup: duplicate key" in result.output
     assert not (tmp_path / "out").exists()
+
+
+REPEATED_ELSEWHERE = [
+    (S + ("relaxation",), "array"),
+    (S + ("lambda",), "number"),
+    (A + ("warmup",), "integer"),
+    (("output", "format"), "string"),
+]
+
+
+@pytest.mark.parametrize("path,kind", REPEATED_ELSEWHERE,
+                         ids=["/".join(map(str, p)) for p, _ in REPEATED_ELSEWHERE])
+def test_object_with_repeated_key_where_another_type_is_expected(path, kind):
+    # the type check names the JSON object a dict, whether or not a key of it repeats
+    text = json.dumps(edited(path, "<object>")).replace('"<object>"', '{"a": 1, "a": 2}')
+    with pytest.raises(SchemaError) as info:
+        load_config(text)
+    assert str(info.value) == "".join(f"/{p}" for p in path) + f": expected {kind}, got dict"

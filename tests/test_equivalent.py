@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings, strategies as st
+from itertools import permutations
+from hypothesis import event, example, given, settings, strategies as st
 
 from rvlbm import (
     DifferentialOperator,
@@ -27,7 +28,7 @@ from rvlbm import (
     transition_prediction,
     verify_report,
 )
-from rvlbm.config import default_k_samples
+from rvlbm.config import REFERENCE_NAMES, default_k_samples
 from rvlbm.equivalent import henon_sigma
 import rvlbm.equivalent as equivalent
 from rvlbm.errors import (
@@ -35,8 +36,10 @@ from rvlbm.errors import (
     MismatchBeyondTolerance,
     NonConstantShift,
     OrderUnavailable,
+    SingularMatrix,
     ValidationError,
 )
+from test_dispersion import cancelled_d1q2, cancelled_d1q3, random_schemes, rounding_scale
 
 
 def d1q2_spec(c=0.5, s1=1.0, u=None, lam=1.0):
@@ -421,17 +424,16 @@ class TestDerivationCache:
 
 class TestDerivationWork:
     @pytest.mark.parametrize("name, u, built", [
-        ("d1q2", 0.0, 43), ("d1q2", 0.2, 43),
-        ("d1q3", 0.0, 55), ("d1q3", 0.2, 55),
-        ("d2q5", 0.0, 121), ("d2q5", 0.2, 121),
+        ("d1q2", 0.0, 3), ("d1q2", 0.2, 3),
+        ("d1q3", 0.0, 3), ("d1q3", 0.2, 3),
+        ("d2q5", 0.0, 3), ("d2q5", 0.2, 3),
     ])
     def test_polynomials_built_per_third_order_derivation(self, derivations, monkeypatch,
                                                           name, u, built):
-        # each transport operator A_0 + v_j . grad and each partial is built
-        # once, theta once at the scheme's shift, and each group is summed in
-        # one canonicalization; the Delta-term correction reads c_b, so the
-        # count is the same at every shift.  A derivation that rebuilt them per
-        # use and added term by term built 90, 120 and 292
+        # one polynomial per operator A_0, A_1, A_2, at any shift and in any
+        # dimension: each A_l is read off one tensor contraction.  Through the
+        # operator algebra, with its transports, partials, conservation defaults
+        # and group sums, a derivation built 43, 55 and 121
         spec = load_config(reference_config(name)).spec
         lam = spec.vset.lam
         spec = replace(spec, u_tilde=VelocityShift.zero() if u == 0.0
@@ -443,6 +445,153 @@ class TestDerivationWork:
                             lambda self, dim, terms: count.append(1) or settle(self, dim, terms))
         derive_equivalent_equation(spec, 3)
         assert len(count) == built
+
+
+def reference_symmetric_tensor(op, rank, dim):
+    """op's coefficients spread uniformly over each multi-index's index permutations."""
+    out = np.zeros((dim,) * rank)
+    for exps, coef in op.terms:
+        axes = [a for a, e in enumerate(exps) for _ in range(e)]
+        spread = set(permutations(axes))
+        for idx in spread:
+            out[idx] = coef / len(spread)
+    return out
+
+
+def reference_derivation(spec, order):
+    """The equivalent equation through the operator algebra, term by term:
+    (operators, c, D, T), or the ValidationError of a non-finite coefficient.
+
+    This is how the derivation was built before it became a tensor contraction;
+    it is kept here, uncached, as a reference that shares no contraction code.
+    """
+    d, q = spec.dim, spec.q
+    vel = spec.vset.velocities
+    c = advection_vector(spec)
+    a0 = DifferentialOperator.gradient_dot(d, -c)
+    if order == 1:
+        return (a0,), c, None, None
+    sigma = henon_sigma(spec.s)
+    partials = [DifferentialOperator.partial(d, b) for b in range(d)]
+    theta0 = conservation_defaults(spec, a0)
+    a1 = equivalent._sum(d, (sigma[b] * (partials[b - 1] @ theta0[b]) for b in range(1, d + 1)))
+    equivalent._require_finite(spec, f"order-{order} equivalent equation",
+                               (coef for _, coef in a1.terms))
+    D = reference_symmetric_tensor(a1, 2, d)
+    if order == 2:
+        return (a0, a1), c, D, None
+
+    delta_corr = equivalent._sum(d, (sigma[b] * (partials[b - 1] @ (cb * a1))
+                                     for b, cb in enumerate(c.tolist(), 1)))
+    m_inv = spec.moment_matrix.m_inv
+    transports = [a0 + DifferentialOperator.gradient_dot(d, v) for v in vel]
+    sigma_terms = []
+    for b in range(1, d + 1):
+        for l in range(1, q):
+            inner = equivalent._transport_sum(vel[:, b - 1] * m_inv[:, l], transports)
+            sigma_terms.append((sigma[b] * sigma[l]) * (partials[b - 1] @ inner @ theta0[l]))
+    sigma_group = equivalent._sum(d, sigma_terms)
+    second = [[pb @ pg for pg in partials] for pb in partials]
+    weighted = [w * t for w, t in zip(spec.equilibrium, transports)]
+    v = vel.tolist()
+    twelfth = equivalent._sum(d, (
+        (v[j][b] * v[j][g] / 12.0) * (second[b][g] @ weighted[j])
+        for j in range(q) for b in range(d) for g in range(d) if v[j][b] * v[j][g] != 0.0
+    ))
+    sixth = equivalent._sum(d, ((1.0 / 6.0) * (partials[b - 1] @ a0 @ theta0[b])
+                                for b in range(1, d + 1)))
+    a2 = delta_corr + (sixth + twelfth - sigma_group)
+    equivalent._require_finite(spec, "order-3 equivalent equation", (coef for _, coef in a2.terms))
+    return (a0, a1, a2), c, D, reference_symmetric_tensor(a2, 3, d)
+
+
+def inf_sigma_d1q3():
+    """All weight on the rest velocity, so theta is exactly 0, and s_2 = 5e-324, so
+    sigma_2 = 1/s_2 - 1/2 overflows to inf: sigma_2 scales no term of the operator
+    algebra, and inf * 0 must not turn the contraction's zeros into NaN."""
+    vset = VelocitySet(1, 1.0, ((0,), (1,), (-1,)))
+    return SchemeSpec(vset, default_basis(vset), (0.0, 1.0, 5e-324), (1.0, 0.0, 0.0))
+
+
+def derived(derive, spec, order):
+    """(operators, c, D, T) of derive(spec, order), or the message of its typed
+    non-finite error."""
+    try:
+        result = derive(spec, order)
+    except ValidationError as exc:
+        assert "non-finite coefficient" in str(exc)
+        return str(exc)
+    return result if isinstance(result, tuple) else (result.ops, result.c, result.D, result.T)
+
+
+def assert_matches_reference(spec) -> list[str]:
+    """The contraction and the operator algebra reach the same outcome at every order,
+    and return it per order.
+
+    Either both raise the same typed error, or c, A_0, A_1 and D are equal bit for
+    bit (the same products summed in the same order) and every coefficient of A_2
+    and entry of T agree within 1e-14 rounding_scale(spec), the size of the terms
+    A_2 is summed from.  The one exception is an operator whose coefficients reach
+    1e300: whether a sum of terms at the edge of the float range overflows depends
+    on the order of its terms.
+    """
+    outcomes = []
+    for order in (1, 2, 3):
+        got = derived(derive_equivalent_equation, spec, order)
+        want = derived(reference_derivation, spec, order)
+        if isinstance(got, str) or isinstance(want, str):
+            finite = [r for r in (got, want) if not isinstance(r, str)]
+            assert got == want or max(abs(coef) for op in finite[0][0]
+                                      for _, coef in op.terms) >= 1e300, order
+            outcomes.append(f"order {order}: typed non-finite error")
+            continue
+        (ops, c, D, T), (ref_ops, ref_c, ref_D, ref_T) = got, want
+        assert c.tobytes() == ref_c.tobytes()
+        assert [repr(op.terms) for op in ops[:2]] == [repr(op.terms) for op in ref_ops[:2]]
+        assert (D is ref_D is None) or D.tobytes() == ref_D.tobytes()
+        if order == 3:
+            bound = 1e-14 * rounding_scale(spec)
+            a2, ref = dict(ops[2].terms), dict(ref_ops[2].terms)
+            for exps in a2.keys() | ref.keys():
+                assert abs(a2.get(exps, 0.0) - ref.get(exps, 0.0)) <= bound, exps
+            assert np.max(np.abs(T - ref_T)) <= bound
+        outcomes.append(f"order {order}: finite")
+    return outcomes
+
+
+class TestContractionAgainstAlgebra:
+    """derive_equivalent_equation's tensor contractions against reference_derivation."""
+
+    @pytest.mark.parametrize("name", REFERENCE_NAMES)
+    def test_shipped_configs_at_every_swept_shift(self, name):
+        cfg = load_config(reference_config(name))
+        lam = cfg.spec.vset.lam
+        for u in cfg.u_sweep:
+            shift = (VelocityShift.zero() if u == 0.0
+                     else VelocityShift.constant((u * lam,) * cfg.spec.dim))
+            assert_matches_reference(replace(cfg.spec, u_tilde=shift))
+
+    @given(random_schemes())
+    @example(cancelled_d1q2())
+    @example(cancelled_d1q3())
+    @example(inf_sigma_d1q3())
+    @settings(max_examples=100, deadline=None)
+    def test_random_schemes(self, spec):
+        # D1Q2 to D3Q7 with random rates, weights and shift, at that shift and
+        # at zero shift; the only filter is cond M(u) <= 1e12
+        for shift in (spec.u_tilde, VelocityShift.zero()):
+            spec_u = replace(spec, u_tilde=shift)
+            try:
+                spec_u.moment_matrix
+            except SingularMatrix:
+                continue
+            for outcome in assert_matches_reference(spec_u):
+                event(outcome)
+
+    def test_infinite_sigma_scales_no_zero_term(self):
+        eq = derive_equivalent_equation(inf_sigma_d1q3(), 3)
+        assert eq.ops[1].is_zero() and eq.ops[2].is_zero()
+        assert not np.any(eq.D) and not np.any(eq.T)
 
 
 class TestMomentMatrixBuilds:
