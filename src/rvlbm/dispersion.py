@@ -1,6 +1,6 @@
 """Fourier analysis of a scheme: amplification matrices and growth-rate series.
 
-This is the verification channel that never touches the operator algebra.  A
+This is the verification channel that never touches the derivation.  A
 plane wave exp(i k.x) turns one collide-and-stream update into multiplication
 by the q x q matrix
 

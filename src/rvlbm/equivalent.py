@@ -16,11 +16,13 @@ derivatives of order l + 1, so it is a symmetric rank-(l + 1) tensor, and the
 derivation is a few tensor contractions read off as operators.  The module
 also predicts the slaved non-conserved moments (xi_k) for the
 transition-residual experiments, and cross-checks A_2 against the zero-shift
-regrouped form based on the momentum-velocity tensor; both are built through
-the operator algebra.
+regrouped form based on the momentum-velocity tensor.  Both are contractions
+too, and all three read Theta, the coefficients of theta_k, from
+conservation_defaults.
 
-DifferentialOperator subclasses lattice.MomentPolynomial, read with X_b = d_b,
-and adds the operator algebra; a Fourier symbol is that polynomial at ik.
+DifferentialOperator subclasses lattice.MomentPolynomial, read with X_b = d_b;
+it is the type an operator is read off as, and its Fourier symbol is that
+polynomial at ik.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .errors import (
     OrderUnavailable,
     ValidationError,
 )
-from .lattice import MomentPolynomial, _canonical
+from .lattice import MomentPolynomial
 from .scheme import SchemeSpec
 
 CROSSCHECK_RTOL = 1e-10
@@ -63,61 +64,12 @@ class DifferentialOperator(MomentPolynomial):
     """Constant-coefficient operator Sum_a C_a d^a, sparse over multi-indices a.
 
     It is the moment polynomial Sum_a C_a X^a read with X_b = d_b, so it shares
-    that type's canonical form and evaluation and adds only the operator
-    algebra.  Composition is commutative (all coefficients are constants) and
-    `symbol` evaluates the Fourier symbol Sum_a C_a prod_b (i k_b)^{a_b}.
+    that type's canonical form and evaluation; `symbol` evaluates the Fourier
+    symbol Sum_a C_a prod_b (i k_b)^{a_b}.
     """
-
-    @classmethod
-    def zero(cls, dim: int) -> "DifferentialOperator":
-        return cls(dim, ())
-
-    @classmethod
-    def partial(cls, dim: int, axis: int) -> "DifferentialOperator":
-        return cls.coordinate(dim, axis)
-
-    @classmethod
-    def gradient_dot(cls, dim: int, vector) -> "DifferentialOperator":
-        """The transport operator v . grad for a constant vector v."""
-        unit = [tuple(1 if b == a else 0 for b in range(dim)) for a in range(dim)]
-        return cls(dim, tuple((unit[a], float(v)) for a, v in enumerate(vector)))
-
-    def coefficient(self, exps) -> float:
-        return dict(self.terms).get(tuple(int(e) for e in exps), 0.0)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def max_abs_coefficient(self) -> float:
-        return max((abs(c) for _, c in self.terms), default=0.0)
-
-    # the algebra builds its results with _build from terms that are already checked
-    def __add__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        if self.dim != other.dim:
-            raise DimensionMismatch("operator dimensions differ")
-        return DifferentialOperator._build(self.dim, _canonical(self.terms + other.terms))
-
-    def __sub__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        return self + (-other)
-
-    def __neg__(self) -> "DifferentialOperator":
-        # the order stays canonical, and negation turns no nonzero into a zero
-        return DifferentialOperator._build(self.dim, tuple((e, -c) for e, c in self.terms))
-
-    def __mul__(self, scalar) -> "DifferentialOperator":
-        s = float(scalar)
-        # the order stays canonical; only products that underflow or meet s = 0 drop out
-        return DifferentialOperator._build(
-            self.dim, tuple((e, p) for e, c in self.terms if (p := c * s) != 0.0))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        """Composition; exponents add since all coefficients are constant."""
-        if self.dim != other.dim:
-            raise DimensionMismatch("operator dimensions differ")
-        return DifferentialOperator._build(self.dim, _canonical(
-            (tuple(map(add, ea, eb)), ca * cb) for ea, ca in self.terms for eb, cb in other.terms))
 
     def symbol(self, k) -> complex:
         return self.evaluate(_fourier_point(k, self.dim))
@@ -159,34 +111,16 @@ def advection_vector(spec: SchemeSpec) -> np.ndarray:
     return np.asarray(spec.equilibrium) @ spec.vset.velocities
 
 
-def conservation_defaults(spec: SchemeSpec, a0) -> tuple:
-    """theta_k^(0) = Sum_j M_kj(u) E_j (d_t + v_j . grad) with d_t -> a0, one per moment k.
+def conservation_defaults(spec: SchemeSpec) -> np.ndarray:
+    """Theta = M(u) (E o v) - (M(u) E) (x) c, shape (q, d): theta_k^(0) = Theta_k . grad.
 
-    Entry k collects e_k(u) a0 + Sum_b g_k^b d_b with e_k(u) = Sum_j M_kj(u) E_j
-    and g_k^b = Sum_j M_kj(u) E_j v_j^b.
+    theta_k^(0) is Sum_j M_kj(u) E_j (d_t + v_j . grad) with d_t -> A_0 = -c . grad,
+    so row k is g_k - e_k(u) c with e_k(u) = Sum_j M_kj(u) E_j and
+    g_k^h = Sum_j M_kj(u) E_j v_j^h.
     """
-    d = spec.dim
-    mm = spec.moment_matrix
+    m = spec.moment_matrix.m
     ew = np.asarray(spec.equilibrium)
-    vel = spec.vset.velocities
-    # Python floats scale an operator without a detour through numpy's object arithmetic
-    e = (mm.m @ ew).tolist()
-    g = (mm.m @ (ew[:, None] * vel)).tolist()  # g[k][b]
-    partials = [DifferentialOperator.partial(d, b) for b in range(d)]
-    return tuple(_sum(d, [e[k] * a0] + [g[k][b] * partials[b] for b in range(d)])
-                 for k in range(spec.q))
-
-
-def _sum(dim: int, ops) -> DifferentialOperator:
-    """Sum of the operators, canonicalized once: the additions of a chain of +, in its order."""
-    return DifferentialOperator._build(dim, _canonical(term for op in ops for term in op.terms))
-
-
-def _transport_sum(weights, transports) -> DifferentialOperator:
-    """Sum_j w_j (A_0 + v_j . grad) over the velocities, skipping exact-zero weights;
-    transports[j] is A_0 + v_j . grad, built once per derivation."""
-    return _sum(transports[0].dim,
-                (w * t for w, t in zip(weights.tolist(), transports) if w != 0.0))
+    return m @ (ew[:, None] * spec.vset.velocities) - (m @ ew)[:, None] * advection_vector(spec)
 
 
 @dataclass(frozen=True)
@@ -311,7 +245,7 @@ def _read_operator(tensor: np.ndarray) -> tuple:
 
 def _scaled(factor, x: np.ndarray) -> np.ndarray:
     """factor * x, but 0 wherever x is exactly 0: a sigma that overflowed to inf scales
-    only the terms an operator holds, as the operator algebra does, and adds no inf * 0."""
+    only the terms an operator holds and adds no inf * 0."""
     return np.where(x == 0.0, 0.0, factor * x)
 
 
@@ -320,8 +254,8 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
     """derive_equivalent_equation after validation, once per (spec, order).
 
     Each A_l is one symmetric tensor contraction, read off as an operator:
-    with Theta = M(u) (E o v) - (M(u) E) (x) c, the (q, d) coefficients of the
-    conservation defaults theta_k^(0), A_1 is sigma_b Theta_b, and A_2 is the
+    with Theta the (q, d) coefficients of the conservation defaults theta_k^(0)
+    (conservation_defaults), A_1 is sigma_b Theta_b, and A_2 is the
     Delta-term correction sigma_b c_b A_1, the (1/6) group -c (x) Theta_b / 6,
     the (1/12) group Sum_j E_j v_j (x) v_j (x) (v_j - c) / 12, less the
     sigma-sigma group sigma_b sigma_l (Sum_j v_j^b M^-1_jl (v_j - c)) (x) Theta_l,
@@ -339,7 +273,7 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
     what = f"order-{order} equivalent equation"
     mm = spec.moment_matrix
     ew = np.asarray(spec.equilibrium)
-    theta = mm.m @ (ew[:, None] * vel) - (mm.m @ ew)[:, None] * c
+    theta = conservation_defaults(spec)
     sigma = np.array(henon_sigma(spec.s)[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient raises
         a1, values, D = _read_operator(_scaled(sigma[:d, None], theta[1:d + 1]))
@@ -388,37 +322,36 @@ class XiPrediction:
 def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
     """Predict the non-conserved moments to O(Delta^order).
 
-    xi_k = theta_k^(0) + Delta (e_k(u) A_1 - Sum_{j, l>=1} sigma_l M_kj(u)
-    (d_t + v_j . grad) (M^-1(u))_jl theta_l^(0)), with d_t already substituted;
-    order 2 keeps only theta_k^(0).
+    xi_k = theta_k^(0) + Delta (e_k(u) A_1 - psi_k), with d_t already substituted,
+    where psi_k = Sum_{j, l>=1} sigma_l M_kj(u) (d_t + v_j . grad) (M^-1(u))_jl theta_l^(0)
+    has the rank-2 tensor psi[k, g, h] = Sum_{l>=1} sigma_l w[k, l, g] Theta_{l, h}
+    with w[k, l, g] = Sum_j M_kj M^-1_jl (v_j - c)_g; order 2 keeps only theta_k^(0).
     """
     if order not in (2, 3):
         raise OrderUnavailable(f"order {order!r} not predictable; choose 2 or 3")
     if not spec.u_tilde.is_constant:
         raise NonConstantShift("transition prediction requires a constant shift")
-    d = spec.dim
     q = spec.q
-    eq = derive_equivalent_equation(spec, 2)  # only A_0 and A_1 are read
-    a0 = eq.ops[0]
+    eq = derive_equivalent_equation(spec, 2)  # only c and D, the tensor of A_1, are read
     sigma = henon_sigma(spec.s)
     mm = spec.moment_matrix
     e = (mm.m @ np.asarray(spec.equilibrium)).tolist()
-    vel = spec.vset.velocities
-
-    theta = conservation_defaults(spec, a0)
-    if order == 2:
-        xi = tuple((theta[k],) for k in range(q))
-    else:
-        transports = [a0 + DifferentialOperator.gradient_dot(d, v) for v in vel]
-        xi = []
-        for k in range(q):
-            psi = _sum(d, (sigma[l] * (_transport_sum(mm.m[k] * mm.m_inv[:, l], transports)
-                                       @ theta[l]) for l in range(1, q)))
-            xi.append((theta[k], e[k] * eq.ops[1] - psi))
+    theta = conservation_defaults(spec)
+    parts = [[theta[k]] for k in range(q)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient raises
+        if order == 3:
+            rel = spec.vset.velocities - eq.c  # v_j - c: the transport A_0 + v_j . grad
+            w = (mm.m.T[:, :, None, None] * mm.m_inv[:, None, 1:, None]
+                 * rel[:, None, None, :]).sum(axis=0)
+            psi = _scaled(np.array(sigma[1:])[:, None, None],
+                          w[:, :, :, None] * theta[None, 1:, None, :]).sum(axis=1)
+            for k in range(q):
+                parts[k].append(e[k] * eq.D - psi[k])
+        xi = tuple(tuple(_read_operator(t)[0] for t in p) for p in parts)
     # the residuals scale xi_k by 1/2 + sigma_k and 1/2 - sigma_k, at most 1/2 + |sigma_k|
     _require_finite(spec, f"order-{order} transition prediction", (
         (0.5 + abs(sigma[k])) * coef for k in range(1, q) for op in xi[k] for _, coef in op.terms))
-    return XiPrediction(d, order, tuple(e), sigma, tuple(xi))
+    return XiPrediction(spec.dim, order, tuple(e), sigma, xi)
 
 
 def momentum_velocity_tensor(spec: SchemeSpec) -> np.ndarray:
@@ -434,7 +367,9 @@ def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dic
     The regrouping splits the per-velocity derivative into time and transport
     parts, collapses the sigma-sigma transport part onto the
     momentum-velocity tensor, and turns the (1/12) group into second
-    derivatives of Lambda-contracted conservation defaults.  Any disagreement
+    derivatives of Lambda-contracted conservation defaults.  It is built from
+    c, sigma, Theta and Lambda alone and takes only A_2 from the derivation,
+    so a fault in A_0 or A_1 does not enter both sides.  Any disagreement
     with the direct derivation beyond `rtol` (relative to the largest
     coefficient) signals an implementation bug.
     """
@@ -442,54 +377,43 @@ def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dic
     if any(v != 0.0 for v in u):
         raise ValidationError("crosscheck is defined at zero shift only")
     d = spec.dim
-    q = spec.q
-    eq = derive_equivalent_equation(spec, 3)
-    a0, a1, a2_direct = eq.ops
-    sigma = henon_sigma(spec.s)
-    theta0 = conservation_defaults(spec, a0)
+    a2_direct = derive_equivalent_equation(spec, 3).ops[2]
+    sigma = henon_sigma(spec.s)[1:]
+    # the regrouped form squares each sigma, which the direct form need not do.  Past
+    # this check every sigma factor below is finite, and each multiplies a product of
+    # the other factors last, so an exactly zero term stays 0 and adds no inf * 0
+    _require_finite(spec, "regrouped order-3 operator", (sg * sg for sg in sigma))
+    sigma = np.array(sigma)
+    sb = sigma[:d]
+    c = advection_vector(spec)
+    theta = conservation_defaults(spec)
     lam = momentum_velocity_tensor(spec)
-    c = eq.c
-
-    # the regrouped form squares each sigma, which the direct form need not do
-    _require_finite(spec, "regrouped order-3 operator", (sg * sg for sg in sigma[1:]))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
-        regrouped = DifferentialOperator.zero(d)
-        for b in range(1, d + 1):
-            pb = DifferentialOperator.partial(d, b - 1)
-            # order-1 theta correction: sigma_b c^b d_b A_1
-            regrouped = regrouped + (sigma[b] * c[b - 1]) * (pb @ a1)
-            # time part of the sigma-sigma group collapses onto moment b itself
-            regrouped = regrouped - sigma[b] ** 2 * (pb @ a0 @ theta0[b])
-            # (1/6) mixed group
-            regrouped = regrouped + (1.0 / 6.0) * (pb @ a0 @ theta0[b])
-        for b in range(d):
-            for g in range(d):
-                pbg = DifferentialOperator.partial(d, b) @ DifferentialOperator.partial(d, g)
-                # transport part of the sigma-sigma group via the Lambda tensor
-                for l in range(1, q):
-                    if lam[b, g, l] == 0.0:
-                        continue
-                    regrouped = regrouped - (sigma[b + 1] * sigma[l] * lam[b, g, l]) * (
-                        pbg @ theta0[l]
-                    )
-                # (1/12) group via Lambda-contracted conservation defaults
-                contracted = DifferentialOperator.zero(d)
-                for l in range(q):
-                    if lam[b, g, l] != 0.0:
-                        contracted = contracted + lam[b, g, l] * theta0[l]
-                regrouped = regrouped + (1.0 / 12.0) * (pbg @ contracted)
-    _require_finite(spec, "regrouped order-3 operator", (coef for _, coef in regrouped.terms))
-    diff = a2_direct - regrouped
-    scale = max(a2_direct.max_abs_coefficient(), regrouped.max_abs_coefficient(), 1e-300)
-    rel = diff.max_abs_coefficient() / scale
+        # order-1 theta correction: sigma_b c_b d_b A_1, with A_1 = sigma_g Theta_g
+        correction = (sb[:, None] * sb)[:, :, None] * (c[:, None, None] * theta[None, 1:d + 1])
+        # time parts of the sigma-sigma and (1/6) groups collapse onto moment b itself
+        c_theta = c[None, :, None] * theta[1:d + 1, None, :]  # c_g Theta_{b,h}
+        collapsed = (sb * sb - 1.0 / 6.0)[:, None, None] * c_theta
+        # transport part of the sigma-sigma group via the Lambda tensor, l = 1..q-1
+        pairs = ((sb[:, None] * sigma)[:, None, :, None]
+                 * (lam[:, :, 1:, None] * theta[None, None, 1:, :])).sum(axis=2)
+        # (1/12) group via Lambda-contracted conservation defaults, l = 0..q-1
+        twelfth = np.einsum("bgl,lh->bgh", lam, theta) / 12.0
+        regrouped, values, _ = _read_operator(correction + collapsed - pairs + twelfth)
+    _require_finite(spec, "regrouped order-3 operator", values)
+    direct, other = dict(a2_direct.terms), dict(regrouped.terms)
+    diff = max((abs(direct.get(e, 0.0) - other.get(e, 0.0)) for e in direct.keys() | other.keys()),
+               default=0.0)
+    scale = max(map(abs, [*direct.values(), *other.values(), 1e-300]))
+    rel = diff / scale
     report = {
-        "max_abs_difference": diff.max_abs_coefficient(),
+        "max_abs_difference": diff,
         "scale": scale,
         "relative_difference": rel,
         "tolerance": rtol,
         "pass": bool(rel <= rtol),
-        "direct_terms": len(a2_direct.terms),
-        "regrouped_terms": len(regrouped.terms),
+        "direct_terms": len(direct),
+        "regrouped_terms": len(other),
     }
     if not report["pass"]:
         raise MismatchBeyondTolerance(

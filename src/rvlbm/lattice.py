@@ -5,8 +5,9 @@ multivariate polynomials P_k.  The moment matrix at shift u has entries
 M_kj(u) = P_k(v_j - u); the first basis polynomial is the constant 1, so
 row 0 is all ones for any shift and the first moment is the density.
 
-MomentPolynomial is the one sparse-polynomial type: equivalent.DifferentialOperator
-subclasses it, and `evaluate` also gives operator symbols and spectral multipliers.
+MomentPolynomial is the one sparse-polynomial type: equivalent.DifferentialOperator,
+the type the equivalent equation's operators are read off as, subclasses it, and
+`evaluate` also gives operator symbols and spectral multipliers.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class MomentPolynomial:
 
     Terms are stored in graded lexicographic order with exact-zero coefficients
     dropped, so equal polynomials compare equal structurally.  The constructor
-    checks the dimension and every exponent tuple; results of the operator
-    algebra come from terms already checked and skip that (see _build).
+    checks the dimension and every exponent tuple; an operator read off a tensor
+    has its terms in canonical form already and skips that (see _build).
     """
 
     dim: int
@@ -73,7 +74,7 @@ class MomentPolynomial:
     @classmethod
     def _build(cls, dim: int, terms: tuple):
         """A polynomial of terms already in canonical form with float coefficients,
-        without the dataclass __init__ or its checks: the operator algebra's results."""
+        without the dataclass __init__ or its checks: an operator read off a tensor."""
         poly = object.__new__(cls)
         poly._settle(dim, terms)
         return poly
