@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    MismatchBeyondTolerance,
     NonConstantShift,
     OrderUnavailable,
     ValidationError,
@@ -239,7 +238,7 @@ def _read_operator(tensor: np.ndarray) -> tuple:
     values = coefs.tolist()
     spread = (coefs[of] / size).reshape(tensor.shape)
     spread.setflags(write=False)
-    op = DifferentialOperator._build(dim, tuple((e, v) for e, v in zip(exps, values) if v != 0.0))
+    op = DifferentialOperator(dim, tuple(zip(exps, values)))
     return op, values, spread
 
 
@@ -361,7 +360,7 @@ def momentum_velocity_tensor(spec: SchemeSpec) -> np.ndarray:
     return np.einsum("jb,jg,jl->bgl", vel, vel, spec.moment_matrix.m_inv)
 
 
-def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dict:
+def dhumieres_crosscheck(spec: SchemeSpec) -> dict:
     """Recompute A_2 at zero shift through the regrouped tensor form.
 
     The regrouping splits the per-velocity derivative into time and transport
@@ -369,9 +368,10 @@ def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dic
     momentum-velocity tensor, and turns the (1/12) group into second
     derivatives of Lambda-contracted conservation defaults.  It is built from
     c, sigma, Theta and Lambda alone and takes only A_2 from the derivation,
-    so a fault in A_0 or A_1 does not enter both sides.  Any disagreement
-    with the direct derivation beyond `rtol` (relative to the largest
-    coefficient) signals an implementation bug.
+    so a fault in A_0 or A_1 does not enter both sides.  The report passes
+    when the largest coefficient difference is within CROSSCHECK_RTOL of the
+    largest coefficient; a failing report signals an implementation bug or a
+    coefficient past float range.  Only an invalid input raises.
     """
     u = spec.u_tilde.constant_vector(spec.dim)
     if any(v != 0.0 for v in u):
@@ -406,18 +406,12 @@ def dhumieres_crosscheck(spec: SchemeSpec, rtol: float = CROSSCHECK_RTOL) -> dic
                default=0.0)
     scale = max(map(abs, [*direct.values(), *other.values(), 1e-300]))
     rel = diff / scale
-    report = {
+    return {
         "max_abs_difference": diff,
         "scale": scale,
         "relative_difference": rel,
-        "tolerance": rtol,
-        "pass": bool(rel <= rtol),
+        "tolerance": CROSSCHECK_RTOL,
+        "pass": bool(rel <= CROSSCHECK_RTOL),
         "direct_terms": len(direct),
         "regrouped_terms": len(other),
     }
-    if not report["pass"]:
-        raise MismatchBeyondTolerance(
-            f"regrouped A_2 deviates from the direct derivation by {rel:.3e} "
-            f"(tolerance {rtol:.1e})"
-        )
-    return report

@@ -37,9 +37,5 @@ class PoorFit(SchemeError):
     """The growth-rate series fit left a residual above the trust threshold."""
 
 
-class MismatchBeyondTolerance(SchemeError):
-    """Two routes to the same quantity disagree; indicates an implementation bug."""
-
-
 class SchemaError(SchemeError):
     """A configuration document is structurally invalid (carries a JSON pointer)."""

@@ -44,8 +44,7 @@ class MomentPolynomial:
 
     Terms are stored in graded lexicographic order with exact-zero coefficients
     dropped, so equal polynomials compare equal structurally.  The constructor
-    checks the dimension and every exponent tuple; an operator read off a tensor
-    has its terms in canonical form already and skips that (see _build).
+    checks the dimension and every exponent tuple.
     """
 
     dim: int
@@ -56,32 +55,19 @@ class MomentPolynomial:
             raise DimensionMismatch(f"polynomial dimension must be >= 1, got {self.dim}")
         checked = []
         for exps, coef in self.terms:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != self.dim:
                 raise DimensionMismatch(
                     f"exponent tuple {exps} has length {len(exps)}, expected {self.dim}"
                 )
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:  # not empty: len(exps) == dim >= 1
                 raise ValidationError(f"negative exponent in {exps}")
             checked.append((exps, float(coef)))
-        self._settle(self.dim, _canonical(checked))
-
-    def _settle(self, dim: int, terms: tuple) -> None:
-        """Write the fields; every polynomial built, checked or not, passes here once."""
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", _canonical(checked))
 
     @classmethod
-    def _build(cls, dim: int, terms: tuple):
-        """A polynomial of terms already in canonical form with float coefficients,
-        without the dataclass __init__ or its checks: an operator read off a tensor."""
-        poly = object.__new__(cls)
-        poly._settle(dim, terms)
-        return poly
-
-    @classmethod
-    def constant(cls, dim: int, value: float = 1.0) -> "MomentPolynomial":
-        return cls(dim, (((0,) * dim, value),))
+    def constant(cls, dim: int) -> "MomentPolynomial":
+        return cls(dim, (((0,) * dim, 1.0),))
 
     @classmethod
     def coordinate(cls, dim: int, axis: int) -> "MomentPolynomial":

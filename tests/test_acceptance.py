@@ -176,7 +176,7 @@ class TestAcceptance:
     def test_3_regrouped_third_order_and_kernel_crosscheck(self, report, reference_cfgs):
         worst = 0.0
         for name, spec in base_family():
-            res = dhumieres_crosscheck(with_shift(spec, 0.0), rtol=1e-10)
+            res = dhumieres_crosscheck(with_shift(spec, 0.0))
             worst = max(worst, res["relative_difference"])
 
         spec = with_shift(reference_cfgs["d1q3"].spec, 0.0)

@@ -461,6 +461,28 @@ class TestCli:
         assert report["predictor_vs_oracle"]["pass"] is False
         assert report["overall_pass"] is False
 
+    def test_verify_reports_failing_crosscheck_numbers(self, runner, tmp_path):
+        # shipped d1q2 with E = (7.8e-62, 1) and s_1 = 1: the direct A_2 is a
+        # rounding-level term and the regrouped one is 0, so criterion 3 fails.
+        # The failing section keeps the numbers its verdict rests on
+        doc = json.loads(reference_config("d1q2"))
+        doc["scheme"].update(equilibrium=[7.8e-62, 1.0], relaxation=[0.0, 1.0])
+        path = tmp_path / "counterexample.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["verify", "--config", str(path), "--output", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "dhumieres_crosscheck: FAIL" in result.output
+        report = json.loads((out / "verify.json").read_text())
+        section = report["dhumieres_crosscheck"]
+        assert "error" not in section
+        assert section["pass"] is False
+        assert section["relative_difference"] == 1.0
+        assert section["max_abs_difference"] == section["scale"] > 0.0
+        assert (section["direct_terms"], section["regrouped_terms"]) == (1, 0)
+        assert section["tolerance"] == 1e-10
+        assert report["overall_pass"] is False
+
     def test_convergence_slopes(self, runner, config_file, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(main, ["convergence", "--config", str(config_file),

@@ -842,14 +842,17 @@ class TestRecordsAgainstLoop:
 
 
 def rounding_scale(spec) -> float:
-    """Size of the terms that A_2 is summed from, (1 + max|sigma|)^2 Sum|E_j|
-    lam^3 max|M| max|M^-1|: both channels round at about eps times this,
-    however small A_2 itself comes out.
+    """Size of the terms that A_2 is summed from, (1 + max_b|sigma_b|)
+    (1 + max_l|sigma_l|) Sum|E_j| lam^3 max|M| max|M^-1|: both channels round
+    at about eps times this, however small A_2 itself comes out.
 
-    max|sigma| runs only over the sigmas that multiply a term that is not exactly
-    0: those of the nonzero rows k >= 1 of Theta, the coefficients of the
-    conservation defaults, and sigma_1..sigma_d when any such row is nonzero.  A
-    sigma that scales only zeros adds no rounding, however large it is.
+    The maxima run only over the sigmas that multiply a term that is not exactly
+    0, the live ones: those of the nonzero rows k >= 1 of Theta, the coefficients
+    of the conservation defaults, and sigma_1..sigma_d when any such row is
+    nonzero.  A sigma that scales only zeros adds no rounding, however large it
+    is.  Every sigma-sigma product pairs a live sigma_b, b <= d, with a live
+    sigma_l, and every other term carries at most one of them, so a large sigma_l
+    that meets only small sigma_b does not overflow the scale.
     """
     mm = spec.moment_matrix
     ew = np.asarray(spec.equilibrium)
@@ -858,8 +861,10 @@ def rounding_scale(spec) -> float:
     live = {k for k in range(1, spec.q) if np.any(theta[k])}
     if live:
         live.update(range(1, spec.dim + 1))
-    sigma = max((abs(1.0 / spec.s[k] - 0.5) for k in live), default=0.0)
-    return ((1.0 + sigma) * (1.0 + sigma) * sum(abs(e) for e in spec.equilibrium)
+    sigma = {k: abs(1.0 / spec.s[k] - 0.5) for k in live}
+    sigma_b = max((sigma[b] for b in range(1, spec.dim + 1) if b in sigma), default=0.0)
+    sigma_l = max(sigma.values(), default=0.0)
+    return ((1.0 + sigma_b) * (1.0 + sigma_l) * sum(abs(e) for e in spec.equilibrium)
             * spec.vset.lam ** 3 * float(np.abs(mm.m).max()) * float(np.abs(mm.m_inv).max()))
 
 
@@ -917,7 +922,7 @@ class TestRandomSchemeDerivation:
             assume(False)
         try:
             equation = derive_equivalent_equation(spec, 3)
-            report = dhumieres_crosscheck(spec, rtol=math.inf)
+            report = dhumieres_crosscheck(spec)
         except ValidationError as exc:
             assert "non-finite coefficient" in str(exc)
             event("typed non-finite error")

@@ -33,7 +33,6 @@ from rvlbm.equivalent import henon_sigma
 import rvlbm.equivalent as equivalent
 from rvlbm.errors import (
     DimensionMismatch,
-    MismatchBeyondTolerance,
     NonConstantShift,
     OrderUnavailable,
     SingularMatrix,
@@ -417,9 +416,9 @@ class TestDerivationWork:
                        else VelocityShift.constant((u * lam,) * spec.dim))
         spec.moment_matrix
         count = []
-        settle = MomentPolynomial._settle  # every polynomial, checked or built by the algebra
-        monkeypatch.setattr(MomentPolynomial, "_settle",
-                            lambda self, dim, terms: count.append(1) or settle(self, dim, terms))
+        post_init = MomentPolynomial.__post_init__  # every polynomial is built through it
+        monkeypatch.setattr(MomentPolynomial, "__post_init__",
+                            lambda self: count.append(1) or post_init(self))
         derive_equivalent_equation(spec, 3)
         assert len(count) == built
 
@@ -771,7 +770,7 @@ class TestDhumieresCrosscheck:
         # only A_2 comes from the derivation: doubling its A_1 moves neither the
         # regrouped side nor the report
         spec = d2q5_spec()
-        clean = dhumieres_crosscheck(spec, rtol=math.inf)
+        clean = dhumieres_crosscheck(spec)
         derive = equivalent._derive
 
         def doubled_a1(spec, order):
@@ -783,12 +782,25 @@ class TestDhumieresCrosscheck:
 
         monkeypatch.setattr(equivalent, "_derive", doubled_a1)
         assert derive_equivalent_equation(spec, 3).ops[1].terms != derive(spec, 3).ops[1].terms
-        assert dhumieres_crosscheck(spec, rtol=math.inf) == clean
+        assert dhumieres_crosscheck(spec) == clean
 
-    def test_detects_corruption(self):
-        # push the tolerance to an impossible level: the report must raise
-        with pytest.raises(MismatchBeyondTolerance):
-            dhumieres_crosscheck(d1q3_spec(), rtol=1e-18)
+    def test_failing_report_carries_its_numbers(self):
+        # the open criterion-3 counterexample: c rounds to -lam, so the direct A_2
+        # is one rounding-level term and the regrouped A_2 is 0.  The verdict comes
+        # back as a report, with the numbers it rests on, and is not raised
+        report = dhumieres_crosscheck(cancelled_d1q2())
+        assert report["pass"] is False
+        assert report["relative_difference"] == 1.0
+        assert report["max_abs_difference"] == report["scale"] > 0.0
+        assert (report["direct_terms"], report["regrouped_terms"]) == (1, 0)
+        assert report["tolerance"] == 1e-10
+
+    def test_detects_corruption(self, monkeypatch):
+        # push the tolerance to an impossible level: the report must fail
+        monkeypatch.setattr(equivalent, "CROSSCHECK_RTOL", 1e-18)
+        report = dhumieres_crosscheck(d1q3_spec())
+        assert report["pass"] is False
+        assert report["tolerance"] == 1e-18
 
 
 class TestTransitionPrediction:
