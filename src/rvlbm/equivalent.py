@@ -20,9 +20,9 @@ regrouped form based on the momentum-velocity tensor.  Both are contractions
 too, and all three read Theta, the coefficients of theta_k, from
 conservation_defaults.
 
-DifferentialOperator subclasses lattice.MomentPolynomial, read with X_b = d_b;
-it is the type an operator is read off as, and its Fourier symbol is that
-polynomial at ik.
+Each operator is read off its tensor as a term tuple of (multi_index, coefficient)
+pairs, the terms of a lattice.MomentPolynomial read with X_b = d_b, so its Fourier
+symbol is lattice.evaluate_terms at ik.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     OrderUnavailable,
     ValidationError,
 )
-from .lattice import MomentPolynomial
+from .lattice import evaluate_terms
 from .scheme import SchemeSpec
 
 CROSSCHECK_RTOL = 1e-10
@@ -49,36 +49,6 @@ CROSSCHECK_RTOL = 1e-10
 def _derivative_name(exps, dim: int) -> str:
     """Axis letters of the derivative d^exps, e.g. 'xyy' for (1, 2)."""
     return "".join(("xyz"[a] if dim <= 3 else f"x{a + 1}") * e for a, e in enumerate(exps))
-
-
-def _fourier_point(k, dim: int) -> np.ndarray:
-    """ik for a (dim,) wavevector k, where an operator's symbol is its polynomial."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (dim,):
-        raise DimensionMismatch(f"wavevector shape {k.shape}, expected ({dim},)")
-    return 1j * k
-
-
-class DifferentialOperator(MomentPolynomial):
-    """Constant-coefficient operator Sum_a C_a d^a, sparse over multi-indices a.
-
-    It is the moment polynomial Sum_a C_a X^a read with X_b = d_b, so it shares
-    that type's canonical form and evaluation; `symbol` evaluates the Fourier
-    symbol Sum_a C_a prod_b (i k_b)^{a_b}.
-    """
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def symbol(self, k) -> complex:
-        return self.evaluate(_fourier_point(k, self.dim))
-
-    def __str__(self) -> str:
-        parts = []
-        for exps, coef in self.terms:
-            d = _derivative_name(exps, self.dim)
-            parts.append(f"{coef:g} ∂{d}" if d else f"{coef:g}")
-        return " + ".join(parts) if parts else "0"
 
 
 def henon_sigma(s) -> tuple:
@@ -124,15 +94,17 @@ def conservation_defaults(spec: SchemeSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EquivalentEquation:
-    """Operators [A_0, A_1, A_2] and the tensors read off them.
+    """Operators [A_0, A_1, A_2] and the tensors they are read off.
 
-    The arrays c, D and T are read-only, because derive_equivalent_equation hands
-    one instance to every caller that asks for the same scheme and order.
+    Each operator A_l is a term tuple of (multi_index, coefficient) pairs, the
+    constant-coefficient operator Sum_a C_a d^a.  The arrays c, D and T are
+    read-only, because derive_equivalent_equation hands one instance to every
+    caller that asks for the same scheme and order.
     """
 
     dim: int
     order: int
-    ops: tuple[DifferentialOperator, ...]
+    ops: tuple[tuple, ...]
     c: np.ndarray
     D: np.ndarray | None
     T: np.ndarray | None
@@ -140,14 +112,17 @@ class EquivalentEquation:
     def symbol_series(self, k) -> tuple[complex, ...]:
         """Predicted growth-rate coefficients (mu_0 .. mu_{order-1}) at k: each
         operator's symbol, with ik formed once."""
-        ik = list(_fourier_point(k, self.dim))
-        return tuple(op.evaluate(ik) for op in self.ops)
+        k = np.asarray(k, dtype=float)
+        if k.shape != (self.dim,):
+            raise DimensionMismatch(f"wavevector shape {k.shape}, expected ({self.dim},)")
+        ik = list(1j * k)
+        return tuple(evaluate_terms(op, ik) for op in self.ops)
 
     def structure_violations(self) -> list[tuple[int, tuple[int, ...]]]:
         """Multi-indices whose derivative order differs from Delta-order + 1."""
         bad = []
         for l, op in enumerate(self.ops):
-            for exps, _ in op.terms:
+            for exps, _ in op:
                 if sum(exps) != l + 1:
                     bad.append((l, exps))
         return bad
@@ -158,7 +133,7 @@ class EquivalentEquation:
             "order": self.order,
             "operators": [
                 {"order": l, "terms": [{"multi_index": list(e), "coefficient": c}
-                                       for e, c in op.terms]}
+                                       for e, c in op]}
                 for l, op in enumerate(self.ops)
             ],
             "tensors": {
@@ -171,16 +146,16 @@ class EquivalentEquation:
     def pretty(self) -> str:
         """Text form, e.g. '∂t ρ + 0.5 ∂x ρ = Δ·(0.375 ∂xx ρ) + ...'."""
         lhs = ["∂t ρ"]
-        for exps, coef in self.ops[0].terms:
+        for exps, coef in self.ops[0]:
             sign = "+" if coef <= 0 else "-"
             lhs.append(f"{sign} {abs(coef):g} ∂{_derivative_name(exps, self.dim)} ρ")
         rhs = []
         prefix = {1: "Δ·", 2: "Δ²·"}
         for l, op in enumerate(self.ops[1:], start=1):
-            if op.is_zero():
+            if not op:
                 continue
             body = ""
-            for i, (exps, coef) in enumerate(op.terms):
+            for i, (exps, coef) in enumerate(op):
                 term = f"{abs(coef) if i else coef:g} ∂{_derivative_name(exps, self.dim)} ρ"
                 body += f" {'-' if coef < 0 else '+'} {term}" if i else term
             rhs.append(f"{prefix[l]}({body})")
@@ -225,21 +200,19 @@ def _index_classes(dim: int, rank: int) -> tuple:
 
 
 def _read_operator(tensor: np.ndarray) -> tuple:
-    """The operator Sum over index tuples of tensor[i_1..i_r] d_i1 .. d_ir, and its
-    coefficients as a list and as a fully symmetric read-only tensor.
+    """The operator Sum over index tuples of tensor[i_1..i_r] d_i1 .. d_ir, as its
+    canonical term tuple with exact zeros dropped, and its coefficients as a fully
+    symmetric read-only tensor.
 
     A multi-index's coefficient sums the entries of its index tuples in one fixed
     order; the symmetric tensor spreads it uniformly over them, so summing over its
     indices reproduces the operator.
     """
-    dim = tensor.shape[0]
-    exps, members, starts, of, size = _index_classes(dim, tensor.ndim)
+    exps, members, starts, of, size = _index_classes(tensor.shape[0], tensor.ndim)
     coefs = np.add.reduceat(tensor.reshape(-1)[members], starts) + 0.0  # no -0.0 left
-    values = coefs.tolist()
     spread = (coefs[of] / size).reshape(tensor.shape)
     spread.setflags(write=False)
-    op = DifferentialOperator(dim, tuple(zip(exps, values)))
-    return op, values, spread
+    return tuple((e, v) for e, v in zip(exps, coefs.tolist()) if v != 0.0), spread
 
 
 def _scaled(factor, x: np.ndarray) -> np.ndarray:
@@ -265,7 +238,7 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
 
     c = advection_vector(spec)
     c.setflags(write=False)
-    a0, _, _ = _read_operator(-c)
+    a0, _ = _read_operator(-c)
     if order == 1:
         return EquivalentEquation(d, 1, (a0,), c, None, None)
 
@@ -275,8 +248,8 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
     theta = conservation_defaults(spec)
     sigma = np.array(henon_sigma(spec.s)[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient raises
-        a1, values, D = _read_operator(_scaled(sigma[:d, None], theta[1:d + 1]))
-        _require_finite(spec, what, values)
+        a1, D = _read_operator(_scaled(sigma[:d, None], theta[1:d + 1]))
+        _require_finite(spec, what, (coef for _, coef in a1))
         if order == 2:
             return EquivalentEquation(d, 2, (a0, a1), c, D, None)
 
@@ -290,8 +263,8 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
         w = (vel[:, :, None, None] * mm.m_inv[:, None, 1:, None] * rel[:, None, None, :]).sum(axis=0)
         pairs = _scaled((sigma[:d, None] * sigma)[:, :, None, None],
                         w[:, :, :, None] * theta[None, 1:, None, :]).sum(axis=1)
-        a2, values, T = _read_operator(correction + sixth + twelfth - pairs)
-        _require_finite(spec, what, values)
+        a2, T = _read_operator(correction + sixth + twelfth - pairs)
+        _require_finite(spec, what, (coef for _, coef in a2))
     return EquivalentEquation(d, 3, (a0, a1, a2), c, D, T)
 
 
@@ -299,7 +272,7 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
 class XiPrediction:
     """Slaved-moment predictors: m_k and m_k* as corrections to equilibrium.
 
-    xi[k] is a Delta-series of operators; the predictions read
+    xi[k] is a Delta-series of operators, each a term tuple; the predictions read
       m_k  = e_k rho - Delta (1/2 + sigma_k) xi_k rho + O(Delta^3)
       m_k* = e_k rho + Delta (1/2 - sigma_k) xi_k rho + O(Delta^3)
     with xi_k truncated after its order-(order-2) part.
@@ -309,7 +282,7 @@ class XiPrediction:
     order: int
     e: tuple[float, ...]
     sigma: tuple
-    xi: tuple[tuple[DifferentialOperator, ...], ...]
+    xi: tuple[tuple[tuple, ...], ...]
 
     def pre_collision_factor(self, k: int) -> float:
         return -(0.5 + self.sigma[k])
@@ -349,7 +322,7 @@ def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
         xi = tuple(tuple(_read_operator(t)[0] for t in p) for p in parts)
     # the residuals scale xi_k by 1/2 + sigma_k and 1/2 - sigma_k, at most 1/2 + |sigma_k|
     _require_finite(spec, f"order-{order} transition prediction", (
-        (0.5 + abs(sigma[k])) * coef for k in range(1, q) for op in xi[k] for _, coef in op.terms))
+        (0.5 + abs(sigma[k])) * coef for k in range(1, q) for op in xi[k] for _, coef in op))
     return XiPrediction(spec.dim, order, tuple(e), sigma, xi)
 
 
@@ -399,9 +372,9 @@ def dhumieres_crosscheck(spec: SchemeSpec) -> dict:
                  * (lam[:, :, 1:, None] * theta[None, None, 1:, :])).sum(axis=2)
         # (1/12) group via Lambda-contracted conservation defaults, l = 0..q-1
         twelfth = np.einsum("bgl,lh->bgh", lam, theta) / 12.0
-        regrouped, values, _ = _read_operator(correction + collapsed - pairs + twelfth)
-    _require_finite(spec, "regrouped order-3 operator", values)
-    direct, other = dict(a2_direct.terms), dict(regrouped.terms)
+        regrouped, _ = _read_operator(correction + collapsed - pairs + twelfth)
+    _require_finite(spec, "regrouped order-3 operator", (coef for _, coef in regrouped))
+    direct, other = dict(a2_direct), dict(regrouped)
     diff = max((abs(direct.get(e, 0.0) - other.get(e, 0.0)) for e in direct.keys() | other.keys()),
                default=0.0)
     scale = max(map(abs, [*direct.values(), *other.values(), 1e-300]))

@@ -21,12 +21,12 @@ import numpy as np
 from .config import ExperimentConfig, InitialData
 from .dispersion import ComparisonReport, compare_with_prediction
 from .equivalent import (
-    DifferentialOperator,
     derive_equivalent_equation,
     dhumieres_crosscheck,
     transition_prediction,
 )
-from .errors import ValidationError
+from .errors import DimensionMismatch, ValidationError
+from .lattice import evaluate_terms
 from .scheme import (
     SchemeSpec,
     StateField,
@@ -48,23 +48,30 @@ EQUILIBRIUM_SLOPE_RANGE = (0.85, 1.15)
 INVARIANCE_RTOL = 1e-10
 
 
-def spectral_apply(op: DifferentialOperator, field: np.ndarray, box_lengths) -> np.ndarray:
+def spectral_apply(op, field: np.ndarray, box_lengths) -> np.ndarray:
     """Apply a constant-coefficient operator on a periodic grid via the FFT.
 
-    The multiplier is op's symbol on the open frequency grid: i f_a along axis a.
+    op is a term tuple of (multi_index, coefficient) pairs, as the operators of
+    EquivalentEquation.ops and XiPrediction.xi are; the multiplier is its symbol on
+    the open frequency grid: i f_a along axis a.  The field, the box lengths and
+    every multi-index must have one dimension, or DimensionMismatch is raised.
     """
     field = np.asarray(field)
+    lengths = {len(exps) for exps, _ in op}
+    if lengths | {len(box_lengths)} != {field.ndim}:
+        raise DimensionMismatch(f"field has {field.ndim} axes, but {len(box_lengths)} box "
+                                f"lengths and multi-indices of length {sorted(lengths)}")
     out = _spectral_inverse(op, np.fft.fftn(field), box_lengths)
     return out.real if np.isrealobj(field) else out
 
 
-def _spectral_inverse(op: DifferentialOperator, spectrum: np.ndarray, box_lengths) -> np.ndarray:
+def _spectral_inverse(op, spectrum: np.ndarray, box_lengths) -> np.ndarray:
     """Inverse FFT of op's symbol times `spectrum`, the FFT of a periodic field."""
     ik = []
     for axis, (n, length) in enumerate(zip(spectrum.shape, box_lengths)):
         freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
         ik.append(1j * freqs.reshape((n,) + (1,) * (spectrum.ndim - 1 - axis)))
-    return np.fft.ifftn(op.evaluate(ik) * spectrum)
+    return np.fft.ifftn(evaluate_terms(op, ik) * spectrum)
 
 
 def initial_state(spec: SchemeSpec, grid_sizes, box_lengths, initial: InitialData) -> StateField:

@@ -5,9 +5,11 @@ multivariate polynomials P_k.  The moment matrix at shift u has entries
 M_kj(u) = P_k(v_j - u); the first basis polynomial is the constant 1, so
 row 0 is all ones for any shift and the first moment is the density.
 
-MomentPolynomial is the one sparse-polynomial type: equivalent.DifferentialOperator,
-the type the equivalent equation's operators are read off as, subclasses it, and
-`evaluate` also gives operator symbols and spectral multipliers.
+A sparse polynomial is a term tuple of (exponents, coef) pairs in graded
+lexicographic order.  MomentPolynomial wraps one with its dimension and the
+constructor checks; the equivalent equation's operators are bare term tuples,
+read with X_b = d_b, and evaluate_terms gives both polynomial values and, at ik,
+operator symbols and spectral multipliers.
 """
 
 from __future__ import annotations
@@ -36,6 +38,22 @@ def _canonical(pairs) -> tuple:
         acc[exps] = acc.get(exps, 0.0) + coef
     order = sorted(acc, key=_graded_lex_key) if len(acc) > 1 else acc  # one term needs no sort
     return tuple((e, acc[e]) for e in order if acc[e] != 0.0)
+
+
+def evaluate_terms(terms, x):
+    """Sum of coef * prod_a x[a]**e_a over the (exponents, coef) terms, at x given
+    as one coordinate per axis, real or complex.
+
+    Array coordinates broadcast together; a constant term stays a bare number.
+    """
+    total = 0.0
+    for exponents, coef in terms:
+        term = coef
+        for axis, e in enumerate(exponents):
+            if e:
+                term = term * x[axis] ** e
+        total = total + term
+    return total
 
 
 @dataclass(frozen=True)
@@ -80,20 +98,10 @@ class MomentPolynomial:
         return cls(dim, tuple(mapping.items() if hasattr(mapping, "items") else mapping))
 
     def evaluate(self, x):
-        """Value at x, given as one coordinate per axis, real or complex.
-
-        Array coordinates broadcast together; a constant term stays a bare number.
-        """
+        """Value at x, given as one coordinate per axis (see evaluate_terms)."""
         if len(x) != self.dim:
             raise DimensionMismatch(f"point has dimension {len(x)}, expected {self.dim}")
-        total = 0.0
-        for exponents, coef in self.terms:
-            term = coef
-            for axis, e in enumerate(exponents):
-                if e:
-                    term = term * x[axis] ** e
-            total = total + term
-        return total
+        return evaluate_terms(self.terms, x)
 
     def is_constant_one(self) -> bool:
         return self.terms == (((0,) * self.dim, 1.0),)

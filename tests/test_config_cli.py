@@ -631,6 +631,21 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (out / "simulate.json").exists()
 
+    @pytest.mark.parametrize("rate", [1e-200, 5e-324])
+    def test_non_finite_coefficient_analyze_exits_two_without_report(self, runner, tmp_path,
+                                                                     rate):
+        doc = json.loads(reference_config("d1q3"))
+        doc["scheme"]["relaxation"] = [0.0, rate, 1.5]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "analyze"
+        result = runner.invoke(main, ["analyze", "--config", str(path), "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "has a non-finite coefficient (smallest relaxation rate s[1] = " in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("dt0", [1e-110, 1e-300])
     def test_dt0_too_small_for_mu_exits_two(self, runner, tmp_path, dt0):
         # (|k| dt0)^3 underflows, so mu2 cannot be scaled back from the fit

@@ -336,11 +336,17 @@ RANDOM_SCHEME_SETS = {
 @st.composite
 def random_schemes(draw):
     """A standard velocity set with the default basis, random rates in (0, 2),
-    random equilibrium weights summing to 1 and a random constant shift."""
+    random equilibrium weights summing to 1 and a random constant shift.
+
+    Hypothesis favours the ends of a range, and a rate near 0 drives
+    sigma = 1/s - 1/2 past the float range, so up to half of the schemes
+    would end at the typed non-finite error: one scheme in eight draws its
+    rates from all of (0, 2), the others from [0.05, 1.95]."""
     vectors = RANDOM_SCHEME_SETS[draw(st.sampled_from(sorted(RANDOM_SCHEME_SETS)))]
     vset = VelocitySet(len(vectors[0]), 1.0, vectors)
-    rates = draw(st.lists(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
-                          min_size=vset.q - 1, max_size=vset.q - 1))
+    rate = (st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)
+            if draw(st.integers(0, 7)) == 0 else st.floats(0.05, 1.95))
+    rates = draw(st.lists(rate, min_size=vset.q - 1, max_size=vset.q - 1))
     weights = draw(st.lists(st.floats(-1.0, 1.0), min_size=vset.q - 1, max_size=vset.q - 1))
     shift = draw(st.lists(st.floats(-1.0, 1.0), min_size=vset.dim, max_size=vset.dim))
     return SchemeSpec(vset, default_basis(vset), (0.0, *rates), (*weights, 1.0 - sum(weights)),
