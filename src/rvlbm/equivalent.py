@@ -221,6 +221,16 @@ def _scaled(factor, x: np.ndarray) -> np.ndarray:
     return np.where(x == 0.0, 0.0, factor * x)
 
 
+def _diffusion(spec: SchemeSpec, sigma: np.ndarray, theta: np.ndarray, what: str) -> tuple:
+    """A_1 = Sum_b sigma_b d_b theta_b^(0) as read by _read_operator, for the rates
+    sigma_1.. and the conservation defaults Theta; a non-finite coefficient raises
+    naming `what`, the result the caller was asked for."""
+    d = spec.dim
+    a1, D = _read_operator(_scaled(sigma[:d, None], theta[1:d + 1]))
+    _require_finite(spec, what, (coef for _, coef in a1))
+    return a1, D
+
+
 @lru_cache(maxsize=4)
 def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
     """derive_equivalent_equation after validation, once per (spec, order).
@@ -248,8 +258,7 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
     theta = conservation_defaults(spec)
     sigma = np.array(henon_sigma(spec.s)[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient raises
-        a1, D = _read_operator(_scaled(sigma[:d, None], theta[1:d + 1]))
-        _require_finite(spec, what, (coef for _, coef in a1))
+        a1, D = _diffusion(spec, sigma, theta, what)
         if order == 2:
             return EquivalentEquation(d, 2, (a0, a1), c, D, None)
 
@@ -297,14 +306,16 @@ def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
     xi_k = theta_k^(0) + Delta (e_k(u) A_1 - psi_k), with d_t already substituted,
     where psi_k = Sum_{j, l>=1} sigma_l M_kj(u) (d_t + v_j . grad) (M^-1(u))_jl theta_l^(0)
     has the rank-2 tensor psi[k, g, h] = Sum_{l>=1} sigma_l w[k, l, g] Theta_{l, h}
-    with w[k, l, g] = Sum_j M_kj M^-1_jl (v_j - c)_g; order 2 keeps only theta_k^(0).
+    with w[k, l, g] = Sum_j M_kj M^-1_jl (v_j - c)_g; order 2 keeps only theta_k^(0)
+    and reads no A_1.  A non-finite coefficient, of A_1 or of xi, raises naming
+    this transition prediction, not the equation A_1 also belongs to.
     """
     if order not in (2, 3):
         raise OrderUnavailable(f"order {order!r} not predictable; choose 2 or 3")
     if not spec.u_tilde.is_constant:
         raise NonConstantShift("transition prediction requires a constant shift")
     q = spec.q
-    eq = derive_equivalent_equation(spec, 2)  # only c and D, the tensor of A_1, are read
+    what = f"order-{order} transition prediction"
     sigma = henon_sigma(spec.s)
     mm = spec.moment_matrix
     e = (mm.m @ np.asarray(spec.equilibrium)).tolist()
@@ -312,16 +323,18 @@ def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
     parts = [[theta[k]] for k in range(q)]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient raises
         if order == 3:
-            rel = spec.vset.velocities - eq.c  # v_j - c: the transport A_0 + v_j . grad
+            rates = np.array(sigma[1:])
+            _, D = _diffusion(spec, rates, theta, what)
+            rel = spec.vset.velocities - advection_vector(spec)  # v_j - c: A_0 + v_j . grad
             w = (mm.m.T[:, :, None, None] * mm.m_inv[:, None, 1:, None]
                  * rel[:, None, None, :]).sum(axis=0)
-            psi = _scaled(np.array(sigma[1:])[:, None, None],
+            psi = _scaled(rates[:, None, None],
                           w[:, :, :, None] * theta[None, 1:, None, :]).sum(axis=1)
             for k in range(q):
-                parts[k].append(e[k] * eq.D - psi[k])
+                parts[k].append(e[k] * D - psi[k])
         xi = tuple(tuple(_read_operator(t)[0] for t in p) for p in parts)
     # the residuals scale xi_k by 1/2 + sigma_k and 1/2 - sigma_k, at most 1/2 + |sigma_k|
-    _require_finite(spec, f"order-{order} transition prediction", (
+    _require_finite(spec, what, (
         (0.5 + abs(sigma[k])) * coef for k in range(1, q) for op in xi[k] for _, coef in op))
     return XiPrediction(spec.dim, order, tuple(e), sigma, xi)
 

@@ -5,10 +5,16 @@ equilibrium moments M(u) E rho, which is f + M(u)^-1 (K f) with the relaxation
 operator K = S (M(u) E 1^T - M(u)), and streams each f_j by its integer
 lattice vector on the periodic grid.  The density moment is conserved exactly
 because s[0] = 0 makes row 0 of K zero.
+
+K and M(u)^-1 are real, so a complex state, such as a Fourier mode checked
+against the amplification matrix, collides as its real and imaginary parts:
+one collider per `run` or `collide` call applies the real operators to the
+state's float view, and the per-step loop makes one call into it.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -209,13 +215,6 @@ def density(f) -> float | np.ndarray:
     return out if out.ndim else out[()]
 
 
-def _contract(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a x for a (q, cells) x, a (q, q) matrix or a per-cell (q, q, cells) stack `a`."""
-    if a.ndim == 2:
-        return np.matmul(a, x, out=out)
-    return np.einsum("kjc,jc->kc", a, x, out=out)
-
-
 class _Collision(NamedTuple):
     """The operators of f -> f + M(u)^-1 (K f), with K = S (M(u) E 1^T - M(u)).
 
@@ -279,52 +278,75 @@ def _shift_matrices(spec: SchemeSpec, grid_sizes, box_lengths) -> _Collision:
     return _field_matrices(spec, grid_sizes, box_lengths)
 
 
-def _scratch(f: np.ndarray, ops: _Collision) -> tuple[_Collision, tuple]:
-    """`ops` in the collided dtype and the buffers of _collide_f on a (q, cells) f.
+class _Collider:
+    """The collision f -> f + M(u)^-1 (K f) of one run, built once per `run` or `collide` call.
 
-    K and M(u)^-1 are cast to the dtype of the collided f once, so a complex
-    state's matmul does not cast them on every call; for a real state the
-    cast is free.  The per-cell stacks stay real: a complex copy of one would
-    take over 100 MB for d2q5 at 512^2.  The buffers are K f, the
-    collided f and, for a field shift only, the per-cell products.  The
-    collided f is C-ordered, so it reshapes to (q, *grid) as a view.
+    It binds the real K and M(u)^-1 of _shift_matrices as they are, the
+    collided f `out` in the state's dtype and real buffers for K f and, for a
+    field shift only, the per-cell products.  `f` is state.f, C-contiguous in
+    that dtype: one np.ascontiguousarray, which copies only when it must, and
+    nothing writes into it.
+
+    A real operator maps the real and imaginary parts of a complex state each
+    on their own, so a complex f is collided as its float view: (q, 2 cells)
+    for the matmuls and (q, cells, 2) for the per-cell einsum, whose "..."
+    covers the pair axis.  Neither K nor a per-cell stack is cast or copied
+    to complex, and each step pays a real matmul, not a complex one.
+
+    views(g) gives those real views of a C-contiguous g of the collided shape
+    and dtype, and apply(*views(g)) writes the collision of g into `out`.  A
+    loop takes the views of its buffers once, so a step is one call with no
+    reshape, no cast and no branch.
+
+    K f = S (M(u) E rho - M(u) f) has row 0 exactly 0 because s_0 = 0, and
+    M(u)^-1 stays its own contraction, so the correction carries no mass
+    component: its rounding scales with the distance from equilibrium rather
+    than with f, and the collision conserves mass to well below 1e-13 over
+    long runs.  Multiplying it out to one matrix I + M(u)^-1 K loses that and
+    drifts by about 2e-13 over 10^4 d1q3 steps.  A field shift adds the
+    per-cell difference stacks to the rest-frame products.
     """
-    dtype = np.result_type(f, ops.k)
-    ops = ops._replace(k=ops.k.astype(dtype, copy=False), m_inv=ops.m_inv.astype(dtype, copy=False))
-    products = np.empty(f.shape, dtype) if ops.dk is not None else None
-    return ops, (np.empty(f.shape, dtype), np.empty(f.shape, dtype), products)
 
+    def __init__(self, spec: SchemeSpec, state: StateField):
+        ops = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
+        self.f = np.ascontiguousarray(state.f, dtype=np.result_type(state.f, np.float64))
+        self.out = np.empty_like(self.f)
+        self._real = self.out.real.dtype
+        self._pair = () if self._real == self.out.dtype else (2,)
+        out, out_cells = self.views(self.out)
+        kf = np.empty(out.shape, self._real)
+        k, m_inv = ops.k, ops.m_inv
+        # ufuncs parse a positional out faster than out=, a saving a 64-cell step notices
+        matmul, add, einsum = np.matmul, np.add, np.einsum
+        if ops.dk is None:
+            def apply(f, f_cells):
+                matmul(k, f, kf)
+                matmul(m_inv, kf, out)
+                add(out, f, out)
+        else:
+            dk, dm_inv = ops.dk, ops.dm_inv
+            kf_cells = kf.reshape(out_cells.shape)
+            products = np.empty(out_cells.shape, self._real)
 
-def _collide_f(f: np.ndarray, ops: _Collision, scratch) -> np.ndarray:
-    """Collided distributions f + M(u)^-1 (K f): the one collision formula.
+            def apply(f, f_cells):
+                matmul(k, f, kf)
+                add(kf_cells, einsum("kjc,jc...->kc...", dk, f_cells, out=products), kf_cells)
+                matmul(m_inv, kf, out)
+                add(out_cells, einsum("kjc,jc...->kc...", dm_inv, kf_cells, out=products), out_cells)
+                add(out, f, out)
+        self.apply = apply
 
-    f is (q, cells); every intermediate and the result go into `scratch`, so a
-    call allocates nothing.  K f = S (M(u) E rho - M(u) f) has row 0 exactly 0
-    because s_0 = 0, and M(u)^-1 stays its own contraction, so the correction
-    carries no mass component: its rounding scales with the distance from
-    equilibrium rather than with f, and the collision conserves mass to well
-    below 1e-13 over long runs.  Multiplying it out to one matrix
-    I + M(u)^-1 K loses that and drifts by about 2e-13 over 10^4 d1q3 steps.
-    A field shift adds the per-cell difference stacks to the rest-frame
-    products.
-    """
-    kf, out, products = scratch
-    np.matmul(ops.k, f, out=kf)
-    if products is not None:
-        kf += _contract(ops.dk, f, products)
-    np.matmul(ops.m_inv, kf, out=out)
-    if products is not None:
-        out += _contract(ops.dm_inv, kf, products)
-    out += f
-    return out
+    def views(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The real (q, n) matmul operand and the (q, cells, *pair) einsum operand of g."""
+        flat = g.view(self._real).reshape(g.shape[0], -1)
+        return flat, flat.reshape((g.shape[0], -1) + self._pair)
 
 
 def collide(state: StateField, spec: SchemeSpec) -> StateField:
     """Relax all moments at every cell; no transport."""
-    ops = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
-    f = state.f.reshape(spec.q, -1)
-    out = _collide_f(f, *_scratch(f, ops))
-    return replace(state, f=out.reshape(state.f.shape))
+    collider = _Collider(spec, state)
+    collider.apply(*collider.views(collider.f))
+    return replace(state, f=collider.out)
 
 
 def _stream_plan(vset: VelocitySet, out: np.ndarray, f: np.ndarray) -> list[tuple]:
@@ -389,10 +411,10 @@ def run(state: StateField, spec: SchemeSpec, steps: int) -> StateField:
 def _advance(state: StateField, spec: SchemeSpec, steps: int):
     """Yield f after each of `steps` updates of `state`: the one collide-and-stream loop.
 
-    The collision operators, cast to the state's dtype, the collision scratch
-    and the stream plan's view pairs are built once, the pairs bound to the
-    collided f and to one preallocated stream buffer.  Each step collides
-    into the scratch and streams by the pairs' block copies, so a step
+    The collider, the real views it reads and the stream plan's view pairs
+    are built once, the pairs bound to the collided f and to one
+    preallocated stream buffer.  The first step collides the collider's f,
+    which is state.f, and every later step the stream buffer.  So a step
     allocates nothing, builds no view, and every yielded array is that same
     buffer, overwritten by the next step.
     The step count and dx/dt are checked on the first iteration.
@@ -404,16 +426,13 @@ def _advance(state: StateField, spec: SchemeSpec, steps: int):
         )
     if steps == 0:
         return
-    f = state.f.reshape(spec.q, -1)
-    ops, scratch = _scratch(f, _shift_matrices(spec, state.grid_sizes, state.box_lengths))
-    collided = scratch[1].reshape(state.f.shape)
-    out = np.empty_like(collided)
-    plan = _stream_plan(spec.vset, out, collided)
-    streamed = out.reshape(spec.q, -1)
-    for _ in range(steps):
-        _collide_f(f, ops, scratch)
+    collider = _Collider(spec, state)
+    apply, out = collider.apply, np.empty_like(collider.out)
+    plan = _stream_plan(spec.vset, out, collider.out)
+    first, rest = collider.views(collider.f), collider.views(out)
+    for views in itertools.chain([first], itertools.repeat(rest, steps - 1)):
+        apply(*views)
         _stream(plan)
-        f = streamed
         yield out
 
 
@@ -421,7 +440,8 @@ def moment_field(state: StateField, spec: SchemeSpec) -> np.ndarray:
     """Moments of the current state taken at the scheme's shift, shape (q, *grid)."""
     m = _shift_matrices(spec, state.grid_sizes, state.box_lengths).m
     f = state.f.reshape(spec.q, -1)
-    return _contract(m, f, np.empty(f.shape, np.result_type(f, m))).reshape(state.f.shape)
+    moments = m @ f if m.ndim == 2 else np.einsum("kjc,jc->kc", m, f)
+    return moments.reshape(state.f.shape)
 
 
 def spec_to_dict(spec: SchemeSpec) -> dict:

@@ -646,6 +646,24 @@ class TestCli:
         assert "has a non-finite coefficient (smallest relaxation rate s[1] = " in result.stderr
         assert not out.exists()
 
+    def test_non_finite_transition_prediction_convergence_exits_two_without_report(self, runner,
+                                                                                   tmp_path):
+        # the error names the order-3 transition prediction the study asked for,
+        # not the order-2 equivalent equation it reads A_1 from
+        doc = json.loads(reference_config("d1q3"))
+        doc["scheme"]["relaxation"] = [0.0, 5e-324, 1.5]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "convergence"
+        result = runner.invoke(main, ["convergence", "--config", str(path), "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert ("order-3 transition prediction has a non-finite coefficient "
+                "(smallest relaxation rate s[1] = ") in result.stderr
+        assert "equivalent equation" not in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("dt0", [1e-110, 1e-300])
     def test_dt0_too_small_for_mu_exits_two(self, runner, tmp_path, dt0):
         # (|k| dt0)^3 underflows, so mu2 cannot be scaled back from the fit

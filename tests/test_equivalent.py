@@ -384,12 +384,13 @@ def derivations():
 
 class TestDerivationCache:
     def test_verify_report_derives_each_scheme_once(self, derivations):
-        # 3 swept schemes at order 3 and transition_prediction's order 2; the
-        # crosscheck's zero-shift scheme is the sweep's u = 0 member.  Small
-        # grids keep the refinement study cheap; they derive nothing.
+        # the 3 swept schemes at order 3; the crosscheck's zero-shift scheme is
+        # the sweep's u = 0 member, and transition_prediction reads A_1 without
+        # deriving an equation.  Small grids keep the refinement study cheap;
+        # they derive nothing.
         cfg = load_config(reference_config("d2q5"))
         verify_report(replace(cfg, grids=(16, 32, 64)))
-        assert derivations() == 4
+        assert derivations() == 3
 
     def test_comparison_reuses_its_callers_derivation(self, derivations):
         spec = d2q5_spec(u=(0.1, -0.3))
@@ -474,6 +475,16 @@ def reference_theta(spec, a0):
                  for k in range(spec.q))
 
 
+def reference_diffusion(spec, theta0, what):
+    """A_1 = Sum_b sigma_b d_b theta_b^(0) through the operator algebra, or the
+    ValidationError of a non-finite coefficient naming `what`."""
+    d, sigma = spec.dim, henon_sigma(spec.s)
+    a1 = add(d, (scale(sigma[b], compose(MomentPolynomial.coordinate(d, b - 1), theta0[b]))
+                 for b in range(1, d + 1)))
+    equivalent._require_finite(spec, what, (coef for _, coef in a1.terms))
+    return a1
+
+
 def reference_derivation(spec, order):
     """The equivalent equation through the operator algebra, term by term:
     (term tuples of the operators, c, D, T), or the ValidationError of a
@@ -492,9 +503,7 @@ def reference_derivation(spec, order):
     sigma = henon_sigma(spec.s)
     partials = [MomentPolynomial.coordinate(d, b) for b in range(d)]
     theta0 = reference_theta(spec, a0)
-    a1 = add(d, (scale(sigma[b], compose(partials[b - 1], theta0[b])) for b in range(1, d + 1)))
-    equivalent._require_finite(spec, f"order-{order} equivalent equation",
-                               (coef for _, coef in a1.terms))
+    a1 = reference_diffusion(spec, theta0, f"order-{order} equivalent equation")
     D = reference_symmetric_tensor(a1, 2, d)
     if order == 2:
         return (a0.terms, a1.terms), c, D, None
@@ -628,7 +637,8 @@ def reference_transition_prediction(spec, order):
     parts per moment, each a term tuple, or the ValidationError of a non-finite
     coefficient."""
     d, q = spec.dim, spec.q
-    a0, a1 = (MomentPolynomial(d, op) for op in reference_derivation(spec, 2)[0])
+    what = f"order-{order} transition prediction"
+    a0 = MomentPolynomial(d, reference_derivation(spec, 1)[0][0])
     sigma = henon_sigma(spec.s)
     mm = spec.moment_matrix
     e = (mm.m @ np.asarray(spec.equilibrium)).tolist()
@@ -636,6 +646,7 @@ def reference_transition_prediction(spec, order):
     if order == 2:
         xi = tuple((theta[k],) for k in range(q))
     else:
+        a1 = reference_diffusion(spec, theta, what)
         transports = [add(d, [a0, gradient(d, v)]) for v in spec.vset.velocities]
         xi = []
         for k in range(q):
@@ -643,7 +654,7 @@ def reference_transition_prediction(spec, order):
                 transport_sum(d, mm.m[k] * mm.m_inv[:, l], transports), theta[l]))
                 for l in range(1, q)))
             xi.append((theta[k], add(d, [scale(e[k], a1), scale(-1.0, psi)])))
-    equivalent._require_finite(spec, f"order-{order} transition prediction", (
+    equivalent._require_finite(spec, what, (
         (0.5 + abs(sigma[k])) * coef for k in range(1, q) for op in xi[k] for _, coef in op.terms))
     return tuple(tuple(op.terms for op in parts) for parts in xi)
 
@@ -881,3 +892,11 @@ class TestNonFiniteCoefficients:
         with pytest.raises(ValidationError, match=r"has a non-finite coefficient "
                                                   r"\(smallest relaxation rate s\[1\] = "):
             NON_FINITE_CHANNELS[channel](spec)
+
+    @pytest.mark.parametrize("rate", [1e-200, 5e-324])
+    def test_transition_error_names_the_prediction(self, rate):
+        # A_1 is read inside the prediction, so its overflow is reported as the
+        # order-3 transition prediction asked for, not as an order-2 equation
+        spec = replace(load_config(reference_config("d1q3")).spec, s=(0.0, rate, 1.5))
+        with pytest.raises(ValidationError, match=r"^order-3 transition prediction has a non-finite"):
+            transition_prediction(spec, 3)

@@ -548,6 +548,57 @@ class TestRun:
             run(replace(state, dt=state.dt * 2), spec, 0)
 
 
+COMPLEX_CASES = {
+    "d1q3_constant": lambda: (d1q3_spec(u=0.2), (16,)),
+    "d2q5_constant": lambda: (replace(load_config(reference_config("d2q5")).spec,
+                                      u_tilde=VelocityShift.constant((0.1, -0.05))), (8, 6)),
+    "d1q3_sine": lambda: (replace(d1q3_spec(), u_tilde=VelocityShift.sine((0.2,))), (16,)),
+}
+
+
+def _complex_case(name):
+    """A scheme and a read-only complex state with random real and imaginary parts."""
+    spec, grid = COMPLEX_CASES[name]()
+    rng = np.random.default_rng(5)
+    f = rng.uniform(0.5, 1.0, (spec.q,) + grid) + 1j * rng.uniform(-0.5, 0.5, (spec.q,) + grid)
+    f.setflags(write=False)
+    box = tuple(float(n) for n in grid)  # unit spacing on every axis
+    return spec, make_state(spec.vset, grid, box, f)
+
+
+class TestComplexStates:
+    """A real collision maps the real and imaginary parts each on their own, which
+    is what lets a complex state collide as its float view."""
+
+    @pytest.mark.parametrize("name", sorted(COMPLEX_CASES))
+    def test_collide_and_run_act_on_real_and_imaginary_parts(self, name):
+        spec, state = _complex_case(name)
+        before = state.f.copy()
+        real, imag = (replace(state, f=np.ascontiguousarray(part)) for part in (state.f.real, state.f.imag))
+        for apply in (lambda s: collide(s, spec), lambda s: run(s, spec, 9)):
+            got = apply(state).f
+            assert got.dtype == np.complex128
+            np.testing.assert_array_equal(got, apply(real).f + 1j * apply(imag).f)
+        np.testing.assert_array_equal(state.f, before)
+
+    @pytest.mark.parametrize("name", sorted(COMPLEX_CASES))
+    def test_run_reads_a_fortran_ordered_state_once(self, name, monkeypatch):
+        spec, state = _complex_case(name)
+        fortran = np.asfortranarray(state.f)
+        fortran.setflags(write=False)  # a write into the caller's array raises
+        assert not fortran.flags.c_contiguous
+        ordered = replace(state, f=fortran)
+        want = run(state, spec, 9).f  # also fills the lazy matrix caches
+        calls = []
+        contiguous = np.ascontiguousarray
+        monkeypatch.setattr(np, "ascontiguousarray",
+                            lambda *args, **kwargs: calls.append(1) or contiguous(*args, **kwargs))
+        np.testing.assert_array_equal(run(ordered, spec, 9).f, want)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(collide(ordered, spec).f, collide(state, spec).f)
+        np.testing.assert_array_equal(fortran, state.f)
+
+
 class TestStateHelpers:
     def test_density_examples(self):
         assert density(np.array([0.3, 0.5, 0.2])) == pytest.approx(1.0)
