@@ -286,6 +286,9 @@ def load_config(text: str) -> ExperimentConfig:
     if len(grids) < 2 or len(set(grids)) != len(grids):
         # a slope fitted through fewer than two distinct dx means nothing
         raise analysis.error("grids", f"expected at least 2 distinct values, got {list(grids)}")
+    if list(grids) != sorted(grids):
+        # each refinement ratio divides a residual by the next finer grid's
+        raise analysis.error("grids", f"expected increasing values, got {list(grids)}")
     warmup = analysis.field("warmup", _expect_int, DEFAULT_WARMUP, minimum=0)
     steps = analysis.field("steps", _expect_int, DEFAULT_STEPS, minimum=1)
     analysis.close()

@@ -61,17 +61,18 @@ def spectral_apply(op, field: np.ndarray, box_lengths) -> np.ndarray:
     if lengths | {len(box_lengths)} != {field.ndim}:
         raise DimensionMismatch(f"field has {field.ndim} axes, but {len(box_lengths)} box "
                                 f"lengths and multi-indices of length {sorted(lengths)}")
-    out = _spectral_inverse(op, np.fft.fftn(field), box_lengths)
+    symbol = evaluate_terms(op, _wavenumbers(field.shape, box_lengths))
+    out = np.fft.ifftn(symbol * np.fft.fftn(field))
     return out.real if np.isrealobj(field) else out
 
 
-def _spectral_inverse(op, spectrum: np.ndarray, box_lengths) -> np.ndarray:
-    """Inverse FFT of op's symbol times `spectrum`, the FFT of a periodic field."""
+def _wavenumbers(shape, box_lengths) -> list[np.ndarray]:
+    """i k_a on the FFT grid of a periodic field of `shape`, one broadcastable array per axis."""
     ik = []
-    for axis, (n, length) in enumerate(zip(spectrum.shape, box_lengths)):
+    for axis, (n, length) in enumerate(zip(shape, box_lengths)):
         freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-        ik.append(1j * freqs.reshape((n,) + (1,) * (spectrum.ndim - 1 - axis)))
-    return np.fft.ifftn(evaluate_terms(op, ik) * spectrum)
+        ik.append(1j * freqs.reshape((n,) + (1,) * (len(shape) - 1 - axis)))
+    return ik
 
 
 def initial_state(spec: SchemeSpec, grid_sizes, box_lengths, initial: InitialData) -> StateField:
@@ -96,7 +97,13 @@ def residual_pair(spec: SchemeSpec, grid_sizes, box_lengths, initial: InitialDat
 
 
 def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction) -> dict:
-    """residual_pair given the transition prediction; one FFT of rho serves every xi_k."""
+    """residual_pair given the transition prediction.
+
+    One FFT of rho serves every xi_k.  Each xi_k = xi_k[0] + dt xi_k[1] is
+    one term tuple, with xi_k[1]'s coefficients scaled by dt, so it builds
+    one symbol grid and takes one inverse FFT, and no grid outlives its
+    product with the spectrum.
+    """
     state = initial_state(spec, grid_sizes, box_lengths, initial)
     state = run(state, spec, warmup)
     rho = density(state.f)
@@ -106,11 +113,12 @@ def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction) -
     m = moment_field(state, spec)
     dt = state.dt
     rho_hat = np.fft.fftn(rho)
+    ik = _wavenumbers(rho.shape, box_lengths)
     r_tr = 0.0
     for k in range(1, spec.q):
         xi = prediction.xi[k]
-        xi_field = _spectral_inverse(xi[0], rho_hat, box_lengths).real
-        xi_field = xi_field + dt * _spectral_inverse(xi[1], rho_hat, box_lengths).real
+        terms = xi[0] + tuple((e, dt * c) for e, c in xi[1])
+        xi_field = np.fft.ifftn(evaluate_terms(terms, ik) * rho_hat).real
         predicted = prediction.e[k] * rho + dt * prediction.pre_collision_factor(k) * xi_field
         r_tr = max(r_tr, float(np.max(np.abs(m[k] - predicted))))
     return {
@@ -129,6 +137,9 @@ def _fit_slope(dxs, residuals) -> float:
 def refinement_study(spec: SchemeSpec, box_lengths, grids, initial: InitialData,
                      warmup: int) -> dict:
     """Residual scaling across grid refinements, with fitted log-log slopes.
+
+    `grids` must increase, coarsest first: each ratio divides a grid's
+    residual by the next finer grid's.
 
     Residuals at the rounding floor are reported with slope "floor" instead of
     a meaningless fit.

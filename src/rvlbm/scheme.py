@@ -9,7 +9,9 @@ because s[0] = 0 makes row 0 of K zero.
 K and M(u)^-1 are real, so a complex state, such as a Fourier mode checked
 against the amplification matrix, collides as its real and imaginary parts:
 one collider per `run` or `collide` call applies the real operators to the
-state's float view, and the per-step loop makes one call into it.
+state's float view, and the per-step loop makes one call into it.  A small
+state's two (q, q) x (q, n) products go through np.dot, a large one's through
+np.matmul: both reach the same BLAS gemm, and np.dot dispatches faster.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .lattice import MomentMatrix, MomentPolynomial, VelocitySet, build_moment_m
 
 EQUILIBRIUM_SUM_TOL = 1e-12
 SPACING_RTOL = 1e-9
+# largest real (q, n) operand the collision multiplies through np.dot; above
+# it np.matmul runs the same gemm faster (d2q5 breaks even near 32^2 = 5,120)
+DOT_MAX_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,14 @@ class SchemeSpec:
         """
         return build_moment_matrix(self.basis, self.vset, self.u_tilde.constant_vector(self.dim))
 
+    @cached_property
+    def _constant_collision(self) -> "_Collision":
+        """M(u), K and M(u)^-1 at the constant shift, built on first use, read-only."""
+        matrix = self.moment_matrix
+        k = _relaxation_operator(self, matrix.m)
+        k.setflags(write=False)
+        return _Collision(matrix.m, k, matrix.m_inv)
+
 
 @dataclass(frozen=True)
 class StateField:
@@ -154,6 +167,9 @@ def cell_centers(grid_sizes, box_lengths) -> np.ndarray:
 
 
 def _grid_spacing(grid_sizes, box_lengths) -> float:
+    """The common dx of the grid; box lengths must be positive and dx equal on every axis."""
+    if not all(length > 0 for length in box_lengths):
+        raise ValidationError(f"box lengths must be positive, got {list(box_lengths)}")
     spacings = [length / n for n, length in zip(grid_sizes, box_lengths)]
     dx = spacings[0]
     for s in spacings[1:]:
@@ -248,7 +264,7 @@ def _relaxation_operator(spec: SchemeSpec, m: np.ndarray) -> np.ndarray:
 def _field_matrices(spec: SchemeSpec, grid_sizes, box_lengths) -> _Collision:
     """A field shift's collision operators split at the rest frame, built once per grid.
 
-    K_0 and M_0^-1 take the same 2-D matmul as a constant shift, and the
+    K_0 and M_0^-1 take the same 2-D products as a constant shift, and the
     per-cell differences are built from M(x) - M_0, so they are exactly 0
     wherever the shift is: a zero-amplitude sine collides bit for bit as the
     zero shift, for every scheme.
@@ -273,8 +289,7 @@ def _field_matrices(spec: SchemeSpec, grid_sizes, box_lengths) -> _Collision:
 def _shift_matrices(spec: SchemeSpec, grid_sizes, box_lengths) -> _Collision:
     """The collision operators for the scheme's shift on this grid."""
     if spec.u_tilde.is_constant:
-        matrix = spec.moment_matrix
-        return _Collision(matrix.m, _relaxation_operator(spec, matrix.m), matrix.m_inv)
+        return spec._constant_collision
     return _field_matrices(spec, grid_sizes, box_lengths)
 
 
@@ -289,9 +304,16 @@ class _Collider:
 
     A real operator maps the real and imaginary parts of a complex state each
     on their own, so a complex f is collided as its float view: (q, 2 cells)
-    for the matmuls and (q, cells, 2) for the per-cell einsum, whose "..."
+    for the products and (q, cells, 2) for the per-cell einsum, whose "..."
     covers the pair axis.  Neither K nor a per-cell stack is cast or copied
-    to complex, and each step pays a real matmul, not a complex one.
+    to complex, and each step pays a real product, not a complex one.
+
+    The two (q, q) x (q, n) products K f and M(u)^-1 (K f) go through np.dot
+    when the real (q, n) view has at most DOT_MAX_ELEMENTS elements, and
+    through np.matmul above that, picked once here.  Both call the same
+    dgemm on these C-contiguous float64 operands, so the choice changes no
+    bit of the result; it only trades np.matmul's gufunc dispatch, about
+    0.7 us per call, against np.dot's slower handling of large operands.
 
     views(g) gives those real views of a C-contiguous g of the collided shape
     and dtype, and apply(*views(g)) writes the collision of g into `out`.  A
@@ -316,12 +338,13 @@ class _Collider:
         out, out_cells = self.views(self.out)
         kf = np.empty(out.shape, self._real)
         k, m_inv = ops.k, ops.m_inv
-        # ufuncs parse a positional out faster than out=, a saving a 64-cell step notices
-        matmul, add, einsum = np.matmul, np.add, np.einsum
+        # a positional out parses faster than out=, a saving a 64-cell step notices
+        product = np.dot if out.size <= DOT_MAX_ELEMENTS else np.matmul
+        add, einsum = np.add, np.einsum
         if ops.dk is None:
             def apply(f, f_cells):
-                matmul(k, f, kf)
-                matmul(m_inv, kf, out)
+                product(k, f, kf)
+                product(m_inv, kf, out)
                 add(out, f, out)
         else:
             dk, dm_inv = ops.dk, ops.dm_inv
@@ -329,15 +352,15 @@ class _Collider:
             products = np.empty(out_cells.shape, self._real)
 
             def apply(f, f_cells):
-                matmul(k, f, kf)
+                product(k, f, kf)
                 add(kf_cells, einsum("kjc,jc...->kc...", dk, f_cells, out=products), kf_cells)
-                matmul(m_inv, kf, out)
+                product(m_inv, kf, out)
                 add(out_cells, einsum("kjc,jc...->kc...", dm_inv, kf_cells, out=products), out_cells)
                 add(out, f, out)
         self.apply = apply
 
     def views(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The real (q, n) matmul operand and the (q, cells, *pair) einsum operand of g."""
+        """The real (q, n) product operand and the (q, cells, *pair) einsum operand of g."""
         flat = g.view(self._real).reshape(g.shape[0], -1)
         return flat, flat.reshape((g.shape[0], -1) + self._pair)
 

@@ -590,6 +590,36 @@ class TestCli:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "convergence"])
+    def test_decreasing_grids_exit_two_without_output(self, runner, tmp_path, command):
+        # each refinement ratio divides a residual by the next finer grid's
+        doc = json.loads(reference_config("d1q3"))
+        doc["analysis"]["grids"] = [256, 128, 64]
+        path = tmp_path / "grids.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: /analysis/grids: expected increasing values, got [256, 128, 64]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "convergence", "simulate"])
+    @pytest.mark.parametrize("name,length", [("d1q3", [-1.0]), ("d1q3", [0.0]), ("d2q5", [-1.0, -1.0])],
+                             ids=["negative", "zero", "d2q5_negative"])
+    def test_non_positive_box_length_exits_two_without_output(self, runner, tmp_path, command,
+                                                              name, length):
+        doc = json.loads(reference_config(name))
+        doc["grid"]["length"] = length
+        path = tmp_path / "length.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: box lengths must be positive, got {length}\n"
+        assert not out.exists()
+
     def test_zero_relaxation_rate_exits_two_except_simulate(self, runner, tmp_path):
         doc = json.loads(reference_config("d1q3"))
         doc["scheme"]["relaxation"] = [0.0, 0.0, 1.6]

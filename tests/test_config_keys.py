@@ -129,6 +129,8 @@ ROWS = [
     *key_faults(("grid", "length"), "array"),
     (("grid", "length"), [], SchemaError, "/grid/length: expected 1 elements, got 0"),
     *key_faults(("grid", "length", 0), "number"),
+    (("grid", "length"), [-1.0], ValidationError, "box lengths must be positive, got [-1.0]"),
+    (("grid", "length"), [0.0], ValidationError, "box lengths must be positive, got [0.0]"),
     # initial
     *key_faults(("initial",), "object", nullable=True),
     *key_faults(("initial", "type"), "string", required=True),
@@ -174,6 +176,10 @@ ROWS = [
      "/analysis/grids: expected at least 2 distinct values, got [64]"),
     (A + ("grids",), [64, 128, 64], SchemaError,
      "/analysis/grids: expected at least 2 distinct values, got [64, 128, 64]"),
+    (A + ("grids",), [256, 128, 64], SchemaError,
+     "/analysis/grids: expected increasing values, got [256, 128, 64]"),
+    (A + ("grids",), [64, 256, 128], SchemaError,
+     "/analysis/grids: expected increasing values, got [64, 256, 128]"),
     *key_faults(A + ("grids", 0), "integer"),
     (A + ("grids", 0), 1, SchemaError, "/analysis/grids/0: expected integer >= 2, got 1"),
     *key_faults(A + ("warmup",), "integer"),

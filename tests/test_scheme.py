@@ -113,6 +113,22 @@ class TestSpecValidation:
         np.testing.assert_array_equal(spec.moment_matrix.m, expected.m)
         np.testing.assert_array_equal(spec.moment_matrix.m_inv, expected.m_inv)
 
+    def test_relaxation_operator_built_once_per_spec(self, monkeypatch):
+        calls = []
+        build = scheme._relaxation_operator
+        monkeypatch.setattr(scheme, "_relaxation_operator",
+                            lambda *args: calls.append(args) or build(*args))
+        spec = d1q3_spec(u=0.1)
+        state = equilibrium_state(spec, (16,), (1.0,), sine_density((16,), (1.0,), 1.0, 0.1, (1,)))
+        for _ in range(3):
+            step(state, spec)
+        collide(state, spec)
+        moment_field(state, spec)
+        assert len(calls) == 1
+        k = scheme._shift_matrices(spec, (16,), (1.0,)).k
+        assert not k.flags.writeable
+        np.testing.assert_array_equal(k, build(spec, spec.moment_matrix.m))
+
     def test_sine_spec_has_no_moment_matrix(self):
         spec = replace(d1q3_spec(), u_tilde=VelocityShift.sine((0.1,)))
         with pytest.raises(NonConstantShift):
@@ -599,6 +615,79 @@ class TestComplexStates:
         np.testing.assert_array_equal(fortran, state.f)
 
 
+def _reference_run(spec, state, steps):
+    """f + M^-1 (K f) by np.matmul, then np.roll, without the collider or the stream plan.
+
+    A complex state runs as its real and imaginary parts; a sine shift adds
+    the per-cell differences to the rest-frame products, as the split
+    operators are defined.
+    """
+    if np.iscomplexobj(state.f):
+        parts = (replace(state, f=np.ascontiguousarray(p)) for p in (state.f.real, state.f.imag))
+        real, imag = (_reference_run(spec, part, steps) for part in parts)
+        return real + 1j * imag
+    ops = scheme._shift_matrices(spec, state.grid_sizes, state.box_lengths)
+    axes = tuple(range(state.dim))
+    f = state.f.reshape(spec.q, -1)
+    for _ in range(steps):
+        kf = np.matmul(ops.k, f)
+        if ops.dk is not None:
+            kf = kf + np.einsum("kjc,jc->kc", ops.dk, f)
+        correction = np.matmul(ops.m_inv, kf)
+        if ops.dm_inv is not None:
+            correction = correction + np.einsum("kjc,jc->kc", ops.dm_inv, kf)
+        collided = (f + correction).reshape(state.f.shape)
+        f = np.stack([np.roll(collided[j], shift=n, axis=axes)
+                      for j, n in enumerate(spec.vset.lattice_vectors)]).reshape(spec.q, -1)
+    return f.reshape(state.f.shape)
+
+
+def _d2q5(shift=None):
+    spec = load_config(reference_config("d2q5")).spec
+    return spec if shift is None else replace(spec, u_tilde=shift)
+
+
+# (spec, grid, Fourier mode or None for a sine density, steps, product the size rule picks)
+SIZE_RULE_CASES = {
+    "d1q2_64": (lambda: d1q2_spec(u=0.1), (64,), None, 40, np.dot),
+    "d1q3_64": (lambda: d1q3_spec(u=0.2), (64,), None, 40, np.dot),
+    "d1q3_fourier_64": (lambda: d1q3_spec(u=0.2), (64,), (3,), 40, np.dot),
+    "d1q3_sine_64": (lambda: replace(d1q3_spec(), u_tilde=VelocityShift.sine((0.2,))),
+                     (64,), None, 40, np.dot),
+    "d2q5_16": (lambda: _d2q5(VelocityShift.constant((0.1, -0.05))), (16, 16), None, 10, np.dot),
+    "d2q5_32": (lambda: _d2q5(VelocityShift.constant((0.1, -0.05))), (32, 32), None, 10, np.matmul),
+    "d2q5_64": (_d2q5, (64, 64), None, 5, np.matmul),
+    "d2q5_fourier_32": (_d2q5, (32, 32), (1, 2), 5, np.matmul),
+    "d2q5_sine_32": (lambda: _d2q5(VelocityShift.sine((0.1, 0.1))), (32, 32), None, 5, np.matmul),
+}
+
+
+class TestSizeRule:
+    """np.dot and np.matmul reach the same gemm, so the collision is bit for bit
+    the plain matmul arithmetic on both sides of DOT_MAX_ELEMENTS."""
+
+    @pytest.mark.parametrize("name", sorted(SIZE_RULE_CASES))
+    def test_run_and_collide_match_a_plain_matmul_loop(self, name, monkeypatch):
+        make_spec, grid, mode, steps, product = SIZE_RULE_CASES[name]
+        spec = make_spec()
+        box = (1.0,) * len(grid)
+        if mode is None:
+            state = _sine_case(spec, grid)[1]
+        else:
+            state = fourier_mode_state(spec, grid, box, np.linspace(0.5, 1.0, spec.q), mode)
+        with monkeypatch.context() as patch:
+            calls = []
+            for chosen in (np.dot, np.matmul):
+                patch.setattr(np, chosen.__name__,
+                              lambda *args, chosen=chosen: calls.append(chosen) or chosen(*args))
+            collider = scheme._Collider(spec, state)
+            collider.apply(*collider.views(collider.f))
+        assert calls == [product, product]
+        np.testing.assert_array_equal(run(state, spec, steps).f, _reference_run(spec, state, steps))
+        collided = stream(collide(state, spec), spec.vset).f
+        np.testing.assert_array_equal(collided, _reference_run(spec, state, 1))
+
+
 class TestStateHelpers:
     def test_density_examples(self):
         assert density(np.array([0.3, 0.5, 0.2])) == pytest.approx(1.0)
@@ -620,6 +709,18 @@ class TestStateHelpers:
         state = fourier_mode_state(spec, (8,), (1.0,), np.ones(3), (1,))
         assert state.f.shape == (3, 8)
         assert np.iscomplexobj(state.f)
+
+    @pytest.mark.parametrize("grid,box", [((8,), (-1.0,)), ((8,), (0.0,)), ((8, 8), (-1.0, -1.0)),
+                                          ((8, 8), (1.0, 0.0)), ((8,), (float("nan"),))],
+                             ids=["negative", "zero", "2d_negative", "2d_zero", "nan"])
+    def test_non_positive_box_length_rejected(self, grid, box):
+        # a negative length gives equal negative spacings; it must not pass as a grid
+        spec = load_config(reference_config("d2q5" if len(grid) == 2 else "d1q3")).spec
+        with pytest.raises(ValidationError) as info:
+            equilibrium_state(spec, grid, box)
+        assert str(info.value) == f"box lengths must be positive, got {list(box)}"
+        with pytest.raises(ValidationError, match="box lengths must be positive"):
+            make_state(spec.vset, grid, box, np.ones((spec.q,) + grid))
 
     def test_make_state_shape_mismatch(self):
         spec = d1q2_spec()
