@@ -283,12 +283,10 @@ def load_config(text: str) -> ExperimentConfig:
     if len(u_sweep) < 2:
         raise analysis.error("u_sweep", f"expected at least 2 values, got {len(u_sweep)}")
     grids = analysis.field("grids", _array(_expect_int, minimum=2), DEFAULT_GRIDS)
-    if len(grids) < 2 or len(set(grids)) != len(grids):
-        # a slope fitted through fewer than two distinct dx means nothing
-        raise analysis.error("grids", f"expected at least 2 distinct values, got {list(grids)}")
-    if list(grids) != sorted(grids):
-        # each refinement ratio divides a residual by the next finer grid's
-        raise analysis.error("grids", f"expected increasing values, got {list(grids)}")
+    try:
+        check_refinement_grids(grids)
+    except ValidationError as err:
+        raise analysis.error("grids", str(err)) from None
     warmup = analysis.field("warmup", _expect_int, DEFAULT_WARMUP, minimum=0)
     steps = analysis.field("steps", _expect_int, DEFAULT_STEPS, minimum=1)
     analysis.close()
@@ -306,6 +304,17 @@ def load_config(text: str) -> ExperimentConfig:
         grids=grids, warmup=warmup, steps=steps, output_path=output_path,
         output_format=output_format,
     )
+
+
+def check_refinement_grids(grids) -> None:
+    """Raise ValidationError unless `grids` holds at least 2 values, each once, increasing."""
+    grids = [int(n) for n in grids]
+    if len(grids) < 2 or len(set(grids)) != len(grids):
+        # a slope fitted through fewer than two distinct dx means nothing
+        raise ValidationError(f"expected at least 2 distinct values, got {grids}")
+    if grids != sorted(grids):
+        # each refinement ratio divides a residual by the next finer grid's
+        raise ValidationError(f"expected increasing values, got {grids}")
 
 
 def reference_config(name: str) -> str:

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ExperimentConfig, InitialData
+from .config import ExperimentConfig, InitialData, check_refinement_grids
 from .dispersion import ComparisonReport, compare_with_prediction
 from .equivalent import (
     derive_equivalent_equation,
@@ -138,12 +138,14 @@ def refinement_study(spec: SchemeSpec, box_lengths, grids, initial: InitialData,
                      warmup: int) -> dict:
     """Residual scaling across grid refinements, with fitted log-log slopes.
 
-    `grids` must increase, coarsest first: each ratio divides a grid's
-    residual by the next finer grid's.
+    `grids` must hold at least 2 distinct values and increase, coarsest
+    first: each ratio divides a grid's residual by the next finer grid's.
+    Any other list raises ValidationError before the first run.
 
     Residuals at the rounding floor are reported with slope "floor" instead of
     a meaningless fit.
     """
+    check_refinement_grids(grids)
     d = len(box_lengths)
     prediction = transition_prediction(spec, 3)
     rows = [_residual_pair(spec, (int(n),) * d, box_lengths, initial, warmup, prediction)

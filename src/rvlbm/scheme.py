@@ -9,14 +9,15 @@ because s[0] = 0 makes row 0 of K zero.
 K and M(u)^-1 are real, so a complex state, such as a Fourier mode checked
 against the amplification matrix, collides as its real and imaginary parts:
 one collider per `run` or `collide` call applies the real operators to the
-state's float view, and the per-step loop makes one call into it.  A small
-state's two (q, q) x (q, n) products go through np.dot, a large one's through
-np.matmul: both reach the same BLAS gemm, and np.dot dispatches faster.
+state's float view, and the per-step loop makes one call into it.  The state
+lives in the bottom half of a (2q, *grid) buffer whose top half takes K f, so
+a constant shift collides in two products, K f and [M(u)^-1 | I] [K f ; f].
+A small state's products go through np.dot, a large one's through np.matmul:
+both reach the same BLAS gemm, and np.dot dispatches faster.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -136,11 +137,13 @@ class SchemeSpec:
 
     @cached_property
     def _constant_collision(self) -> "_Collision":
-        """M(u), K and M(u)^-1 at the constant shift, built on first use, read-only."""
+        """M(u), K, M(u)^-1 and [M(u)^-1 | I] at the constant shift, built on first use, read-only."""
         matrix = self.moment_matrix
         k = _relaxation_operator(self, matrix.m)
-        k.setflags(write=False)
-        return _Collision(matrix.m, k, matrix.m_inv)
+        fold = np.hstack([matrix.m_inv, np.eye(self.q)])
+        for a in (k, fold):
+            a.setflags(write=False)
+        return _Collision(matrix.m, k, matrix.m_inv, fold)
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,7 @@ def equilibrium_state(spec: SchemeSpec, grid_sizes, box_lengths, rho=1.0) -> Sta
     rho = np.broadcast_to(np.asarray(rho, dtype=float), grid_sizes)
     e = np.asarray(spec.equilibrium)
     f = e.reshape((spec.q,) + (1,) * len(grid_sizes)) * rho
-    return make_state(spec.vset, grid_sizes, box_lengths, f.copy())
+    return make_state(spec.vset, grid_sizes, box_lengths, f)
 
 
 def sine_density(grid_sizes, box_lengths, base: float, amplitude: float, mode) -> np.ndarray:
@@ -234,17 +237,19 @@ def density(f) -> float | np.ndarray:
 class _Collision(NamedTuple):
     """The operators of f -> f + M(u)^-1 (K f), with K = S (M(u) E 1^T - M(u)).
 
-    For a constant shift k and m_inv are K and M(u)^-1, and there are no
-    differences.  For a field shift k and m_inv are K_0 and M_0^-1 at the rest
-    frame, and dk, dm_inv are the per-cell stacks K(x) - K_0 and
-    M(x)^-1 - M_0^-1.  m is M(u) itself, for moment_field.  Stacks have shape
-    (q, q, cells), so the cell axis is the fastest: the per-cell einsum runs
-    2-3 times faster on that layout than on a C-ordered (cells, q, q) stack.
+    For a constant shift k and m_inv are K and M(u)^-1, fold is the (q, 2q)
+    matrix [M(u)^-1 | I], and there are no differences.  For a field shift k
+    and m_inv are K_0 and M_0^-1 at the rest frame, there is no fold, and dk,
+    dm_inv are the per-cell stacks K(x) - K_0 and M(x)^-1 - M_0^-1.  m is M(u)
+    itself, for moment_field.  Stacks have shape (q, q, cells), so the cell
+    axis is the fastest: the per-cell einsum runs 2-3 times faster on that
+    layout than on a C-ordered (cells, q, q) stack.
     """
 
     m: np.ndarray
     k: np.ndarray
     m_inv: np.ndarray
+    fold: np.ndarray | None = None
     dk: np.ndarray | None = None
     dm_inv: np.ndarray | None = None
 
@@ -280,8 +285,8 @@ def _field_matrices(spec: SchemeSpec, grid_sizes, box_lengths) -> _Collision:
     left = np.tensordot(-rest.m_inv, dm, axes=1)
     dm_inv = np.einsum("kjc,jic->kic", left, np.ascontiguousarray(np.moveaxis(matrix.m_inv, 0, -1)))
     ops = _Collision(m, _relaxation_operator(spec, rest.m), rest.m_inv,
-                     _relaxation_operator(spec, dm), dm_inv)
-    for a in ops[1:]:
+                     dk=_relaxation_operator(spec, dm), dm_inv=dm_inv)
+    for a in (ops.k, ops.m_inv, ops.dk, ops.dm_inv):
         a.setflags(write=False)
     return ops
 
@@ -296,29 +301,34 @@ def _shift_matrices(spec: SchemeSpec, grid_sizes, box_lengths) -> _Collision:
 class _Collider:
     """The collision f -> f + M(u)^-1 (K f) of one run, built once per `run` or `collide` call.
 
-    It binds the real K and M(u)^-1 of _shift_matrices as they are, the
-    collided f `out` in the state's dtype and real buffers for K f and, for a
-    field shift only, the per-cell products.  `f` is state.f, C-contiguous in
-    that dtype: one np.ascontiguousarray, which copies only when it must, and
-    nothing writes into it.
+    It binds the real K, M(u)^-1 and fold of _shift_matrices as they are, one
+    C-contiguous (2q, *grid) buffer in the state's dtype (promoted to at least
+    float64), the collided f `out` and, for a field shift only, a real buffer
+    for the per-cell products.  `f` is the buffer's bottom half, into which
+    the caller's state.f is copied once here, whatever its order; the top
+    half takes K f.  Nothing writes into state.f.
 
     A real operator maps the real and imaginary parts of a complex state each
     on their own, so a complex f is collided as its float view: (q, 2 cells)
     for the products and (q, cells, 2) for the per-cell einsum, whose "..."
-    covers the pair axis.  Neither K nor a per-cell stack is cast or copied
-    to complex, and each step pays a real product, not a complex one.
+    covers the pair axis.  The buffer's float view is the stack [K f ; f] of
+    those (q, 2 cells) halves.  Neither K nor a per-cell stack is cast or
+    copied to complex, and each step pays a real product, not a complex one.
 
-    The two (q, q) x (q, n) products K f and M(u)^-1 (K f) go through np.dot
-    when the real (q, n) view has at most DOT_MAX_ELEMENTS elements, and
-    through np.matmul above that, picked once here.  Both call the same
-    dgemm on these C-contiguous float64 operands, so the choice changes no
-    bit of the result; it only trades np.matmul's gufunc dispatch, about
-    0.7 us per call, against np.dot's slower handling of large operands.
+    For a constant shift apply() is two products: K f into the top half, then
+    [M(u)^-1 | I] times the whole buffer into `out`.  Each output of that gemm
+    is one sum over its 2q inner terms, added in order: the first q give
+    M(u)^-1 (K f) with the roundings of its own product, the next add exact
+    zeros and f itself once.  So the fold is bit for bit the product followed
+    by + f, with one call less.  A field shift keeps that product and + f
+    apart, since its per-cell correction is added between them.
 
-    views(g) gives those real views of a C-contiguous g of the collided shape
-    and dtype, and apply(*views(g)) writes the collision of g into `out`.  A
-    loop takes the views of its buffers once, so a step is one call with no
-    reshape, no cast and no branch.
+    The products go through np.dot when the real (q, n) view of f has at
+    most DOT_MAX_ELEMENTS elements, and through np.matmul above that, picked
+    once here.  Both call the same dgemm on these C-contiguous float64
+    operands, so the choice changes no bit of the result; it only trades
+    np.matmul's gufunc dispatch, about 0.7 us per call, against np.dot's
+    slower handling of large operands.
 
     K f = S (M(u) E rho - M(u) f) has row 0 exactly 0 because s_0 = 0, and
     M(u)^-1 stays its own contraction, so the correction carries no mass
@@ -331,27 +341,33 @@ class _Collider:
 
     def __init__(self, spec: SchemeSpec, state: StateField):
         ops = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
-        self.f = np.ascontiguousarray(state.f, dtype=np.result_type(state.f, np.float64))
+        q = spec.q
+        stacked = np.empty((2 * q,) + state.f.shape[1:], np.result_type(state.f, np.float64))
+        self.f = stacked[q:]
+        np.copyto(self.f, state.f)
         self.out = np.empty_like(self.f)
-        self._real = self.out.real.dtype
-        self._pair = () if self._real == self.out.dtype else (2,)
-        out, out_cells = self.views(self.out)
-        kf = np.empty(out.shape, self._real)
-        k, m_inv = ops.k, ops.m_inv
+        real = stacked.real.dtype
+        pair = () if real == stacked.dtype else (2,)
+        both = stacked.view(real).reshape(2 * q, -1)
+        kf, f = both[:q], both[q:]
+        out = self.out.view(real).reshape(q, -1)
+        k = ops.k
         # a positional out parses faster than out=, a saving a 64-cell step notices
         product = np.dot if out.size <= DOT_MAX_ELEMENTS else np.matmul
-        add, einsum = np.add, np.einsum
         if ops.dk is None:
-            def apply(f, f_cells):
-                product(k, f, kf)
-                product(m_inv, kf, out)
-                add(out, f, out)
-        else:
-            dk, dm_inv = ops.dk, ops.dm_inv
-            kf_cells = kf.reshape(out_cells.shape)
-            products = np.empty(out_cells.shape, self._real)
+            fold = ops.fold
 
-            def apply(f, f_cells):
+            def apply():
+                product(k, f, kf)
+                product(fold, both, out)
+        else:
+            m_inv, dk, dm_inv = ops.m_inv, ops.dk, ops.dm_inv
+            add, einsum = np.add, np.einsum
+            cells = (q, -1) + pair
+            f_cells, kf_cells, out_cells = f.reshape(cells), kf.reshape(cells), out.reshape(cells)
+            products = np.empty(out_cells.shape, real)
+
+            def apply():
                 product(k, f, kf)
                 add(kf_cells, einsum("kjc,jc...->kc...", dk, f_cells, out=products), kf_cells)
                 product(m_inv, kf, out)
@@ -359,16 +375,11 @@ class _Collider:
                 add(out, f, out)
         self.apply = apply
 
-    def views(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The real (q, n) product operand and the (q, cells, *pair) einsum operand of g."""
-        flat = g.view(self._real).reshape(g.shape[0], -1)
-        return flat, flat.reshape((g.shape[0], -1) + self._pair)
-
 
 def collide(state: StateField, spec: SchemeSpec) -> StateField:
     """Relax all moments at every cell; no transport."""
     collider = _Collider(spec, state)
-    collider.apply(*collider.views(collider.f))
+    collider.apply()
     return replace(state, f=collider.out)
 
 
@@ -424,22 +435,25 @@ def step(state: StateField, spec: SchemeSpec) -> StateField:
 
 
 def run(state: StateField, spec: SchemeSpec, steps: int) -> StateField:
-    """Apply `steps` updates and return the final state; the input state is not modified."""
+    """Apply `steps` updates and return the final state; the input state is not modified.
+
+    The returned f is a copy taken once the loop has finished, so it owns one
+    state's memory and does not keep the collider's K f half alive.
+    """
     f = None
     for f in _advance(state, spec, steps):
         pass
-    return state if f is None else replace(state, f=f)
+    return state if f is None else replace(state, f=f.copy())
 
 
 def _advance(state: StateField, spec: SchemeSpec, steps: int):
     """Yield f after each of `steps` updates of `state`: the one collide-and-stream loop.
 
-    The collider, the real views it reads and the stream plan's view pairs
-    are built once, the pairs bound to the collided f and to one
-    preallocated stream buffer.  The first step collides the collider's f,
-    which is state.f, and every later step the stream buffer.  So a step
-    allocates nothing, builds no view, and every yielded array is that same
-    buffer, overwritten by the next step.
+    The collider copies state.f into the bottom half of its stacked buffer
+    once; the stream plan's view pairs, built once, stream the collided f
+    straight back into that half.  So a step is apply() and the plan's
+    copies, allocates nothing and builds no view, and every yielded array is
+    that same half, overwritten by the next step.
     The step count and dx/dt are checked on the first iteration.
     """
     steps = _step_count(steps)
@@ -450,13 +464,12 @@ def _advance(state: StateField, spec: SchemeSpec, steps: int):
     if steps == 0:
         return
     collider = _Collider(spec, state)
-    apply, out = collider.apply, np.empty_like(collider.out)
-    plan = _stream_plan(spec.vset, out, collider.out)
-    first, rest = collider.views(collider.f), collider.views(out)
-    for views in itertools.chain([first], itertools.repeat(rest, steps - 1)):
-        apply(*views)
+    apply, f = collider.apply, collider.f
+    plan = _stream_plan(spec.vset, f, collider.out)
+    for _ in range(steps):
+        apply()
         _stream(plan)
-        yield out
+        yield f
 
 
 def moment_field(state: StateField, spec: SchemeSpec) -> np.ndarray:

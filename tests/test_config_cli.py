@@ -235,6 +235,21 @@ class TestRefinementStudy:
         assert len(predictions) == 1
         assert len(transforms) == len(grids)
 
+    @pytest.mark.parametrize("grids, message", [
+        ([256, 128, 64], "expected increasing values, got [256, 128, 64]"),
+        ([64, 64, 128], "expected at least 2 distinct values, got [64, 64, 128]"),
+        ([64], "expected at least 2 distinct values, got [64]"),
+        ([], "expected at least 2 distinct values, got []"),
+    ], ids=["decreasing", "repeated", "one", "empty"])
+    def test_bad_grids_raise_before_any_run(self, monkeypatch, grids, message):
+        cfg = load_config(reference_config("d1q3"))
+        runs = []
+        monkeypatch.setattr(experiments, "_residual_pair", lambda *args: runs.append(args))
+        with pytest.raises(ValidationError) as err:
+            experiments.refinement_study(cfg.spec, cfg.box_lengths, grids, cfg.initial, cfg.warmup)
+        assert str(err.value) == message
+        assert runs == []
+
 
 def loop_invariance(cfg):
     """The u_invariance section as pairwise loops: the largest c and D difference

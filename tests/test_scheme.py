@@ -487,6 +487,14 @@ class TestRun:
         step(state, spec)
         np.testing.assert_array_equal(state.f, before)
 
+    @pytest.mark.parametrize("name", sorted(RUN_CASES))
+    def test_run_returns_an_array_of_its_own(self, name):
+        # not a view into the collider's stacked [K f ; f] buffer
+        spec, state = RUN_CASES[name]()
+        f = run(state, spec, 3).f
+        assert f.base is None and f.flags.owndata and f.flags.c_contiguous
+        assert f.shape == state.f.shape and f.nbytes == state.f.nbytes
+
     def test_stream_matches_roll_on_wrapping_vectors(self):
         # vectors longer than the grid and with both axes nonzero exercise every block split
         vset = VelocitySet(2, 1.0, ((0, 0), (1, 0), (0, -1), (2, 3), (-5, 4), (4, -6)))
@@ -605,12 +613,12 @@ class TestComplexStates:
         assert not fortran.flags.c_contiguous
         ordered = replace(state, f=fortran)
         want = run(state, spec, 9).f  # also fills the lazy matrix caches
-        calls = []
-        contiguous = np.ascontiguousarray
-        monkeypatch.setattr(np, "ascontiguousarray",
-                            lambda *args, **kwargs: calls.append(1) or contiguous(*args, **kwargs))
+        reads = []
+        copyto = np.copyto
+        monkeypatch.setattr(np, "copyto",
+                            lambda dst, src, *args: reads.append(src is fortran) or copyto(dst, src, *args))
         np.testing.assert_array_equal(run(ordered, spec, 9).f, want)
-        assert len(calls) == 1
+        assert reads == [True]
         np.testing.assert_array_equal(collide(ordered, spec).f, collide(state, spec).f)
         np.testing.assert_array_equal(fortran, state.f)
 
@@ -623,9 +631,11 @@ def _reference_run(spec, state, steps):
     operators are defined.
     """
     if np.iscomplexobj(state.f):
-        parts = (replace(state, f=np.ascontiguousarray(p)) for p in (state.f.real, state.f.imag))
-        real, imag = (_reference_run(spec, part, steps) for part in parts)
-        return real + 1j * imag
+        # filled part by part: real + 1j * imag would turn an imaginary -0.0 into +0.0
+        out = np.empty(state.f.shape, complex)
+        for part, values in ((out.real, state.f.real), (out.imag, state.f.imag)):
+            part[...] = _reference_run(spec, replace(state, f=np.ascontiguousarray(values)), steps)
+        return out
     ops = scheme._shift_matrices(spec, state.grid_sizes, state.box_lengths)
     axes = tuple(range(state.dim))
     f = state.f.reshape(spec.q, -1)
@@ -680,12 +690,41 @@ class TestSizeRule:
             for chosen in (np.dot, np.matmul):
                 patch.setattr(np, chosen.__name__,
                               lambda *args, chosen=chosen: calls.append(chosen) or chosen(*args))
-            collider = scheme._Collider(spec, state)
-            collider.apply(*collider.views(collider.f))
+            scheme._Collider(spec, state).apply()
         assert calls == [product, product]
         np.testing.assert_array_equal(run(state, spec, steps).f, _reference_run(spec, state, steps))
         collided = stream(collide(state, spec), spec.vset).f
         np.testing.assert_array_equal(collided, _reference_run(spec, state, 1))
+
+
+ZERO_WEIGHT_SHIFTS = {
+    "zero": VelocityShift.zero(),
+    "constant": VelocityShift.constant((0.2,)),
+    "sine": VelocityShift.sine((0.2,)),
+}
+
+
+class TestSignedZeros:
+    """The folded product adds exact zeros and f itself once, so populations that
+    are exactly 0 keep the reference's bits, the sign of each zero included."""
+
+    @pytest.mark.parametrize("cells", [64, 2048], ids=["dot", "matmul"])
+    @pytest.mark.parametrize("shift", sorted(ZERO_WEIGHT_SHIFTS))
+    @pytest.mark.parametrize("e", [(0.5, 0.5, 0.0), (1.0, 0.0, 0.0)], ids=["one_zero", "two_zeros"])
+    def test_run_matches_the_reference_as_uint64(self, e, shift, cells):
+        assert (3 * cells <= scheme.DOT_MAX_ELEMENTS) == (cells == 64)
+        grid, box = (cells,), (1.0,)
+        for rate in (1.0, 2.0):
+            spec = replace(d1q3_spec(s=(0.0, rate, rate), e=e), u_tilde=ZERO_WEIGHT_SHIFTS[shift])
+            states = (
+                equilibrium_state(spec, grid, box, sine_density(grid, box, 1.0, 0.2, (1,))),
+                fourier_mode_state(spec, grid, box, (1.0, -0.0, -0.0), (3,)),
+            )
+            for state in states:
+                assert np.any(state.f == 0)
+                got, want = run(state, spec, 20).f, _reference_run(spec, state, 20)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestStateHelpers:
@@ -697,6 +736,8 @@ class TestStateHelpers:
         spec = d1q2_spec(c=0.3)
         state = equilibrium_state(spec, (8,), (2.0,), 1.5)
         np.testing.assert_allclose(density(state.f), np.full(8, 1.5))
+        # E * rho is a fresh array even for a broadcast scalar rho: no copy is needed
+        assert state.f.flags.owndata and state.f.flags.writeable and state.f.flags.c_contiguous
 
     def test_acoustic_scaling(self):
         spec = d1q2_spec()
