@@ -9,11 +9,9 @@ because s[0] = 0 makes row 0 of K zero.
 K and M(u)^-1 are real, so a complex state, such as a Fourier mode checked
 against the amplification matrix, collides as its real and imaginary parts:
 one collider per `run` or `collide` call applies the real operators to the
-state's float view, and the per-step loop makes one call into it.  The state
-lives in the bottom half of a (2q, *grid) buffer whose top half takes K f, so
-a constant shift collides in two products, K f and [M(u)^-1 | I] [K f ; f].
-A small state's products go through np.dot, a large one's through np.matmul:
-both reach the same BLAS gemm, and np.dot dispatches faster.
+state's float view, and the per-step loop makes one call into it.  A small
+state's two (q, q) x (q, n) products go through np.dot, a large one's through
+np.matmul: both reach the same BLAS gemm, and np.dot dispatches faster.
 """
 
 from __future__ import annotations
@@ -137,13 +135,11 @@ class SchemeSpec:
 
     @cached_property
     def _constant_collision(self) -> "_Collision":
-        """M(u), K, M(u)^-1 and [M(u)^-1 | I] at the constant shift, built on first use, read-only."""
+        """M(u), K and M(u)^-1 at the constant shift, built on first use, read-only."""
         matrix = self.moment_matrix
         k = _relaxation_operator(self, matrix.m)
-        fold = np.hstack([matrix.m_inv, np.eye(self.q)])
-        for a in (k, fold):
-            a.setflags(write=False)
-        return _Collision(matrix.m, k, matrix.m_inv, fold)
+        k.setflags(write=False)
+        return _Collision(matrix.m, k, matrix.m_inv)
 
 
 @dataclass(frozen=True)
@@ -237,19 +233,17 @@ def density(f) -> float | np.ndarray:
 class _Collision(NamedTuple):
     """The operators of f -> f + M(u)^-1 (K f), with K = S (M(u) E 1^T - M(u)).
 
-    For a constant shift k and m_inv are K and M(u)^-1, fold is the (q, 2q)
-    matrix [M(u)^-1 | I], and there are no differences.  For a field shift k
-    and m_inv are K_0 and M_0^-1 at the rest frame, there is no fold, and dk,
-    dm_inv are the per-cell stacks K(x) - K_0 and M(x)^-1 - M_0^-1.  m is M(u)
-    itself, for moment_field.  Stacks have shape (q, q, cells), so the cell
-    axis is the fastest: the per-cell einsum runs 2-3 times faster on that
-    layout than on a C-ordered (cells, q, q) stack.
+    For a constant shift k and m_inv are K and M(u)^-1, and there are no
+    differences.  For a field shift k and m_inv are K_0 and M_0^-1 at the rest
+    frame, and dk, dm_inv are the per-cell stacks K(x) - K_0 and
+    M(x)^-1 - M_0^-1.  m is M(u) itself, for moment_field.  Stacks have shape
+    (q, q, cells), so the cell axis is the fastest: the per-cell einsum runs
+    2-3 times faster on that layout than on a C-ordered (cells, q, q) stack.
     """
 
     m: np.ndarray
     k: np.ndarray
     m_inv: np.ndarray
-    fold: np.ndarray | None = None
     dk: np.ndarray | None = None
     dm_inv: np.ndarray | None = None
 
@@ -285,8 +279,8 @@ def _field_matrices(spec: SchemeSpec, grid_sizes, box_lengths) -> _Collision:
     left = np.tensordot(-rest.m_inv, dm, axes=1)
     dm_inv = np.einsum("kjc,jic->kic", left, np.ascontiguousarray(np.moveaxis(matrix.m_inv, 0, -1)))
     ops = _Collision(m, _relaxation_operator(spec, rest.m), rest.m_inv,
-                     dk=_relaxation_operator(spec, dm), dm_inv=dm_inv)
-    for a in (ops.k, ops.m_inv, ops.dk, ops.dm_inv):
+                     _relaxation_operator(spec, dm), dm_inv)
+    for a in ops[1:]:
         a.setflags(write=False)
     return ops
 
@@ -301,34 +295,27 @@ def _shift_matrices(spec: SchemeSpec, grid_sizes, box_lengths) -> _Collision:
 class _Collider:
     """The collision f -> f + M(u)^-1 (K f) of one run, built once per `run` or `collide` call.
 
-    It binds the real K, M(u)^-1 and fold of _shift_matrices as they are, one
-    C-contiguous (2q, *grid) buffer in the state's dtype (promoted to at least
-    float64), the collided f `out` and, for a field shift only, a real buffer
-    for the per-cell products.  `f` is the buffer's bottom half, into which
-    the caller's state.f is copied once here, whatever its order; the top
-    half takes K f.  Nothing writes into state.f.
+    It binds the real K and M(u)^-1 of _shift_matrices as they are and three
+    C-contiguous buffers: `f` in the state's dtype (promoted to at least
+    float64), into which the caller's state.f is copied once here, whatever
+    its order; the collided f `out` in that dtype; and a real one for K f.
+    A field shift adds a real buffer for the per-cell products.  Nothing
+    writes into state.f.
 
     A real operator maps the real and imaginary parts of a complex state each
     on their own, so a complex f is collided as its float view: (q, 2 cells)
     for the products and (q, cells, 2) for the per-cell einsum, whose "..."
-    covers the pair axis.  The buffer's float view is the stack [K f ; f] of
-    those (q, 2 cells) halves.  Neither K nor a per-cell stack is cast or
-    copied to complex, and each step pays a real product, not a complex one.
+    covers the pair axis.  Neither K nor a per-cell stack is cast or copied
+    to complex, and each step pays a real product, not a complex one.
 
-    For a constant shift apply() is two products: K f into the top half, then
-    [M(u)^-1 | I] times the whole buffer into `out`.  Each output of that gemm
-    is one sum over its 2q inner terms, added in order: the first q give
-    M(u)^-1 (K f) with the roundings of its own product, the next add exact
-    zeros and f itself once.  So the fold is bit for bit the product followed
-    by + f, with one call less.  A field shift keeps that product and + f
-    apart, since its per-cell correction is added between them.
-
-    The products go through np.dot when the real (q, n) view of f has at
-    most DOT_MAX_ELEMENTS elements, and through np.matmul above that, picked
-    once here.  Both call the same dgemm on these C-contiguous float64
-    operands, so the choice changes no bit of the result; it only trades
-    np.matmul's gufunc dispatch, about 0.7 us per call, against np.dot's
-    slower handling of large operands.
+    The two (q, q) x (q, n) products K f and M(u)^-1 (K f) go through np.dot
+    when the real (q, n) view has at most DOT_MAX_ELEMENTS elements, and
+    through np.matmul above that, picked once here.  Both call the same
+    dgemm on these C-contiguous float64 operands, so the choice changes no
+    bit of the result; it only trades np.matmul's gufunc dispatch, about
+    0.7 us per call, against np.dot's slower handling of large operands.
+    + f is its own add after the second product, so a run rounds exactly as
+    a plain np.matmul loop does on whichever BLAS kernel runs it.
 
     K f = S (M(u) E rho - M(u) f) has row 0 exactly 0 because s_0 = 0, and
     M(u)^-1 stays its own contraction, so the correction carries no mass
@@ -341,31 +328,27 @@ class _Collider:
 
     def __init__(self, spec: SchemeSpec, state: StateField):
         ops = _shift_matrices(spec, state.grid_sizes, state.box_lengths)
-        q = spec.q
-        stacked = np.empty((2 * q,) + state.f.shape[1:], np.result_type(state.f, np.float64))
-        self.f = stacked[q:]
+        self.f = np.empty(state.f.shape, np.result_type(state.f, np.float64))
         np.copyto(self.f, state.f)
         self.out = np.empty_like(self.f)
-        real = stacked.real.dtype
-        pair = () if real == stacked.dtype else (2,)
-        both = stacked.view(real).reshape(2 * q, -1)
-        kf, f = both[:q], both[q:]
-        out = self.out.view(real).reshape(q, -1)
-        k = ops.k
+        real = self.f.real.dtype
+        pair = () if real == self.f.dtype else (2,)
+        f, out = (a.view(real).reshape(spec.q, -1) for a in (self.f, self.out))
+        kf = np.empty_like(out)
+        k, m_inv = ops.k, ops.m_inv
         # a positional out parses faster than out=, a saving a 64-cell step notices
         product = np.dot if out.size <= DOT_MAX_ELEMENTS else np.matmul
+        add = np.add
         if ops.dk is None:
-            fold = ops.fold
-
             def apply():
                 product(k, f, kf)
-                product(fold, both, out)
+                product(m_inv, kf, out)
+                add(out, f, out)
         else:
-            m_inv, dk, dm_inv = ops.m_inv, ops.dk, ops.dm_inv
-            add, einsum = np.add, np.einsum
-            cells = (q, -1) + pair
+            dk, dm_inv, einsum = ops.dk, ops.dm_inv, np.einsum
+            cells = (spec.q, -1) + pair
             f_cells, kf_cells, out_cells = f.reshape(cells), kf.reshape(cells), out.reshape(cells)
-            products = np.empty(out_cells.shape, real)
+            products = np.empty_like(out_cells)
 
             def apply():
                 product(k, f, kf)
@@ -435,25 +418,21 @@ def step(state: StateField, spec: SchemeSpec) -> StateField:
 
 
 def run(state: StateField, spec: SchemeSpec, steps: int) -> StateField:
-    """Apply `steps` updates and return the final state; the input state is not modified.
-
-    The returned f is a copy taken once the loop has finished, so it owns one
-    state's memory and does not keep the collider's K f half alive.
-    """
+    """Apply `steps` updates and return the final state; the input state is not modified."""
     f = None
     for f in _advance(state, spec, steps):
         pass
-    return state if f is None else replace(state, f=f.copy())
+    return state if f is None else replace(state, f=f)
 
 
 def _advance(state: StateField, spec: SchemeSpec, steps: int):
     """Yield f after each of `steps` updates of `state`: the one collide-and-stream loop.
 
-    The collider copies state.f into the bottom half of its stacked buffer
-    once; the stream plan's view pairs, built once, stream the collided f
-    straight back into that half.  So a step is apply() and the plan's
-    copies, allocates nothing and builds no view, and every yielded array is
-    that same half, overwritten by the next step.
+    The collider copies state.f into its own f once; the stream plan's view
+    pairs, built once, stream the collided f straight back into it.  So a
+    step is apply() and the plan's copies, allocates nothing and builds no
+    view, and every yielded array is that same f, overwritten by the next
+    step.
     The step count and dx/dt are checked on the first iteration.
     """
     steps = _step_count(steps)

@@ -1,0 +1,85 @@
+"""The OpenBLAS kernel numpy runs, and the simulator's bitwise checks under it.
+
+    python tests/blas_kernel.py        print the runtime core name, e.g. SkylakeX
+    python tests/blas_kernel.py DIR    run the bitwise tests of test_scheme.py,
+                                       simulate the shipped configs into DIR and
+                                       print one JSON line: the core name, the
+                                       pytest exit code and the sha256 of each
+                                       simulate report and snapshot
+
+OPENBLAS_CORETYPE in the environment picks the kernel of a DYNAMIC_ARCH
+OpenBLAS; test_blas_kernels.py runs the second form once per kernel.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import json
+import pathlib
+import sys
+
+import numpy as np
+
+TESTS = pathlib.Path(__file__).resolve().parent
+# the tests of test_scheme.py that pin the simulator bit for bit to a plain np.matmul loop
+BITWISE_TESTS = [
+    "TestSizeRule",
+    "TestSignedZeros",
+    "TestComplexStates",
+    "TestRun",
+    "TestStep::test_zero_amplitude_sine_matches_zero_shift",
+    "TestStep::test_zero_amplitude_sine_matches_zero_shift_on_shipped_configs",
+]
+SHIPPED_CONFIGS = ("d1q2", "d1q3", "d2q5")
+
+
+def openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS if it is a DYNAMIC_ARCH build that names its core, else None."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return None
+    for path in sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the library numpy has loaded, not a second copy
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            return lib
+    return None
+
+
+def core_name(lib: ctypes.CDLL) -> str:
+    """The core type whose kernels the running OpenBLAS uses."""
+    corename = lib.scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _sha256(path: pathlib.Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def check(out: pathlib.Path) -> dict:
+    """Run the bitwise tests and simulate the shipped configs into `out`."""
+    import pytest
+    from rvlbm import load_config, reference_config
+    from rvlbm.experiments import save_snapshot, simulate_payload, write_json
+
+    lib = openblas()
+    ids = [f"{TESTS / 'test_scheme.py'}::{test}" for test in BITWISE_TESTS]
+    exit_code = pytest.main(["-q", "-p", "no:cacheprovider", *ids])
+    digests = {}
+    for name in SHIPPED_CONFIGS:
+        cfg = load_config(reference_config(name))
+        payload, state = simulate_payload(cfg)
+        report, snapshot = out / f"{name}.json", out / f"{name}.csv"
+        write_json(payload, report)
+        save_snapshot(state, cfg.spec, snapshot, out / f"{name}_meta.json", cfg.steps)
+        digests[name] = [_sha256(report), _sha256(snapshot)]
+    return {"core": lib and core_name(lib), "pytest_exit": int(exit_code), "sha256": digests}
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        print(json.dumps(check(pathlib.Path(sys.argv[1]))))
+    else:
+        lib = openblas()
+        print(core_name(lib) if lib else "unknown: numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")

@@ -489,7 +489,7 @@ class TestRun:
 
     @pytest.mark.parametrize("name", sorted(RUN_CASES))
     def test_run_returns_an_array_of_its_own(self, name):
-        # not a view into the collider's stacked [K f ; f] buffer
+        # the collider's own f, not a view into a larger buffer
         spec, state = RUN_CASES[name]()
         f = run(state, spec, 3).f
         assert f.base is None and f.flags.owndata and f.flags.c_contiguous
@@ -705,8 +705,8 @@ ZERO_WEIGHT_SHIFTS = {
 
 
 class TestSignedZeros:
-    """The folded product adds exact zeros and f itself once, so populations that
-    are exactly 0 keep the reference's bits, the sign of each zero included."""
+    """The collision adds f after the product, as the reference does, so populations
+    that are exactly 0 keep the reference's bits, the sign of each zero included."""
 
     @pytest.mark.parametrize("cells", [64, 2048], ids=["dot", "matmul"])
     @pytest.mark.parametrize("shift", sorted(ZERO_WEIGHT_SHIFTS))
