@@ -1,24 +1,37 @@
 """Command-line entry points.
 
 Exit codes: 0 when the requested checks pass, 1 when a verification fails,
-2 for configuration or usage errors and for output paths that cannot be written,
-3 for any other exception, reported as one `internal error:` line.  Exits 2 and
-3 write no report.
+2 for configuration or usage errors, config files that cannot be read and output
+paths that cannot be written, 3 for any other exception, reported as one
+`internal error:` line.  Exits 2 and 3 write no report.  Ctrl-C prints `Aborted!`
+and exits 1.
 """
 
 from __future__ import annotations
 
+import argparse
+import codecs
 import contextlib
 import pathlib
 import sys
 import warnings
 
-import click
-
 from . import experiments
 from .config import ExperimentConfig, load_config
 from .dispersion import STABILITY_TOL, von_neumann_radius
 from .errors import SchemeError
+
+
+def _echo(message: str, err: bool = False) -> None:
+    """Print one line to stdout, or stderr if `err`.  An ASCII stream gets UTF-8
+    bytes, since the equivalent equation prints ∂ and ρ and paths can be any text."""
+    stream = sys.stderr if err else sys.stdout
+    if codecs.lookup(getattr(stream, "encoding", None) or "utf-8").name != "ascii":
+        print(message, file=stream, flush=True)
+        return
+    stream.flush()
+    stream.buffer.write(f"{message}\n".encode("utf-8", "replace"))
+    stream.buffer.flush()
 
 
 def _load(config_path: str) -> ExperimentConfig:
@@ -46,8 +59,8 @@ def _warn_if_unstable(spec) -> None:
     radius, theta = von_neumann_radius(spec)
     if radius > 1.0 + STABILITY_TOL:
         phase = ", ".join(f"{t:.4g}" for t in theta)
-        click.echo(f"warning: scheme is linearly unstable: max |g| = {radius:.6g} "
-                   f"at kλdt = ({phase})", err=True)
+        _echo(f"warning: scheme is linearly unstable: max |g| = {radius:.6g} "
+              f"at kλdt = ({phase})", err=True)
 
 
 @contextlib.contextmanager
@@ -55,7 +68,8 @@ def _command_scope():
     """Turn an exception in a command into one stderr line and exit code 2 or 3,
     and each distinct warning message it raises into one `warning:` line.
 
-    OSError is a usage error: an output directory that cannot be created or written.
+    OSError is a usage error: a config file that cannot be read, or an output
+    directory that cannot be created or written.
     The warning filters still decide what is shown; the display hook is restored.
     """
     shown = set()
@@ -63,47 +77,20 @@ def _command_scope():
     def show(message, *_):
         if str(message) not in shown:
             shown.add(str(message))
-            click.echo(f"warning: {message}", err=True)
+            _echo(f"warning: {message}", err=True)
 
     with warnings.catch_warnings():
         warnings.showwarning = show
         try:
             yield
         except (SchemeError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(2)
         except Exception as exc:
-            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            _echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(3)
 
 
-config_option = click.option(
-    "--config", "config_path", required=True,
-    type=click.Path(exists=True, dir_okay=False), help="Experiment JSON file.",
-)
-output_option = click.option(
-    "--output", "output_dir", default=None,
-    type=click.Path(file_okay=False), help="Directory for result files.",
-)
-format_option = click.option(
-    "--format", "fmt", default=None, type=click.Choice(["json", "csv"]),
-    help="Result file format.",
-)
-order_option = click.option(
-    "--order", default=None, type=click.IntRange(1, 3), help="Expansion order.",
-)
-
-
-@click.group()
-def main() -> None:
-    """Relative-velocity lattice Boltzmann schemes: analysis and verification."""
-
-
-@main.command()
-@config_option
-@output_option
-@format_option
-@order_option
 def analyze(config_path, output_dir, fmt, order) -> None:
     """Derive the equivalent equation and write its coefficients."""
     with _command_scope():
@@ -112,15 +99,10 @@ def analyze(config_path, output_dir, fmt, order) -> None:
         _warn_if_unstable(cfg.spec)
         path = _write_report(cfg, output_dir, fmt, "analyze", payload,
                              lambda: experiments.analyze_csv_rows(payload))
-    click.echo(payload["pretty"])
-    click.echo(f"wrote {path}")
+    _echo(payload["pretty"])
+    _echo(f"wrote {path}")
 
 
-@main.command()
-@config_option
-@output_option
-@format_option
-@order_option
 def dispersion(config_path, output_dir, fmt, order) -> None:
     """Extract oracle growth-rate series and compare with the prediction."""
     with _command_scope():
@@ -129,16 +111,12 @@ def dispersion(config_path, output_dir, fmt, order) -> None:
         _warn_if_unstable(cfg.spec)
         path = _write_report(cfg, output_dir, fmt, "dispersion", report.to_json_dict(),
                              report.csv_rows)
-    click.echo(f"{len(report.records)} wavevectors, pass={report.passed}")
-    click.echo(f"wrote {path}")
+    _echo(f"{len(report.records)} wavevectors, pass={report.passed}")
+    _echo(f"wrote {path}")
     if not report.passed:
         sys.exit(1)
 
 
-@main.command()
-@config_option
-@output_option
-@format_option
 def simulate(config_path, output_dir, fmt) -> None:
     """Run the scheme and write observables plus a final snapshot."""
     with _command_scope():
@@ -156,15 +134,12 @@ def simulate(config_path, output_dir, fmt) -> None:
                 with contextlib.suppress(OSError):
                     written.unlink()
             raise
-    click.echo(
+    _echo(
         f"{cfg.steps} steps, mass drift {payload['mass_relative_drift']:.3e}"
     )
-    click.echo(f"wrote {path} and {out / 'snapshot.csv'}")
+    _echo(f"wrote {path} and {out / 'snapshot.csv'}")
 
 
-@main.command()
-@config_option
-@output_option
 def verify(config_path, output_dir) -> None:
     """Run every verification channel, write verify.json; exit 0 only if all pass."""
     with _command_scope():
@@ -174,17 +149,13 @@ def verify(config_path, output_dir) -> None:
         experiments.write_json(report, out / "verify.json")
     for section, result in report.items():
         if isinstance(result, dict):
-            click.echo(f"{section}: {'PASS' if result.get('pass') else 'FAIL'}")
-    click.echo(f"overall: {'PASS' if report['overall_pass'] else 'FAIL'}")
-    click.echo(f"wrote {out / 'verify.json'}")
+            _echo(f"{section}: {'PASS' if result.get('pass') else 'FAIL'}")
+    _echo(f"overall: {'PASS' if report['overall_pass'] else 'FAIL'}")
+    _echo(f"wrote {out / 'verify.json'}")
     if not report["overall_pass"]:
         sys.exit(1)
 
 
-@main.command()
-@config_option
-@output_option
-@format_option
 def convergence(config_path, output_dir, fmt) -> None:
     """Refinement study of the equilibrium and transition residuals."""
     with _command_scope():
@@ -192,12 +163,42 @@ def convergence(config_path, output_dir, fmt) -> None:
         study = experiments.convergence_payload(cfg)
         path = _write_report(cfg, output_dir, fmt, "convergence", study,
                              lambda: experiments.convergence_csv_rows(study))
-    click.echo(
+    _echo(
         f"equilibrium slope {study['equilibrium_slope']}, "
         f"transition slope {study['transition_slope']}"
     )
-    click.echo(f"wrote {path}")
+    _echo(f"wrote {path}")
     if not study["overall_pass"]:
+        sys.exit(1)
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Relative-velocity lattice Boltzmann schemes: analysis and verification."""
+    parser = argparse.ArgumentParser(prog="rvlbm", description=main.__doc__)
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for command, options in ((analyze, ("--format", "--order")),
+                             (dispersion, ("--format", "--order")),
+                             (simulate, ("--format",)),
+                             (verify, ()),
+                             (convergence, ("--format",))):
+        sub = commands.add_parser(command.__name__, help=command.__doc__,
+                                  description=command.__doc__, allow_abbrev=False)
+        sub.set_defaults(command=command)
+        sub.add_argument("--config", dest="config_path", required=True, metavar="FILE",
+                         help="Experiment JSON file.")
+        sub.add_argument("--output", dest="output_dir", metavar="DIR",
+                         help="Directory for result files.")
+        if "--format" in options:
+            sub.add_argument("--format", dest="fmt", choices=["json", "csv"],
+                             help="Result file format.")
+        if "--order" in options:
+            sub.add_argument("--order", type=int, choices=range(1, 4), help="Expansion order.")
+    args = vars(parser.parse_args(argv))
+    command = args.pop("command")
+    try:
+        command(**args)
+    except KeyboardInterrupt:
+        _echo("\nAborted!", err=True)
         sys.exit(1)
 
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from rvlbm import (
     VelocityShift,
@@ -511,6 +511,29 @@ class TestCli:
         result = runner.invoke(main, ["verify", "--config", str(tmp_path / "no.json")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        [],
+        ["verify", "--output", "out"],
+        ["verify", "--config", "no.json", "--output", "out"],
+        ["verify", "--config", ".", "--output", "out"],
+        ["analyze", "--config", "experiment.json", "--output", "out", "--format", "xml"],
+        ["analyze", "--config", "experiment.json", "--output", "out", "--order", "4"],
+        ["plot", "--config", "experiment.json", "--output", "out"],
+        ["verify", "--config", "experiment.json", "--output", "taken"],
+    ], ids=["no-command", "no-config", "missing-config", "config-is-a-directory",
+            "format-xml", "order-4", "unknown-command", "output-is-a-file"])
+    def test_usage_error_exits_two_without_output(self, runner, config_file, tmp_path,
+                                                  monkeypatch, args):
+        # relative paths, so that the config's default output dir "." is tmp_path too
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("not a directory")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["experiment.json", "taken"]
+        assert (tmp_path / "taken").read_text() == "not a directory"
+
     def test_invalid_config_exits_two(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(config_text(scheme={**BASE["scheme"], "relaxation": [0.1, 1.2]}))
@@ -779,6 +802,20 @@ class TestCli:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    def test_interrupt_exits_one_without_output(self, runner, config_file, tmp_path,
+                                                monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiments, "verify_report", interrupt)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["verify", "--config", str(config_file), "--output", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "\nAborted!\n"
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_output_dir_naming_a_file_exits_two(self, runner, tmp_path):
         blocker = tmp_path / "taken"
         blocker.write_text("not a directory")
@@ -865,12 +902,17 @@ class TestCli:
             write_json({"a": 1.0, "b": float("nan")}, path)
         assert not path.exists()
 
-    def test_runs_without_scipy(self, tmp_path):
+    @staticmethod
+    def src_env(**extra):
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    @pytest.mark.parametrize("module", ["scipy", "click"])
+    def test_runs_without_module(self, tmp_path, module):
+        env = self.src_env()
         probe = subprocess.run(
-            [sys.executable, "-c", "import sys, rvlbm; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, rvlbm.cli; print({module!r} in sys.modules)"],
             env=env, capture_output=True, text=True,
         )
         assert probe.returncode == 0, probe.stderr
@@ -879,7 +921,8 @@ class TestCli:
         path = tmp_path / "d1q2.json"
         path.write_text(reference_config("d1q2"))
         blocked = (
-            "import sys; sys.modules['scipy'] = None\n"
+            f"import sys; sys.modules[{module!r}] = None\n"
+            "import rvlbm\n"
             "from rvlbm.cli import main\n"
             "main(['verify', '--config', sys.argv[1], '--output', sys.argv[2]])\n"
         )
@@ -889,6 +932,31 @@ class TestCli:
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert (tmp_path / "out" / "verify.json").exists()
+
+    def test_ascii_streams_get_utf8_bytes(self, tmp_path):
+        # the equivalent equation prints ∂ and ρ, and an error line can echo any path
+        env = self.src_env(PYTHONIOENCODING="ascii")
+        path = tmp_path / "d1q3.json"
+        path.write_text(reference_config("d1q3"))
+        out = tmp_path / "out"
+        cli = [sys.executable, "-m", "rvlbm.cli"]
+        result = subprocess.run([*cli, "analyze", "--config", str(path), "--output", str(out)],
+                                env=env, capture_output=True)
+        assert result.returncode == 0, result.stderr
+        pretty = experiments.analyze_payload(load_config(reference_config("d1q3")), None)["pretty"]
+        assert pretty.startswith("∂t ρ")
+        assert result.stdout == f"{pretty}\nwrote {out / 'analyze.json'}\n".encode("utf-8")
+        assert result.stderr == b""
+
+        blocker = tmp_path / "pris é"
+        blocker.write_text("not a directory")
+        path.write_text(config_text(output={"dir": str(blocker)}))
+        result = subprocess.run([*cli, "verify", "--config", str(path)], env=env,
+                                capture_output=True)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1
+        assert repr(str(blocker)).encode("utf-8") in result.stderr
 
     def test_reference_config_runs_end_to_end(self, runner, tmp_path):
         path = tmp_path / "d1q3.json"

@@ -13,7 +13,7 @@ import json
 import math
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from rvlbm import load_config, reference_config
 from rvlbm.cli import main
