@@ -19,7 +19,7 @@ import warnings
 from . import experiments
 from .config import ExperimentConfig, load_config
 from .dispersion import STABILITY_TOL, von_neumann_radius
-from .errors import SchemeError
+from .errors import SchemaError, SchemeError
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -35,7 +35,11 @@ def _echo(message: str, err: bool = False) -> None:
 
 
 def _load(config_path: str) -> ExperimentConfig:
-    return load_config(pathlib.Path(config_path).read_text("utf-8"))
+    try:
+        text = pathlib.Path(config_path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"/: invalid UTF-8 ({exc})") from None
+    return load_config(text)
 
 
 def _out_dir(cfg: ExperimentConfig, override: str | None) -> pathlib.Path:

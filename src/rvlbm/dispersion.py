@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchAmbiguity, NonConstantShift, PoorFit, ValidationError
+from .errors import BranchAmbiguity, PoorFit, ValidationError
 from .scheme import SchemeSpec
 
 POOR_FIT_FACTOR = 1e-8
@@ -68,8 +68,6 @@ class SymbolSeries:
 
 def amplification_matrix(spec: SchemeSpec, k, dt: float) -> AmplificationMatrix:
     """Exact one-step Fourier operator; requires a constant shift."""
-    if not spec.u_tilde.is_constant:
-        raise NonConstantShift("Fourier analysis requires a constant shift")
     k = np.asarray(k, dtype=float)
     if k.shape != (spec.dim,):
         raise ValidationError(f"wavevector shape {k.shape}, expected ({spec.dim},)")
@@ -223,44 +221,27 @@ def _branch_values(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> np.ndarr
     return out.reshape(shape)
 
 
-def _check_ladders(spec: SchemeSpec, shapes, norms, ladders: np.ndarray) -> None:
-    """Raise ValidationError unless ladders[i] is a usable dt ladder for a (d,) wavevector k_i.
-
-    shapes[i] is the shape of k_i and norms[i] is np.linalg.norm(k_i).  A
-    ladder must be geometric and positive with at least 5 levels, and
-    |k| lambda dt0 must be at most MAX_PHASE; a NaN anywhere fails that test.  All rows are tested in one
-    pass; the first unusable row raises the first test it fails, so the error
-    is the one a row-by-row check would give.
+def _check_ladder(spec: SchemeSpec, shape: tuple, norm: float, dts: np.ndarray) -> None:
+    """Raise ValidationError unless the 1-D dts are a usable dt ladder for a
+    wavevector k of this shape and norm, testing in order: k has shape (d,),
+    at least 5 levels, positive, geometric, |k| lambda dt0 <= MAX_PHASE.  The
+    ladder is read sorted, largest first, as Python floats.  A NaN step fails
+    only the last test: np.sort puts it first, as dt0, and makes the first
+    ratio NaN, from which no ratio differs by more than 1e-9.
     """
-    def shape_error(i):
-        return ValidationError(f"wavevector shape {shapes[i]}, expected ({spec.dim},)")
-
-    shape_failed = np.array([shape != (spec.dim,) for shape in shapes])
-    levels = ladders.shape[-1]
-    if levels < 5:  # every row fails here, so row 0 raises
-        raise shape_error(0) if shape_failed[0] else ValidationError(
-            f"need at least 5 dt levels, got {levels}")
-    ordered = np.sort(ladders, axis=-1)[:, ::-1]
-    with np.errstate(divide="ignore", invalid="ignore"):  # only unusable rows divide by 0
-        ratios = ordered[:, 1:] / ordered[:, :-1]
-    phase = np.asarray(norms, dtype=float) * spec.vset.lam * ordered[:, 0]
-    failed = np.array([
-        shape_failed,
-        (ladders <= 0).any(axis=-1),
-        (np.abs(ratios - ratios[:, :1]) > 1e-9).any(axis=-1),
-        ~(phase <= MAX_PHASE + 1e-12),
-    ]).T
-    if not failed.any():
-        return
-    row = int(np.argmax(failed.any(axis=-1)))
-    test = int(np.argmax(failed[row]))
-    if test == 0:
-        raise shape_error(row)
-    raise ValidationError((
-        "dt sequence must be positive",
-        "dt sequence must be geometric",
-        f"|k| lambda dt0 = {phase[row]:g} exceeds {MAX_PHASE}",
-    )[test - 1])
+    if shape != (spec.dim,):
+        raise ValidationError(f"wavevector shape {shape}, expected ({spec.dim},)")
+    if len(dts) < 5:
+        raise ValidationError(f"need at least 5 dt levels, got {len(dts)}")
+    ordered = np.sort(dts)[::-1].tolist()
+    if ordered[-1] <= 0:  # the smallest step, unless every step is NaN
+        raise ValidationError("dt sequence must be positive")
+    first = ordered[1] / ordered[0]
+    if any(abs(b / a - first) > 1e-9 for a, b in zip(ordered, ordered[1:])):
+        raise ValidationError("dt sequence must be geometric")
+    phase = norm * spec.vset.lam * ordered[0]
+    if not phase <= MAX_PHASE + 1e-12:
+        raise ValidationError(f"|k| lambda dt0 = {phase:g} exceeds {MAX_PHASE}")
 
 
 def _fit(dts: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +340,7 @@ def extract_symbol_series(
     k = np.asarray(k, dtype=float)
     dts = np.asarray(dt_sequence, dtype=float)
     norm = np.linalg.norm(k)
-    _check_ladders(spec, [k.shape], [norm], dts[None])
+    _check_ladder(spec, k.shape, float(norm), np.atleast_1d(dts))
     mu, residual, poor = _symbol_series(spec, k[None], np.array([norm]), dts[None],
                                         norm * dts[None], on_poor_fit)
     return SymbolSeries(tuple(k.tolist()), *mu[0].tolist(), float(residual[0]), bool(poor[0]))
@@ -424,8 +405,9 @@ def compare_with_prediction(
     chosen per wavevector so that |k| lambda dt0 = DEFAULT_PHASE.  Failures,
     including poor oracle fits, are recorded rather than raised.
 
-    No wavevectors, or any invalid ladder, raise ValidationError before the
-    oracle solves anything.  The oracle then solves and fits once per
+    No wavevectors raise ValidationError, and so does the first wavevector, in
+    norm order, whose ladder _check_ladder rejects; both before the oracle
+    solves anything.  The oracle then solves and fits once per
     direction and phase ladder (see _symbol_series): with the default dt0
     every wavevector along one direction shares one phase ladder
     DEFAULT_PHASE / lambda / 2^m, while an explicit dt0 gives each |k| its own.
@@ -439,7 +421,7 @@ def compare_with_prediction(
     keyed = sorted((np.linalg.norm(k), k) for k in ks)  # norm first, then the components
     if not keyed:
         raise ValidationError("no wavevectors to compare")
-    if not any(any(k) for _, k in keyed):  # NaN counts as nonzero; _check_ladders rejects it
+    if not any(any(k) for _, k in keyed):  # NaN counts as nonzero; _check_ladder rejects it
         raise ValidationError("no nonzero wavevector to compare")
     ks = [k for _, k in keyed]
     equation = derive_equivalent_equation(spec, order)
@@ -451,7 +433,8 @@ def compare_with_prediction(
         base_dts = [DEFAULT_PHASE / (knorm * lam) if knorm > 0 else DEFAULT_PHASE / lam
                     for knorm in (float(norm) for norm in norms)]
     ladders = geometric_dt_sequence(np.array(base_dts)[:, None], levels)
-    _check_ladders(spec, [(len(k),) for k in ks], norms, ladders)
+    for k, norm, ladder in zip(ks, norms.tolist(), ladders):
+        _check_ladder(spec, (len(k),), norm, ladder)
     if dt0 is not None:
         phases = norms[:, None] * ladders
     else:  # one phase ladder for all: |k| dt0 can round apart between wavevectors

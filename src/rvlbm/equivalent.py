@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NonConstantShift,
     OrderUnavailable,
     ValidationError,
 )
@@ -176,8 +175,7 @@ def derive_equivalent_equation(spec: SchemeSpec, order: int) -> EquivalentEquati
     """
     if order not in (1, 2, 3):
         raise OrderUnavailable(f"order {order!r} not derivable; choose 1, 2 or 3")
-    if not spec.u_tilde.is_constant:
-        raise NonConstantShift("equivalent equation requires a constant shift")
+    spec.u_tilde.constant_vector(spec.dim)  # raises for a sine shift: the order-1 path reads no M(u)
     return _derive(spec, order)
 
 
@@ -312,12 +310,10 @@ def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
     """
     if order not in (2, 3):
         raise OrderUnavailable(f"order {order!r} not predictable; choose 2 or 3")
-    if not spec.u_tilde.is_constant:
-        raise NonConstantShift("transition prediction requires a constant shift")
+    mm = spec.moment_matrix  # first: a sine shift raises here, before a zero rate's sigma does
     q = spec.q
     what = f"order-{order} transition prediction"
     sigma = henon_sigma(spec.s)
-    mm = spec.moment_matrix
     e = (mm.m @ np.asarray(spec.equilibrium)).tolist()
     theta = conservation_defaults(spec)
     parts = [[theta[k]] for k in range(q)]

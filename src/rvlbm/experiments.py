@@ -247,7 +247,7 @@ def _transition_initial(cfg: ExperimentConfig) -> InitialData:
 
 
 def analyze_payload(cfg: ExperimentConfig, order: int | None = None) -> dict:
-    equation = derive_equivalent_equation(cfg.spec, order or cfg.order)
+    equation = derive_equivalent_equation(cfg.spec, cfg.order if order is None else order)
     return {"equation": equation.to_json_dict(), "pretty": equation.pretty()}
 
 
@@ -255,7 +255,7 @@ def dispersion_payload(cfg: ExperimentConfig, order: int | None = None) -> Compa
     return compare_with_prediction(
         cfg.spec,
         cfg.k_samples,
-        order=order or cfg.order,
+        order=cfg.order if order is None else order,
         relative=cfg.relative_tolerances,
         floors=cfg.absolute_floors,
         dt0=cfg.dt0,

@@ -38,7 +38,9 @@ class VelocityShift:
     """Velocity shift u of the moment basis: zero, constant, or a sine field.
 
     The sine preset u_a(x) = value_a * sin(2 pi x_a / L_a) is available to the
-    simulator only; the analyzer requires a constant shift.
+    simulator only; the analyzer requires a constant shift, and
+    constant_vector is the one place that rule is enforced.  A zero shift
+    keeps no value; SchemeSpec checks the dimension of any other.
     """
 
     mode: str
@@ -47,7 +49,8 @@ class VelocityShift:
     def __post_init__(self):
         if self.mode not in ("zero", "constant", "sine"):
             raise ValidationError(f"unknown shift mode {self.mode!r}")
-        object.__setattr__(self, "value", tuple(float(v) for v in self.value))
+        value = () if self.mode == "zero" else tuple(float(v) for v in self.value)
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def zero(cls) -> "VelocityShift":
@@ -66,15 +69,10 @@ class VelocityShift:
         return self.mode != "sine"
 
     def constant_vector(self, dim: int) -> tuple[float, ...]:
-        if self.mode == "zero":
-            return (0.0,) * dim
-        if self.mode == "constant":
-            if len(self.value) != dim:
-                raise DimensionMismatch(
-                    f"shift has dimension {len(self.value)}, expected {dim}"
-                )
-            return self.value
-        raise NonConstantShift("shift is a field; a constant shift is required here")
+        """The shift as a (dim,) vector; a sine shift raises NonConstantShift."""
+        if self.mode == "sine":
+            raise NonConstantShift("the shift is a sine field; the analysis requires a constant shift")
+        return self.value if self.mode == "constant" else (0.0,) * dim
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,7 @@ class SchemeSpec:
         total = sum(self.equilibrium)
         if abs(total - 1.0) > EQUILIBRIUM_SUM_TOL:
             raise ValidationError(f"equilibrium coefficients sum to {total!r}, expected 1")
-        if self.u_tilde.is_constant:
-            self.u_tilde.constant_vector(self.vset.dim)
-        elif len(self.u_tilde.value) != self.vset.dim:
+        if self.u_tilde.mode != "zero" and len(self.u_tilde.value) != self.vset.dim:
             raise DimensionMismatch(
                 f"shift has dimension {len(self.u_tilde.value)}, expected {self.vset.dim}"
             )

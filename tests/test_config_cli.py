@@ -23,7 +23,7 @@ from rvlbm import (
 )
 from rvlbm.cli import main
 from rvlbm.config import default_k_samples
-from rvlbm.errors import SchemaError, ValidationError
+from rvlbm.errors import OrderUnavailable, SchemaError, ValidationError
 from rvlbm.experiments import initial_state, simulate_payload, write_json
 import rvlbm.dispersion as dispersion
 import rvlbm.experiments as experiments
@@ -318,6 +318,14 @@ class TestVerifyReport:
         assert section["mu2_max_spread"] > 0.0
 
 
+class TestPayloads:
+    @pytest.mark.parametrize("payload", [experiments.analyze_payload,
+                                         experiments.dispersion_payload])
+    def test_order_zero_is_not_the_configs_order(self, payload):
+        with pytest.raises(OrderUnavailable, match="order 0"):
+            payload(load_config(reference_config("d1q3")), 0)
+
+
 class TestCli:
     def test_analyze_writes_report(self, runner, config_file, tmp_path):
         out = tmp_path / "out"
@@ -520,18 +528,22 @@ class TestCli:
         ["analyze", "--config", "experiment.json", "--output", "out", "--order", "4"],
         ["plot", "--config", "experiment.json", "--output", "out"],
         ["verify", "--config", "experiment.json", "--output", "taken"],
+        ["verify", "--config", "latin-1.json", "--output", "out"],
     ], ids=["no-command", "no-config", "missing-config", "config-is-a-directory",
-            "format-xml", "order-4", "unknown-command", "output-is-a-file"])
+            "format-xml", "order-4", "unknown-command", "output-is-a-file", "not-utf-8"])
     def test_usage_error_exits_two_without_output(self, runner, config_file, tmp_path,
                                                   monkeypatch, args):
         # relative paths, so that the config's default output dir "." is tmp_path too
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("not a directory")
+        (tmp_path / "latin-1.json").write_bytes(b"\xff{}")
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["experiment.json", "taken"]
+        assert "internal error" not in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["experiment.json", "latin-1.json",
+                                                              "taken"]
         assert (tmp_path / "taken").read_text() == "not a directory"
 
     def test_invalid_config_exits_two(self, runner, tmp_path):

@@ -11,11 +11,12 @@ everywhere else.
 import copy
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from cli_runner import CliRunner
 
-from rvlbm import load_config, reference_config
+from rvlbm import VelocityShift, load_config, reference_config
 from rvlbm.cli import main
 from rvlbm.config import REFERENCE_NAMES
 from rvlbm.errors import DimensionMismatch, NonLatticeVelocity, SchemaError, ValidationError
@@ -244,6 +245,14 @@ def test_scheme_layout_round_trips(name):
     """The layout `spec_to_dict` writes (snapshot_meta.json) reads back as the same scheme."""
     spec = load_config(reference_config(name)).spec
     assert load_config(json.dumps({"scheme": spec_to_dict(spec)})).spec == spec
+
+
+def test_zero_shift_writes_no_value():
+    """A zero shift keeps no value, so snapshot_meta.json writes none, as the config reader reads it."""
+    spec = load_config(reference_config("d1q3")).spec
+    shifted = replace(spec, u_tilde=VelocityShift("zero", (0.3,)))
+    assert spec_to_dict(shifted)["u_tilde"] == {"mode": "zero", "value": []}
+    assert shifted == replace(spec, u_tilde=VelocityShift.zero())
 
 
 UNKNOWN = [

@@ -361,6 +361,47 @@ def rates_near_zero_d2q5():
                       (0.0, 0.0, 0.0, 0.0, 1.0), VelocityShift.constant((0.0, 0.0)))
 
 
+def first_ladder_error(spec, ks, dt0=None, levels=dispersion.DEFAULT_LEVELS):
+    """The wavevector, dt ladder and error message of the first unusable ladder of
+    compare_with_prediction, checked one wavevector at a time in norm order.
+
+    Each wavevector's ladder fails, first to last: a shape other than (d,),
+    fewer than 5 levels, a step that is not positive, steps that are not
+    geometric, |k| lambda dt0 above MAX_PHASE (NaN included).
+    """
+    lam = spec.vset.lam
+    for norm, k in sorted((np.linalg.norm(k), tuple(k)) for k in ks):
+        if dt0 is not None:
+            base = dt0
+        elif norm > 0:
+            base = dispersion.DEFAULT_PHASE / (norm * lam)
+        else:
+            base = dispersion.DEFAULT_PHASE / lam
+        ladder = geometric_dt_sequence(base, levels)
+        ratios = ladder[1:] / ladder[:-1]
+        phase = norm * lam * ladder[0]
+        if len(k) != spec.dim:
+            return k, ladder, f"wavevector shape {(len(k),)}, expected ({spec.dim},)"
+        if levels < 5:
+            return k, ladder, f"need at least 5 dt levels, got {levels}"
+        if min(ladder) <= 0:
+            return k, ladder, "dt sequence must be positive"
+        if max(abs(ratios - ratios[0])) > 1e-9:
+            return k, ladder, "dt sequence must be geometric"
+        if not phase <= dispersion.MAX_PHASE + 1e-12:
+            return k, ladder, f"|k| lambda dt0 = {phase:g} exceeds {dispersion.MAX_PHASE}"
+    raise AssertionError("every ladder is usable")
+
+
+# wavevectors and compare_with_prediction options whose ladders fail different rules
+LADDER_FAULTS = {
+    "phase-before-shape": ([[2.0, 2.0], [1.0]], {"dt0": 0.2}),
+    "dt0-negative-shape-first": ([[1.0], [0.3, 0.3]], {"dt0": -0.1}),
+    "four-levels-shape-second": ([[0.6, 0.6], [0.5]], {"levels": 4}),
+    "nan-wavevector": ([[0.4], [float("nan")]], {}),
+}
+
+
 class TestBatchedOracle:
     def test_one_eigen_solve_per_comparison(self, monkeypatch):
         # the 8 default samples lie along one direction in 1D: one ladder is solved
@@ -518,6 +559,20 @@ class TestBatchedOracle:
             compare_with_prediction(d1q2_spec(), [[0.4], [float("nan")]])
         with pytest.raises(ValidationError):
             compare_with_prediction(d1q2_spec(), [[0.4]], dt0=float("nan"))
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(LADDER_FAULTS))
+    def test_first_unusable_ladder_raises_the_one_by_one_error(self, monkeypatch, name):
+        ks, options = LADDER_FAULTS[name]
+        spec = d1q2_spec()
+        k, ladder, message = first_ladder_error(spec, ks, **options)
+        calls = counting_eigvals(monkeypatch)
+        with pytest.raises(ValidationError) as batch:
+            compare_with_prediction(spec, ks, **options)
+        assert str(batch.value) == message
+        with pytest.raises(ValidationError) as alone:
+            extract_symbol_series(spec, k, ladder)
+        assert str(alone.value) == message
         assert calls == []
 
     def test_zero_wavevector_in_batch(self):

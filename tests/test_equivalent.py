@@ -341,9 +341,11 @@ class TestDeriveEquivalentEquation:
             derive_equivalent_equation(d1q2_spec(), 4)
 
     def test_sine_shift_rejected(self):
+        # order 1 reads no M(u), so derive_equivalent_equation gates it itself
         spec = replace(d1q3_spec(), u_tilde=VelocityShift.sine((0.1,)))
-        with pytest.raises(NonConstantShift):
-            derive_equivalent_equation(spec, 3)
+        for order in (1, 2, 3):
+            with pytest.raises(NonConstantShift, match="requires a constant shift"):
+                derive_equivalent_equation(spec, order)
 
     def test_tensors_symmetric(self):
         eq = derive_equivalent_equation(d2q5_spec(u=(0.2, 0.1)), 3)
@@ -862,6 +864,14 @@ class TestTransitionPrediction:
     def test_unsupported_order(self):
         with pytest.raises(OrderUnavailable):
             transition_prediction(d1q3_spec(), 4)
+
+    @pytest.mark.parametrize("relaxation", [(0.0, 1.2, 1.6), (0.0, 0.0, 1.6)],
+                             ids=["rates", "zero-rate"])
+    def test_sine_shift_rejected_before_sigma(self, relaxation):
+        # a zero rate has no sigma; the shift's rule is checked first
+        spec = replace(d1q3_spec(), s=relaxation, u_tilde=VelocityShift.sine((0.1,)))
+        with pytest.raises(NonConstantShift, match="requires a constant shift"):
+            transition_prediction(spec, 3)
 
 
 # Each channel that reads sigma_1 = 1/s[1] - 1/2 of the shipped d1q3 scheme with
