@@ -51,14 +51,15 @@ class ExperimentConfig:
     k_samples: tuple[tuple[float, ...], ...]
     dt0: float | None
     levels: int
-    relative_tolerances: tuple[float, float, float]
-    absolute_floors: tuple[float, float, float]
     u_sweep: tuple[float, ...]
     grids: tuple[int, ...]
     warmup: int
     steps: int
     output_path: str
     output_format: str
+    # criterion 1's bounds, fixed in rvlbm.dispersion: class attributes that no config sets
+    relative_tolerances = RELATIVE_TOLERANCES
+    absolute_floors = ABSOLUTE_FLOORS
 
 
 _REQUIRED = object()
@@ -275,13 +276,11 @@ def load_config(text: str) -> ExperimentConfig:
                                nullable=True)
     dt0 = analysis.field("dt0", _expect_number, None, nullable=True)
     levels = analysis.field("refinements", _expect_int, DEFAULT_LEVELS, minimum=5)
-    tolerances = analysis.section("tolerances")
-    relative = tolerances.field("relative", _array(_expect_number, 3), RELATIVE_TOLERANCES)
-    floors = tolerances.field("floors", _array(_expect_number, 3), ABSOLUTE_FLOORS)
-    tolerances.close()
     u_sweep = analysis.field("u_sweep", _array(_expect_number), DEFAULT_U_SWEEP)
-    if len(u_sweep) < 2:
-        raise analysis.error("u_sweep", f"expected at least 2 values, got {len(u_sweep)}")
+    if len(set(u_sweep)) < 2:  # u_invariance compares the members, so two must differ
+        raise analysis.error("u_sweep", f"expected at least 2 values, got {len(u_sweep)}"
+                             if len(u_sweep) < 2 else
+                             f"expected at least 2 distinct values, got {list(u_sweep)}")
     grids = analysis.field("grids", _array(_expect_int, minimum=2), DEFAULT_GRIDS)
     try:
         check_refinement_grids(grids)
@@ -300,9 +299,8 @@ def load_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         spec=spec, grid_sizes=grid_sizes, box_lengths=box_lengths, initial=initial, order=order,
         k_samples=default_k_samples(dim) if k_samples is None else k_samples, dt0=dt0,
-        levels=levels, relative_tolerances=relative, absolute_floors=floors, u_sweep=u_sweep,
-        grids=grids, warmup=warmup, steps=steps, output_path=output_path,
-        output_format=output_format,
+        levels=levels, u_sweep=u_sweep, grids=grids, warmup=warmup, steps=steps,
+        output_path=output_path, output_format=output_format,
     )
 
 

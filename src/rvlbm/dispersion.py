@@ -158,9 +158,11 @@ def _walked_eigenvalue(spec: SchemeSpec, k: np.ndarray, dt: float) -> complex:
 def geometric_dt_sequence(dt0, levels: int = DEFAULT_LEVELS) -> np.ndarray:
     """dt0 / 2^m for m = 0..levels-1; a column of dt0 values gives one ladder per row.
 
-    A positive dt0 whose smallest step would fall below the smallest normal
-    float raises ValidationError.
+    A negative levels, or a positive dt0 whose smallest step would fall below
+    the smallest normal float, raises ValidationError.
     """
+    if levels < 0:
+        raise ValidationError(f"levels must be >= 0, got {levels}")
     dts = np.ldexp(dt0, -np.arange(levels))  # exact halving, no overflow in 2^m
     underflow = (dts[..., 0] > 0) & (dts[..., -1] < SMALLEST_NORMAL) if levels else np.False_
     if underflow.any():
@@ -222,8 +224,8 @@ def _branch_values(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> np.ndarr
 
 
 def _check_ladder(spec: SchemeSpec, shape: tuple, norm: float, dts: np.ndarray) -> None:
-    """Raise ValidationError unless the 1-D dts are a usable dt ladder for a
-    wavevector k of this shape and norm, testing in order: k has shape (d,),
+    """Raise ValidationError unless dts are a usable dt ladder for a wavevector
+    k of this shape and norm, testing in order: k has shape (d,), dts are 1-D,
     at least 5 levels, positive, geometric, |k| lambda dt0 <= MAX_PHASE.  The
     ladder is read sorted, largest first, as Python floats.  A NaN step fails
     only the last test: np.sort puts it first, as dt0, and makes the first
@@ -231,6 +233,8 @@ def _check_ladder(spec: SchemeSpec, shape: tuple, norm: float, dts: np.ndarray) 
     """
     if shape != (spec.dim,):
         raise ValidationError(f"wavevector shape {shape}, expected ({spec.dim},)")
+    if dts.ndim != 1:
+        raise ValidationError(f"dt sequence must be one-dimensional, got shape {dts.shape}")
     if len(dts) < 5:
         raise ValidationError(f"need at least 5 dt levels, got {len(dts)}")
     ordered = np.sort(dts)[::-1].tolist()

@@ -252,15 +252,8 @@ def analyze_payload(cfg: ExperimentConfig, order: int | None = None) -> dict:
 
 
 def dispersion_payload(cfg: ExperimentConfig, order: int | None = None) -> ComparisonReport:
-    return compare_with_prediction(
-        cfg.spec,
-        cfg.k_samples,
-        order=cfg.order if order is None else order,
-        relative=cfg.relative_tolerances,
-        floors=cfg.absolute_floors,
-        dt0=cfg.dt0,
-        levels=cfg.levels,
-    )
+    return compare_with_prediction(cfg.spec, cfg.k_samples, cfg.order if order is None else order,
+                                   dt0=cfg.dt0, levels=cfg.levels)
 
 
 def mode_coefficient(rho: np.ndarray, mode) -> complex:

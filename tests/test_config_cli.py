@@ -23,6 +23,7 @@ from rvlbm import (
 )
 from rvlbm.cli import main
 from rvlbm.config import default_k_samples
+from rvlbm.dispersion import ABSOLUTE_FLOORS, RELATIVE_TOLERANCES
 from rvlbm.errors import OrderUnavailable, SchemaError, ValidationError
 from rvlbm.experiments import initial_state, simulate_payload, write_json
 import rvlbm.dispersion as dispersion
@@ -150,11 +151,6 @@ class TestLoadConfig:
         with pytest.raises(SchemaError, match=r"/analysis/order"):
             load_config(config_text(analysis={**BASE["analysis"], "order": 4}))
 
-    def test_tolerance_vector_length(self):
-        bad = {**BASE["analysis"], "tolerances": {"relative": [1e-8, 1e-6]}}
-        with pytest.raises(SchemaError, match="expected 3 elements"):
-            load_config(config_text(analysis=bad))
-
     def test_output_format_choices(self):
         with pytest.raises(SchemaError, match=r"/output/format"):
             load_config(config_text(output={"format": "yaml"}))
@@ -271,8 +267,8 @@ def loop_invariance(cfg):
     by_k = {}
     for spec in specs:
         report = compare_with_prediction(
-            spec, cfg.k_samples, order=cfg.order, relative=cfg.relative_tolerances,
-            floors=cfg.absolute_floors, dt0=cfg.dt0, levels=cfg.levels,
+            spec, cfg.k_samples, order=cfg.order, relative=RELATIVE_TOLERANCES,
+            floors=ABSOLUTE_FLOORS, dt0=cfg.dt0, levels=cfg.levels,
         ).to_json_dict()
         for rec in report["records"]:
             by_k.setdefault(json.dumps(rec["k"]), []).append(complex(*rec["mu"][2]))
@@ -623,6 +619,27 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert f"error: /analysis/u_sweep: expected at least 2 values, got {len(sweep)}" in result.output
         assert not (out / "verify.json").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        # a repeated shift leaves u_invariance comparing one shift with itself
+        ("u_sweep", [0.2, 0.2],
+         "/analysis/u_sweep: expected at least 2 distinct values, got [0.2, 0.2]"),
+        # criterion 1's bounds are fixed, so a PASS in verify.json always means them
+        ("tolerances", {"relative": [1e-8, 1e-6, 1e-4], "floors": [1e-12, 1e-10, 1e-8]},
+         "/analysis/tolerances: unknown key"),
+    ], ids=["repeated-u-sweep", "tolerances"])
+    @pytest.mark.parametrize("command", ["verify", "dispersion"])
+    def test_shipped_config_with_rejected_analysis_exits_two(self, runner, tmp_path, command,
+                                                             key, value, message):
+        doc = json.loads(reference_config("d1q3"))
+        doc["analysis"][key] = value
+        path = tmp_path / "d1q3.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--output", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["d1q3.json"]
 
     @pytest.mark.parametrize("command", ["verify", "convergence"])
     @pytest.mark.parametrize("grids", [[], [64], [64, 64]], ids=["empty", "one", "repeated"])

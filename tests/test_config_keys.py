@@ -1,11 +1,10 @@
 """Every key of the experiment file, one table row per fault.
 
-Each row edits one key of a fully explicit document (the shipped d1q3 file
-plus its tolerances) and pins the exact exception type and message: a key
-that is missing where it is required, null, of the wrong type or out of
-range.  A JSON `null` reads as an absent key for `q`, `polynomials`,
-`u_tilde`, `grid`, `initial`, `k_samples` and `dt0`, and as a wrong type
-everywhere else.
+Each row edits one key of a fully explicit document (the shipped d1q3 file)
+and pins the exact exception type and message: a key that is missing where
+it is required, null, of the wrong type or out of range.  A JSON `null`
+reads as an absent key for `q`, `polynomials`, `u_tilde`, `grid`, `initial`,
+`k_samples` and `dt0`, and as a wrong type everywhere else.
 """
 
 import copy
@@ -25,7 +24,6 @@ from rvlbm.scheme import spec_to_dict
 DELETE = object()
 
 FULL = json.loads(reference_config("d1q3"))
-FULL["analysis"]["tolerances"] = {"relative": [1e-8, 1e-6, 1e-4], "floors": [1e-12, 1e-10, 1e-8]}
 SINE = FULL["initial"]
 UNIFORM = {"type": "uniform", "value": 1.0}
 
@@ -159,18 +157,18 @@ ROWS = [
     (A + ("dt0",), -math.inf, SchemaError, "/analysis/dt0: expected finite number, got -inf"),
     *key_faults(A + ("refinements",), "integer"),
     (A + ("refinements",), 4, SchemaError, "/analysis/refinements: expected integer >= 5, got 4"),
-    *key_faults(TOL, "object"),
-    *key_faults(TOL + ("relative",), "array"),
-    (TOL + ("relative",), [1e-8, 1e-6], SchemaError,
-     "/analysis/tolerances/relative: expected 3 elements, got 2"),
-    *key_faults(TOL + ("relative", 2), "number"),
-    *key_faults(TOL + ("floors",), "array"),
-    (TOL + ("floors",), [1e-12] * 4, SchemaError,
-     "/analysis/tolerances/floors: expected 3 elements, got 4"),
-    *key_faults(TOL + ("floors", 0), "number"),
+    # criterion 1's bounds are fixed: the former tolerances section is unknown, null included
+    (TOL, None, SchemaError, "/analysis/tolerances: unknown key"),
+    (TOL, [], SchemaError, "/analysis/tolerances: unknown key"),
+    (TOL, {"relative": [1e-8, 1e-6, 1e-4], "floors": [1e-12, 1e-10, 1e-8]}, SchemaError,
+     "/analysis/tolerances: unknown key"),
     *key_faults(A + ("u_sweep",), "array"),
     (A + ("u_sweep",), [0.0], SchemaError,
      "/analysis/u_sweep: expected at least 2 values, got 1"),
+    (A + ("u_sweep",), [0.2, 0.2], SchemaError,
+     "/analysis/u_sweep: expected at least 2 distinct values, got [0.2, 0.2]"),
+    (A + ("u_sweep",), [0, 0.0, -0.0], SchemaError,
+     "/analysis/u_sweep: expected at least 2 distinct values, got [0.0, 0.0, -0.0]"),
     *key_faults(A + ("u_sweep", 1), "number"),
     *key_faults(A + ("grids",), "array"),
     (A + ("grids",), [64], SchemaError,
@@ -264,7 +262,7 @@ UNKNOWN = [
     (("initial",), "phase"),
     (("initial",), "value"),  # a uniform field's key, not read for a sine one
     (A, "warmpu"),
-    (TOL, "relatve"),
+    (A, "tolerances"),
     (("output",), "fmt"),
 ]
 

@@ -137,6 +137,14 @@ class TestGeometricSequence:
             geometric_dt_sequence(0.05, 2000)
         assert geometric_dt_sequence(0.05, 1000)[-1] > 0
 
+    def test_negative_levels_rejected(self):
+        # a negative count names no ladder; 0 levels is an empty one, whose count fails later
+        with pytest.raises(ValidationError, match=r"^levels must be >= 0, got -2$"):
+            geometric_dt_sequence(0.05, -2)
+        with pytest.raises(ValidationError, match=r"^levels must be >= 0, got -2$"):
+            compare_with_prediction(d1q2_spec(), [[0.4]], levels=-2)
+        assert geometric_dt_sequence(0.05, 0).shape == (0,)
+
 
 class TestExtractSymbolSeries:
     def ladder(self, k=1.0, levels=10):
@@ -170,6 +178,13 @@ class TestExtractSymbolSeries:
     def test_rejects_short_ladder(self):
         with pytest.raises(ValidationError):
             extract_symbol_series(d1q2_spec(), [1.0], geometric_dt_sequence(0.05, 4))
+
+    def test_rejects_a_ladder_that_is_not_one_dimensional(self):
+        # two valid ladders stacked are no ladder of 2 levels
+        ladders = np.tile(geometric_dt_sequence(0.05, 10), (2, 1))
+        with pytest.raises(ValidationError,
+                           match=r"^dt sequence must be one-dimensional, got shape \(2, 10\)$"):
+            extract_symbol_series(d1q2_spec(), [1.0], ladders)
 
     def test_rejects_negative_steps(self):
         with pytest.raises(ValidationError):
