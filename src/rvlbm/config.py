@@ -277,10 +277,10 @@ def load_config(text: str) -> ExperimentConfig:
     dt0 = analysis.field("dt0", _expect_number, None, nullable=True)
     levels = analysis.field("refinements", _expect_int, DEFAULT_LEVELS, minimum=5)
     u_sweep = analysis.field("u_sweep", _array(_expect_number), DEFAULT_U_SWEEP)
-    if len(set(u_sweep)) < 2:  # u_invariance compares the members, so two must differ
-        raise analysis.error("u_sweep", f"expected at least 2 values, got {len(u_sweep)}"
-                             if len(u_sweep) < 2 else
-                             f"expected at least 2 distinct values, got {list(u_sweep)}")
+    try:
+        check_u_sweep(u_sweep)
+    except ValidationError as err:
+        raise analysis.error("u_sweep", str(err)) from None
     grids = analysis.field("grids", _array(_expect_int, minimum=2), DEFAULT_GRIDS)
     try:
         check_refinement_grids(grids)
@@ -302,6 +302,13 @@ def load_config(text: str) -> ExperimentConfig:
         levels=levels, u_sweep=u_sweep, grids=grids, warmup=warmup, steps=steps,
         output_path=output_path, output_format=output_format,
     )
+
+
+def check_u_sweep(u_sweep) -> None:
+    """Raise ValidationError unless `u_sweep` holds 2 distinct values for u_invariance."""
+    if len(set(u_sweep)) < 2:
+        raise ValidationError(f"expected at least 2 values, got {len(u_sweep)}" if len(u_sweep) < 2
+                              else f"expected at least 2 distinct values, got {list(u_sweep)}")
 
 
 def check_refinement_grids(grids) -> None:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equivalent import derive_equivalent_equation
 from .errors import BranchAmbiguity, PoorFit, ValidationError
 from .scheme import SchemeSpec
 
@@ -223,16 +224,19 @@ def _branch_values(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> np.ndarr
     return out.reshape(shape)
 
 
-def _check_ladder(spec: SchemeSpec, shape: tuple, norm: float, dts: np.ndarray) -> None:
-    """Raise ValidationError unless dts are a usable dt ladder for a wavevector
-    k of this shape and norm, testing in order: k has shape (d,), dts are 1-D,
-    at least 5 levels, positive, geometric, |k| lambda dt0 <= MAX_PHASE.  The
-    ladder is read sorted, largest first, as Python floats.  A NaN step fails
-    only the last test: np.sort puts it first, as dt0, and makes the first
-    ratio NaN, from which no ratio differs by more than 1e-9.
+def _check_ladder(spec: SchemeSpec, k, norm: float, dts: np.ndarray) -> None:
+    """Raise ValidationError unless dts are a usable dt ladder for the wavevector k
+    of norm np.linalg.norm(k), testing in order: k has shape (d,), that norm is
+    finite and nonzero, dts are 1-D, at least 5 levels, positive, geometric,
+    |k| lambda dt0 <= MAX_PHASE.  The ladder is read sorted, largest first, as
+    Python floats.  A NaN step fails only the last test: np.sort puts it first,
+    as dt0, and makes the first ratio NaN, from which no ratio differs by 1e-9.
     """
-    if shape != (spec.dim,):
-        raise ValidationError(f"wavevector shape {shape}, expected ({spec.dim},)")
+    if np.shape(k) != (spec.dim,):
+        raise ValidationError(f"wavevector shape {np.shape(k)}, expected ({spec.dim},)")
+    if not 0.0 < norm < math.inf:
+        raise ValidationError(f"wavevector k={tuple(float(x) for x in k)} has |k| = {norm:g} "
+                              "in floating point; the oracle compares only a finite, nonzero |k|")
     if dts.ndim != 1:
         raise ValidationError(f"dt sequence must be one-dimensional, got shape {dts.shape}")
     if len(dts) < 5:
@@ -284,32 +288,20 @@ def _symbol_series(spec: SchemeSpec, ks: np.ndarray, norms: np.ndarray, dts: np.
     Every member is then scaled from it: mu_l(k) = mu_l(khat) |k|^(l+1) and
     residual(k) = |k| residual(khat), so mu_l scales by (|k| / |k_first|)^(l+1)
     and the residual by |k| / |k_first|.  The poor-fit test runs per
-    wavevector, against its own |mu0 + 1|.  A zero wavevector gives the zero
-    series.  A ladder so fine that some mu is not finite raises
+    wavevector, against its own |mu0 + 1|.  Every |k| is finite and nonzero
+    (_check_ladder).  A ladder so fine that some mu is not finite raises
     ValidationError naming its dt0.
     """
-    moving = np.flatnonzero(norms > 0)
-    directions = ks[moving] / norms[moving, None]
-    groups: dict[bytes, int] = {}
-    owner, first = [], []  # each moving row's group, and each group's first row
-    for i, (khat, phase) in enumerate(zip(directions, phases[moving])):
-        key = khat.tobytes() + phase.tobytes()
-        if key not in groups:
-            groups[key] = len(first)
-            first.append(i)
-        owner.append(groups[key])
-    owner = np.array(owner, dtype=int)
-    mu = np.zeros((len(ks), 3), dtype=complex)
-    residual = np.zeros(len(ks))
-    if groups:
-        solved = moving[first]
-        fits, misfit = _fit(dts[solved], np.log(_branch_values(spec, ks[solved], dts[solved])))
-        ratio = norms[moving] / norms[solved][owner]  # exactly 1 for a solved row
-        powers = ratio[:, None] ** np.arange(1, 4)
-        with np.errstate(over="ignore", invalid="ignore"):  # parts apart: keeps the sign of a zero
-            mu.real[moving] = fits.real[owner] * powers
-            mu.imag[moving] = fits.imag[owner] * powers
-        residual[moving] = ratio * misfit[owner]
+    groups: dict[bytes, int] = {}  # each group's number, in order of its first row
+    owner = [groups.setdefault(khat.tobytes() + phase.tobytes(), len(groups))
+             for khat, phase in zip(ks / norms[:, None], phases)]
+    first = [owner.index(g) for g in range(len(groups))]
+    fits, misfit = _fit(dts[first], np.log(_branch_values(spec, ks[first], dts[first])))
+    ratio = norms / norms[first][owner]  # exactly 1 for a solved row
+    powers = ratio[:, None] ** np.arange(1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):  # parts apart: keeps the sign of a zero
+        mu = (fits.view(float).reshape(-1, 3, 2)[owner] * powers[..., None]).view(complex)[..., 0]
+    residual = ratio * misfit[owner]
     finite = np.isfinite(mu).all(axis=-1)
     if not finite.all():
         r = int(np.argmin(finite))
@@ -343,8 +335,9 @@ def extract_symbol_series(
     """
     k = np.asarray(k, dtype=float)
     dts = np.asarray(dt_sequence, dtype=float)
-    norm = np.linalg.norm(k)
-    _check_ladder(spec, k.shape, float(norm), np.atleast_1d(dts))
+    with np.errstate(over="ignore"):  # an overflowing |k| is inf, which _check_ladder rejects
+        norm = float(np.linalg.norm(k))
+    _check_ladder(spec, k, norm, np.atleast_1d(dts))
     mu, residual, poor = _symbol_series(spec, k[None], np.array([norm]), dts[None],
                                         norm * dts[None], on_poor_fit)
     return SymbolSeries(tuple(k.tolist()), *mu[0].tolist(), float(residual[0]), bool(poor[0]))
@@ -410,35 +403,30 @@ def compare_with_prediction(
     including poor oracle fits, are recorded rather than raised.
 
     No wavevectors raise ValidationError, and so does the first wavevector, in
-    norm order, whose ladder _check_ladder rejects; both before the oracle
-    solves anything.  The oracle then solves and fits once per
-    direction and phase ladder (see _symbol_series): with the default dt0
-    every wavevector along one direction shares one phase ladder
-    DEFAULT_PHASE / lambda / 2^m, while an explicit dt0 gives each |k| its own.
-    predicted_symbols runs once per wavevector; the errors, relative errors
-    and flags of all wavevectors are then taken as whole arrays, and the first
-    wavevector in norm order whose error is not finite raises ValidationError.
+    norm order, that _check_ladder rejects with its ladder (a zero, NaN or
+    infinite |k| among them); both before the oracle solves anything.  The
+    oracle then solves and fits once per direction and phase ladder (see
+    _symbol_series): with the default dt0 every wavevector along one direction
+    shares one phase ladder DEFAULT_PHASE / lambda / 2^m, while an explicit dt0
+    gives each |k| its own.  predicted_symbols runs once per wavevector; the
+    errors, relative errors and flags of all wavevectors are then taken as
+    whole arrays, and the first wavevector in norm order whose error is not
+    finite raises ValidationError.
     """
-    from .equivalent import derive_equivalent_equation
-
     ks = [tuple(float(x) for x in k) for k in k_samples]
-    keyed = sorted((np.linalg.norm(k), k) for k in ks)  # norm first, then the components
+    with np.errstate(over="ignore"):  # an overflowing |k| is inf, which _check_ladder rejects
+        keyed = sorted((np.linalg.norm(k), k) for k in ks)  # norm first, then the components
     if not keyed:
         raise ValidationError("no wavevectors to compare")
-    if not any(any(k) for _, k in keyed):  # NaN counts as nonzero; _check_ladder rejects it
-        raise ValidationError("no nonzero wavevector to compare")
     ks = [k for _, k in keyed]
     equation = derive_equivalent_equation(spec, order)
     norms = np.array([norm for norm, _ in keyed])
     lam = spec.vset.lam
-    if dt0 is not None:
-        base_dts = [dt0] * len(ks)
-    else:
-        base_dts = [DEFAULT_PHASE / (knorm * lam) if knorm > 0 else DEFAULT_PHASE / lam
-                    for knorm in (float(norm) for norm in norms)]
+    with np.errstate(divide="ignore"):  # a zero |k| fails _check_ladder below
+        base_dts = [dt0] * len(ks) if dt0 is not None else (DEFAULT_PHASE / (norms * lam)).tolist()
     ladders = geometric_dt_sequence(np.array(base_dts)[:, None], levels)
     for k, norm, ladder in zip(ks, norms.tolist(), ladders):
-        _check_ladder(spec, (len(k),), norm, ladder)
+        _check_ladder(spec, k, norm, ladder)
     if dt0 is not None:
         phases = norms[:, None] * ladders
     else:  # one phase ladder for all: |k| dt0 can round apart between wavevectors

@@ -66,12 +66,15 @@ def henon_sigma(s) -> tuple:
 
 
 def _require_finite(spec: SchemeSpec, what: str, coefficients) -> None:
-    """Raise ValidationError naming the smallest rate when a coefficient is not
-    finite: a rate near 0 makes sigma = 1/s - 1/2 so large that products overflow."""
+    """Raise ValidationError when a coefficient is not finite, naming the smallest
+    rate if its sigma = 1/s - 1/2 squared is past float range, else the largest |E_j|."""
     if not all(math.isfinite(coef) for coef in coefficients):
         k = min(range(1, spec.q), key=lambda j: spec.s[j])
-        raise ValidationError(f"{what} has a non-finite coefficient "
-                              f"(smallest relaxation rate s[{k}] = {spec.s[k]:g})")
+        j = max(range(spec.q), key=lambda i: abs(spec.equilibrium[i]))
+        sigma = 1.0 / spec.s[k] - 0.5
+        cause = (f"smallest relaxation rate s[{k}] = {spec.s[k]:g}" if math.isinf(sigma * sigma)
+                 else f"largest equilibrium weight |E[{j}]| = {abs(spec.equilibrium[j]):g}")
+        raise ValidationError(f"{what} has a non-finite coefficient ({cause})")
 
 
 def advection_vector(spec: SchemeSpec) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ExperimentConfig, InitialData, check_refinement_grids
+from .config import ExperimentConfig, InitialData, check_refinement_grids, check_u_sweep
 from .dispersion import ComparisonReport, compare_with_prediction
 from .equivalent import (
     derive_equivalent_equation,
@@ -189,8 +189,10 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     (first- and second-order tensors must not move; the third-order spread is
     recorded), transition_scaling (refinement study of the slaved-moment
     residual), and dhumieres_crosscheck (zero-shift regrouping).  The sweep
-    values are multiples of lambda applied to every component of the shift.
+    values are multiples of lambda applied to every component of the shift;
+    a sweep without 2 distinct values raises ValidationError before any work.
     """
+    check_u_sweep(cfg.u_sweep)
     lam, dim = cfg.spec.vset.lam, cfg.spec.dim
     sweep = [replace(cfg.spec, u_tilde=VelocityShift.zero() if m == 0.0
                      else VelocityShift.constant((float(m) * lam,) * dim))

@@ -182,10 +182,6 @@ class MomentMatrix:
         for arr in (self.m, self.m_inv):
             arr.setflags(write=False)
 
-    @property
-    def q(self) -> int:
-        return self.m.shape[-1]
-
 
 def validate_basis(basis, dim: int, q: int) -> None:
     """Check the moment-basis convention: P_0 = 1 and P_k = X_k for k = 1..dim."""

@@ -22,7 +22,7 @@ from rvlbm import (
     scheme,
 )
 from rvlbm.cli import main
-from rvlbm.config import default_k_samples
+from rvlbm.config import InitialData, default_k_samples
 from rvlbm.dispersion import ABSOLUTE_FLOORS, RELATIVE_TOLERANCES
 from rvlbm.errors import OrderUnavailable, SchemaError, ValidationError
 from rvlbm.experiments import initial_state, simulate_payload, write_json
@@ -246,6 +246,16 @@ class TestRefinementStudy:
         assert str(err.value) == message
         assert runs == []
 
+    def test_residual_pair_is_a_study_row(self):
+        cfg = load_config(reference_config("d1q3"))
+        grids = [16, 32]
+        study = experiments.refinement_study(cfg.spec, cfg.box_lengths, grids, cfg.initial,
+                                             cfg.warmup)
+        for n, row in zip(grids, study["rows"]):
+            pair = experiments.residual_pair(cfg.spec, (n,), cfg.box_lengths, cfg.initial,
+                                             cfg.warmup)
+            assert pair == row
+
 
 def loop_invariance(cfg):
     """The u_invariance section as pairwise loops: the largest c and D difference
@@ -312,6 +322,31 @@ class TestVerifyReport:
         section = experiments.verify_report(cfg)["u_invariance"]
         assert section == loop_invariance(cfg)
         assert section["mu2_max_spread"] > 0.0
+
+    @pytest.mark.parametrize("sweep, message", [
+        ((), "expected at least 2 values, got 0"),
+        ((0.2,), "expected at least 2 values, got 1"),
+        ((0.2, 0.2), "expected at least 2 distinct values, got [0.2, 0.2]"),
+    ], ids=["empty", "one", "repeated"])
+    def test_vacuous_sweep_raises_before_any_work(self, monkeypatch, sweep, message):
+        # load_config rejects these sweeps; a library caller's config bypasses it
+        cfg = replace(load_config(reference_config("d1q3")), u_sweep=sweep)
+        calls = []
+        monkeypatch.setattr(experiments, "dispersion_payload", lambda *args: calls.append(args))
+        with pytest.raises(ValidationError) as err:
+            experiments.verify_report(cfg)
+        assert str(err.value) == message
+        assert calls == []
+
+    def test_uniform_field_studies_the_default_sine(self):
+        # the residual studies need a non-uniform field: a uniform one is replaced
+        # by rho = 1 + 0.01 sin(2 pi x), which the shipped d1q3 config writes out
+        doc = json.loads(reference_config("d1q3"))
+        assert doc["initial"] == {"type": "sine", "base": 1.0, "amplitude": 0.01, "mode": [1]}
+        sine = load_config(json.dumps(doc))
+        uniform = replace(sine, initial=InitialData("uniform"))
+        assert (experiments.verify_report(uniform)["transition_scaling"]
+                == experiments.verify_report(sine)["transition_scaling"])
 
 
 class TestPayloads:
@@ -811,7 +846,28 @@ class TestCli:
             out = tmp_path / command
             result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
             assert result.exit_code == 2, result.output
-            assert "error: no nonzero wavevector to compare" in result.output
+            assert result.stderr == ("error: wavevector k=(0.0,) has |k| = 0 in floating point; "
+                                     "the oracle compares only a finite, nonzero |k|\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("k_samples, k, norm", [
+        ([[0.0], [0.4]], "0.0", "0"), ([[1e-300]], "1e-300", "0"), ([[1e300]], "1e+300", "inf"),
+    ], ids=["zero", "norm-underflows", "norm-overflows"])
+    def test_wavevector_without_finite_nonzero_norm_exits_two(self, runner, tmp_path,
+                                                              k_samples, k, norm):
+        # a norm that underflows would compare the zero series; one that overflows
+        # would warn and then blame the dt ladder
+        doc = json.loads(reference_config("d1q3"))
+        doc["analysis"]["k_samples"] = k_samples
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(doc))
+        for command in ("verify", "dispersion"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+            assert result.exit_code == 2, result.output
+            assert result.stdout == ""
+            assert result.stderr == (f"error: wavevector k=({k},) has |k| = {norm} in floating "
+                                     "point; the oracle compares only a finite, nonzero |k|\n")
             assert not out.exists()
 
     @pytest.mark.parametrize("command, target", [("verify", "verify_report"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,11 @@ class TestConstructorChecks:
     def test_wrong_length_exponents_rejected(self, build):
         with pytest.raises(DimensionMismatch, match="expected"):
             build()
+
+    def test_wrong_length_wavevector_rejected(self):
+        equation = derive_equivalent_equation(load_config(reference_config("d1q3")).spec, 3)
+        with pytest.raises(DimensionMismatch, match=r"^wavevector shape \(2,\), expected \(1,\)$"):
+            equation.symbol_series([0.4, 0.4])
 
     @pytest.mark.parametrize("build", [
         lambda: MomentPolynomial(0, ()),
@@ -902,6 +908,22 @@ class TestNonFiniteCoefficients:
         with pytest.raises(ValidationError, match=r"has a non-finite coefficient "
                                                   r"\(smallest relaxation rate s\[1\] = "):
             NON_FINITE_CHANNELS[channel](spec)
+
+    @pytest.mark.parametrize("channel", ["order3", "transition"])
+    @pytest.mark.parametrize("s, equilibrium, cause", [
+        ((0.0, 1e-200, 1.5), (0.5, 0.3, 0.2), "smallest relaxation rate s[1] = 1e-200"),
+        # every sigma is below 0.4 here: the overflow is in c and Theta
+        ((0.0, 1.2, 1.6), (1e300, -1e300, 1.0), "largest equilibrium weight |E[0]| = 1e+300"),
+    ], ids=["rate", "equilibrium"])
+    def test_error_names_the_input_that_overflowed(self, channel, s, equilibrium, cause):
+        spec = replace(load_config(reference_config("d1q3")).spec, s=s, equilibrium=equilibrium)
+        what = {"order3": "order-3 equivalent equation",
+                "transition": "order-3 transition prediction"}[channel]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Theta overflows as it is formed
+            with pytest.raises(ValidationError) as err:
+                NON_FINITE_CHANNELS[channel](spec)
+        assert str(err.value) == f"{what} has a non-finite coefficient ({cause})"
 
     @pytest.mark.parametrize("rate", [1e-200, 5e-324])
     def test_transition_error_names_the_prediction(self, rate):
