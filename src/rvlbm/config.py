@@ -228,14 +228,25 @@ def _parse_initial(value, path: str, dim: int) -> InitialData:
     else:
         mode = initial.field("mode", _array(_expect_int, dim))
         amplitude = initial.field("amplitude", _expect_number)
-        # a uniform "sine" leaves the residual studies nothing to measure
-        if amplitude == 0.0:
-            raise initial.error("amplitude", "expected a nonzero amplitude, got 0")
-        if not any(mode):
-            raise initial.error("mode", f"expected a nonzero mode, got {list(mode)}")
+        try:
+            check_initial(InitialData("sine", amplitude=amplitude, mode=mode))
+        except ValidationError as err:  # its message starts with the key it names
+            raise SchemaError(f"{initial.path}/{err}") from None
         data = InitialData("sine", initial.field("base", _expect_number, 1.0), amplitude, mode)
     initial.close()
     return data
+
+
+def check_initial(initial: InitialData) -> None:
+    """Raise ValidationError when a sine `initial` is uniform: a zero amplitude, or
+    a zero mode, leaves the residual studies nothing to measure.  The message
+    starts with the field it names, "amplitude: " or "mode: "."""
+    if initial.kind != "sine":
+        return
+    if initial.amplitude == 0.0:
+        raise ValidationError("amplitude: expected a nonzero amplitude, got 0")
+    if not any(initial.mode):
+        raise ValidationError(f"mode: expected a nonzero mode, got {list(initial.mode)}")
 
 
 def default_k_samples(dim: int) -> tuple[tuple[float, ...], ...]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,15 +74,7 @@ def amplification_matrix(spec: SchemeSpec, k, dt: float) -> AmplificationMatrix:
     if k.shape != (spec.dim,):
         raise ValidationError(f"wavevector shape {k.shape}, expected ({spec.dim},)")
     phases = np.exp(-1j * (spec.vset.velocities @ k) * dt)
-    return AmplificationMatrix(phases[:, None] * _collision_factor(spec))
-
-
-def _collision_factor(spec: SchemeSpec) -> np.ndarray:
-    """One collision as a q x q matrix, M(u)^-1 [(I - S) M(u) + S (M(u) E) 1^T]."""
-    mm = spec.moment_matrix
-    s = np.asarray(spec.s)
-    e_moments = mm.m @ np.asarray(spec.equilibrium)
-    return mm.m_inv @ ((1.0 - s)[:, None] * mm.m + (s * e_moments)[:, None])
+    return AmplificationMatrix(phases[:, None] * spec._collision_factor)
 
 
 def von_neumann_radius(spec: SchemeSpec) -> tuple[float, tuple[float, ...]]:
@@ -97,7 +90,7 @@ def von_neumann_radius(spec: SchemeSpec) -> tuple[float, tuple[float, ...]]:
     axis = np.linspace(-np.pi, np.pi, STABILITY_POINTS)
     theta = np.stack(np.meshgrid(*([axis] * spec.dim), indexing="ij"), axis=-1).reshape(-1, spec.dim)
     phases = np.exp(-1j * (theta @ np.asarray(spec.vset.lattice_vectors, dtype=float).T))
-    radii = np.abs(np.linalg.eigvals(phases[:, :, None] * _collision_factor(spec))).max(axis=1)
+    radii = np.abs(np.linalg.eigvals(phases[:, :, None] * spec._collision_factor)).max(axis=1)
     worst = int(np.argmax(radii))
     return float(radii[worst]), tuple(float(t) for t in theta[worst])
 
@@ -132,7 +125,8 @@ def _nearest(eigs: np.ndarray, hints) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(distance, axis=-1)
     # an ambiguous pick needs two eigenvalues within AMBIGUITY_GAP of its hint; the margin
     # of 2 covers np.abs rounding |eig - hint| apart below, where it sees a shorter array
-    if (distance < 2 * AMBIGUITY_GAP).sum(axis=-1).max(initial=0) < 2:
+    near = distance < 2 * AMBIGUITY_GAP
+    if np.count_nonzero(near) < 2 or near.sum(axis=-1).max() < 2:
         return order[..., 0], np.zeros(order.shape[:-1], dtype=bool)
     ranked = np.take_along_axis(eigs, order[..., :2], axis=-1)
     best = ranked[..., 0]
@@ -177,20 +171,20 @@ def _branch_values(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> np.ndarr
     """Dominant eigenvalue at each dt, followed from the smallest step upward.
 
     k has shape (..., d) and dts (..., levels) with the same leading axes; the
-    result has the shape of dts.  Every G(k, dt) is built from one collision
-    factor and all their eigenvalues come from one batched solve.  The
-    nearest-eigenvalue rule then runs twice: at the smallest dt with hint 1,
-    and at every other level with each eigenvalue of the level below as a
-    candidate hint.  The branch is followed by index through those picks.  A
-    row whose chain meets an ambiguous pick is redone from that level: a walk
-    in k there, then the rule from the walked value, level by level.
+    result has the shape of dts.  Every G(k, dt) is built from the spec's one
+    collision factor and all their eigenvalues come from one batched solve.
+    The nearest-eigenvalue rule then runs twice: at the smallest dt with hint
+    1, and at every other level with each eigenvalue of the level below as a
+    candidate hint.  The branch is followed by index through those picks.
+    Only when some pick is ambiguous are the flags along the chain read: a row
+    whose chain meets an ambiguous pick is redone from that level, a walk in k
+    there, then the rule from the walked value, level by level.
     """
     k = np.asarray(k, dtype=float)
     dts = np.asarray(dts, dtype=float)
     phases = np.exp(-1j * (k @ spec.vset.velocities.T)[..., None, :] * dts[..., None])
-    eigs = np.linalg.eigvals(phases[..., None] * _collision_factor(spec))
+    eigs = np.linalg.eigvals(phases[..., None] * spec._collision_factor)
     shape = dts.shape
-    k = k.reshape(-1, k.shape[-1])
     dts = dts.reshape(-1, shape[-1])
     levels = np.argsort(dts, axis=-1)  # smallest dt first
     rows, columns = np.arange(len(dts))[:, None], np.arange(shape[-1])
@@ -206,81 +200,111 @@ def _branch_values(spec: SchemeSpec, k: np.ndarray, dts: np.ndarray) -> np.ndarr
         chain.append(path)
     chain = np.array(chain, dtype=int).reshape(dts.shape)
     values = eigs[rows, columns, chain]
-    ambiguous = np.column_stack([start_ambiguous,
-                                 step_ambiguous[rows, columns[:-1], chain[:, :-1]]])
-    redo = np.flatnonzero(ambiguous.any(axis=-1))
-    first = np.argmax(ambiguous[redo], axis=-1)
-    # level by level, so a walk that raises is the one a level-by-level pick would meet first
-    for m in range(first.min(initial=shape[-1]), shape[-1]):
-        for r, f in zip(redo, first):
-            if m < f:
-                continue
-            # the first ambiguous level walks at once; later ones ask the rule first
-            index, unsure = _nearest(eigs[r, m], values[r, m - 1]) if m > f else (None, True)
-            values[r, m] = (_walked_eigenvalue(spec, k[r], dts[r, levels[r, m]]) if unsure
-                            else eigs[r, m, index])
+    if start_ambiguous.any() or step_ambiguous.any():  # else no chain meets an ambiguous pick
+        ambiguous = np.column_stack([start_ambiguous,
+                                     step_ambiguous[rows, columns[:-1], chain[:, :-1]]])
+        redo = np.flatnonzero(ambiguous.any(axis=-1))
+        first = np.argmax(ambiguous[redo], axis=-1)
+        k = k.reshape(-1, k.shape[-1])
+        # level by level, so a walk that raises is the one a level-by-level pick would meet first
+        for m in range(first.min(initial=shape[-1]), shape[-1]):
+            for r, f in zip(redo, first):
+                if m < f:
+                    continue
+                # the first ambiguous level walks at once; later ones ask the rule first
+                index, unsure = _nearest(eigs[r, m], values[r, m - 1]) if m > f else (None, True)
+                values[r, m] = (_walked_eigenvalue(spec, k[r], dts[r, levels[r, m]]) if unsure
+                                else eigs[r, m, index])
     out = np.empty(dts.shape, dtype=complex)
     out[rows, levels] = values
     return out.reshape(shape)
 
 
-def _check_ladder(spec: SchemeSpec, k, norm: float, dts: np.ndarray) -> None:
-    """Raise ValidationError unless dts are a usable dt ladder for the wavevector k
-    of norm np.linalg.norm(k), testing in order: k has shape (d,), that norm is
-    finite and nonzero, dts are 1-D, at least 5 levels, positive, geometric,
-    |k| lambda dt0 <= MAX_PHASE.  The ladder is read sorted, largest first, as
-    Python floats.  A NaN step fails only the last test: np.sort puts it first,
-    as dt0, and makes the first ratio NaN, from which no ratio differs by 1e-9.
+def _check_ladders(spec: SchemeSpec, ks, norms: np.ndarray, dts: np.ndarray) -> None:
+    """Raise ValidationError unless each row dts[i] is a usable dt ladder for the
+    wavevector ks[i] of norm norms[i] = np.linalg.norm(ks[i]).
+
+    The rows are tested in order, and each row in this order: ks[i] has shape
+    (d,), its norm is finite and nonzero, the ladder is 1-D, has at least 5
+    levels, is positive, is geometric, and |k| lambda dt0 <= MAX_PHASE; the
+    first failing test raises.  The ladders are read sorted, largest first,
+    in one array sort.  A NaN step fails only the last test: np.sort puts it
+    first, as dt0, and makes the first ratio NaN, from which no ratio differs
+    by 1e-9.
     """
-    if np.shape(k) != (spec.dim,):
-        raise ValidationError(f"wavevector shape {np.shape(k)}, expected ({spec.dim},)")
-    if not 0.0 < norm < math.inf:
-        raise ValidationError(f"wavevector k={tuple(float(x) for x in k)} has |k| = {norm:g} "
-                              "in floating point; the oracle compares only a finite, nonzero |k|")
-    if dts.ndim != 1:
-        raise ValidationError(f"dt sequence must be one-dimensional, got shape {dts.shape}")
-    if len(dts) < 5:
-        raise ValidationError(f"need at least 5 dt levels, got {len(dts)}")
-    ordered = np.sort(dts)[::-1].tolist()
-    if ordered[-1] <= 0:  # the smallest step, unless every step is NaN
-        raise ValidationError("dt sequence must be positive")
-    first = ordered[1] / ordered[0]
-    if any(abs(b / a - first) > 1e-9 for a, b in zip(ordered, ordered[1:])):
-        raise ValidationError("dt sequence must be geometric")
-    phase = norm * spec.vset.lam * ordered[0]
-    if not phase <= MAX_PHASE + 1e-12:
-        raise ValidationError(f"|k| lambda dt0 = {phase:g} exceeds {MAX_PHASE}")
+    if dts.ndim != 2:
+        shared = f"dt sequence must be one-dimensional, got shape {dts.shape[1:]}"
+    elif dts.shape[-1] < 5:
+        shared = f"need at least 5 dt levels, got {dts.shape[-1]}"
+    else:
+        shared = None
+        ordered = np.sort(dts, axis=-1)[:, ::-1]
+        ratios = ordered[:, 1:] / ordered[:, :-1]
+        # the smallest step is not positive, unless every step is NaN
+        nonpositive = (ordered[:, -1] <= 0).tolist()
+        skewed = (np.abs(ratios - ratios[:, :1]) > 1e-9).any(axis=-1).tolist()
+        phases = (norms * spec.vset.lam * ordered[:, 0]).tolist()
+    for i, (k, norm) in enumerate(zip(ks, norms.tolist())):
+        if np.shape(k) != (spec.dim,):
+            raise ValidationError(f"wavevector shape {np.shape(k)}, expected ({spec.dim},)")
+        if not 0.0 < norm < math.inf:
+            raise ValidationError(f"wavevector k={tuple(float(x) for x in k)} has |k| = {norm:g} "
+                                  "in floating point; the oracle compares only a finite, "
+                                  "nonzero |k|")
+        if shared is not None:
+            raise ValidationError(shared)
+        if nonpositive[i]:
+            raise ValidationError("dt sequence must be positive")
+        if skewed[i]:
+            raise ValidationError("dt sequence must be geometric")
+        if not phases[i] <= MAX_PHASE + 1e-12:
+            raise ValidationError(f"|k| lambda dt0 = {phases[i]:g} exceeds {MAX_PHASE}")
+
+
+@lru_cache(maxsize=8)
+def _fit_designs(shape: tuple[int, int], t: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The even (t, t^3, t^5, t^7) and odd (t^2, t^4, t^6) designs, (n, levels, 4)
+    and (n, levels, 3), over the ladders t = dts / dt0 of the given shape and
+    bytes, read-only.  Every halving ladder has t = 2^-m, so calls that fit
+    one ladder shape build their designs once."""
+    t = np.frombuffer(t).reshape(shape)
+    designs = np.stack([t, t**3, t**5, t**7], axis=-1), np.stack([t**2, t**4, t**6], axis=-1)
+    for design in designs:
+        design.setflags(write=False)
+    return designs
 
 
 def _fit(dts: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fit each row of z = log(g) over its (n, levels) ladder dts (see extract_symbol_series).
 
     Returns mu0, mu1, mu2 as an (n, 3) complex array and the fit residual (n,).
-    The even (Im) and odd (Re) fits run over t = dts / dt0 with one lstsq per
-    row and part; the reconstruction and the residual run for all rows at once.
+    The even (Im) and odd (Re) fits run over t = dts / dt0, on the designs of
+    _fit_designs, with one lstsq per row and part; the reconstruction and the
+    residual run for all rows at once.  The caller holds np.errstate: a
+    non-finite mu is its to reject.
     """
     dt0 = dts.max(axis=-1)
     t = dts / dt0[:, None]
-    even, odd = np.stack([t, t**3, t**5, t**7], axis=-1), np.stack([t**2, t**4, t**6], axis=-1)
+    even, odd = _fit_designs(t.shape, t.tobytes())
     coef_even = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(even, z.imag)])
     coef_odd = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(odd, z.real)])
     fitted = (odd @ coef_odd[..., None])[..., 0] + 1j * (even @ coef_even[..., None])[..., 0]
-    residual = np.max(np.abs(fitted - z) / dts, axis=-1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked by the caller
-        mu = np.stack([1j * (coef_even[:, 0] / dt0), (coef_odd[:, 0] / dt0**2).astype(complex),
-                       1j * (coef_even[:, 1] / dt0**3)], axis=-1)
+    residual = (np.abs(fitted - z) / dts).max(axis=-1)
+    mu = np.empty((len(dts), 3), dtype=complex)
+    mu[:, 0] = 1j * (coef_even[:, 0] / dt0)
+    mu[:, 1] = coef_odd[:, 0] / dt0**2
+    mu[:, 2] = 1j * (coef_even[:, 1] / dt0**3)
     return mu, residual
 
 
 def _symbol_series(spec: SchemeSpec, ks: np.ndarray, norms: np.ndarray, dts: np.ndarray,
-                   phases: np.ndarray, on_poor_fit: str
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   phases, on_poor_fit: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fitted series at each (d,) wavevector ks[i] over its (levels,) dt ladder dts[i].
 
     Returns arrays, one row per wavevector: mu0, mu1, mu2 as an (n, 3) complex
     array, the fit residual (n,) and the poor-fit flag (n,).  norms[i] is
-    np.linalg.norm(ks[i]) and phases[i] is the phase ladder
-    |k| dts[i].  G(k, dt) depends on k and dt only through the phases
+    np.linalg.norm(ks[i]) and phases[i], an array row or one ladder shared by
+    every row, is the phase ladder |k| dts[i].  G(k, dt) depends on k and dt only through the phases
     dt k.v_j = (|k| dt) khat.v_j with khat = k / |k|, so wavevectors whose
     direction khat and phase ladder are bitwise equal share every matrix.
     Each such group is solved once, at its first wavevector over that one's
@@ -289,22 +313,22 @@ def _symbol_series(spec: SchemeSpec, ks: np.ndarray, norms: np.ndarray, dts: np.
     residual(k) = |k| residual(khat), so mu_l scales by (|k| / |k_first|)^(l+1)
     and the residual by |k| / |k_first|.  The poor-fit test runs per
     wavevector, against its own |mu0 + 1|.  Every |k| is finite and nonzero
-    (_check_ladder).  A ladder so fine that some mu is not finite raises
-    ValidationError naming its dt0.
+    (_check_ladders).  The caller holds np.errstate: a ladder so fine that
+    some mu is not finite raises ValidationError naming its dt0.
     """
     groups: dict[bytes, int] = {}  # each group's number, in order of its first row
     owner = [groups.setdefault(khat.tobytes() + phase.tobytes(), len(groups))
              for khat, phase in zip(ks / norms[:, None], phases)]
     first = [owner.index(g) for g in range(len(groups))]
-    fits, misfit = _fit(dts[first], np.log(_branch_values(spec, ks[first], dts[first])))
+    solved = dts[first]
+    fits, misfit = _fit(solved, np.log(_branch_values(spec, ks[first], solved)))
     ratio = norms / norms[first][owner]  # exactly 1 for a solved row
     powers = ratio[:, None] ** np.arange(1, 4)
-    with np.errstate(over="ignore", invalid="ignore"):  # parts apart: keeps the sign of a zero
-        mu = (fits.view(float).reshape(-1, 3, 2)[owner] * powers[..., None]).view(complex)[..., 0]
+    # parts apart: keeps the sign of a zero
+    mu = (fits.view(float).reshape(-1, 3, 2)[owner] * powers[..., None]).view(complex)[..., 0]
     residual = ratio * misfit[owner]
-    finite = np.isfinite(mu).all(axis=-1)
-    if not finite.all():
-        r = int(np.argmin(finite))
+    if not np.isfinite(mu).all():
+        r = int(np.argmin(np.isfinite(mu).all(axis=-1)))
         raise ValidationError(f"dt0 = {dts[r].max():g} is too small: the fitted mu "
                               f"at k={tuple(float(x) for x in ks[r])} is not finite")
     shifted = mu[:, 0] + 1.0
@@ -335,11 +359,12 @@ def extract_symbol_series(
     """
     k = np.asarray(k, dtype=float)
     dts = np.asarray(dt_sequence, dtype=float)
-    with np.errstate(over="ignore"):  # an overflowing |k| is inf, which _check_ladder rejects
-        norm = float(np.linalg.norm(k))
-    _check_ladder(spec, k, norm, np.atleast_1d(dts))
-    mu, residual, poor = _symbol_series(spec, k[None], np.array([norm]), dts[None],
-                                        norm * dts[None], on_poor_fit)
+    # an overflowing |k| is inf, which _check_ladders rejects, as _symbol_series does a non-finite mu
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        norms = np.array([np.linalg.norm(k)])
+        _check_ladders(spec, [k], norms, np.atleast_1d(dts)[None])
+        mu, residual, poor = _symbol_series(spec, k[None], norms, dts[None], norms * dts[None],
+                                            on_poor_fit)
     return SymbolSeries(tuple(k.tolist()), *mu[0].tolist(), float(residual[0]), bool(poor[0]))
 
 
@@ -403,7 +428,7 @@ def compare_with_prediction(
     including poor oracle fits, are recorded rather than raised.
 
     No wavevectors raise ValidationError, and so does the first wavevector, in
-    norm order, that _check_ladder rejects with its ladder (a zero, NaN or
+    norm order, that _check_ladders rejects with its ladder (a zero, NaN or
     infinite |k| among them); both before the oracle solves anything.  The
     oracle then solves and fits once per direction and phase ladder (see
     _symbol_series): with the default dt0 every wavevector along one direction
@@ -411,29 +436,37 @@ def compare_with_prediction(
     gives each |k| its own.  predicted_symbols runs once per wavevector; the
     errors, relative errors and flags of all wavevectors are then taken as
     whole arrays, and the first wavevector in norm order whose error is not
-    finite raises ValidationError.
+    finite raises ValidationError.  The spec's collision factor and the fit
+    designs are the only work kept from one call to the next.
     """
-    ks = [tuple(float(x) for x in k) for k in k_samples]
-    with np.errstate(over="ignore"):  # an overflowing |k| is inf, which _check_ladder rejects
-        keyed = sorted((np.linalg.norm(k), k) for k in ks)  # norm first, then the components
-    if not keyed:
-        raise ValidationError("no wavevectors to compare")
-    ks = [k for _, k in keyed]
-    equation = derive_equivalent_equation(spec, order)
-    norms = np.array([norm for norm, _ in keyed])
-    lam = spec.vset.lam
-    with np.errstate(divide="ignore"):  # a zero |k| fails _check_ladder below
+    ks = [tuple(map(float, k)) for k in k_samples]
+    # an overflowing |k| is inf, which _check_ladders rejects; so are a NaN or infinite
+    # predicted symbol and a non-finite mu, each with its own error
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if len({len(k) for k in ks}) == 1:  # np.linalg.norm's own dot, for all rows in one matmul
+            rows = np.array(ks)
+            norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+        else:  # no wavevectors, or two lengths, which _check_ladders rejects
+            rows = None
+            norms = np.array([np.linalg.norm(k) for k in ks])
+        if not ks:
+            raise ValidationError("no wavevectors to compare")
+        keys = norms.tolist()
+        by_norm = sorted(range(len(ks)), key=lambda i: (keys[i], ks[i]))  # then the components
+        ks = [ks[i] for i in by_norm]
+        rows = ks if rows is None else rows[by_norm]
+        norms = norms[by_norm]
+        equation = derive_equivalent_equation(spec, order)
+        lam = spec.vset.lam
         base_dts = [dt0] * len(ks) if dt0 is not None else (DEFAULT_PHASE / (norms * lam)).tolist()
-    ladders = geometric_dt_sequence(np.array(base_dts)[:, None], levels)
-    for k, norm, ladder in zip(ks, norms.tolist(), ladders):
-        _check_ladder(spec, k, norm, ladder)
-    if dt0 is not None:
-        phases = norms[:, None] * ladders
-    else:  # one phase ladder for all: |k| dt0 can round apart between wavevectors
-        phases = geometric_dt_sequence(np.full((len(ks), 1), DEFAULT_PHASE / lam), levels)
-    mu, residual, poor = _symbol_series(spec, np.array(ks), norms, ladders, phases, "flag")
-    measured = mu[:, :order]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an overflow raises below
+        ladders = geometric_dt_sequence(np.array(base_dts)[:, None], levels)
+        _check_ladders(spec, rows, norms, ladders)
+        if dt0 is not None:
+            phases = norms[:, None] * ladders
+        else:  # one phase ladder for all: |k| dt0 can round apart between wavevectors
+            phases = [geometric_dt_sequence(DEFAULT_PHASE / lam, levels)] * len(ks)
+        mu, residual, poor = _symbol_series(spec, rows, norms, ladders, phases, "flag")
+        measured = mu[:, :order]
         predicted = np.array([predicted_symbols(equation, k) for k in ks], dtype=complex)
         diff = predicted[:, :order] - measured
         # hypot is abs() on one complex number; np.abs on an array can round apart from it

@@ -256,9 +256,9 @@ def _derive(spec: SchemeSpec, order: int) -> EquivalentEquation:
     what = f"order-{order} equivalent equation"
     mm = spec.moment_matrix
     ew = np.asarray(spec.equilibrium)
-    theta = conservation_defaults(spec)
     sigma = np.array(henon_sigma(spec.s)[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient raises
+        theta = conservation_defaults(spec)
         a1, D = _diffusion(spec, sigma, theta, what)
         if order == 2:
             return EquivalentEquation(d, 2, (a0, a1), c, D, None)
@@ -318,9 +318,9 @@ def transition_prediction(spec: SchemeSpec, order: int) -> XiPrediction:
     what = f"order-{order} transition prediction"
     sigma = henon_sigma(spec.s)
     e = (mm.m @ np.asarray(spec.equilibrium)).tolist()
-    theta = conservation_defaults(spec)
-    parts = [[theta[k]] for k in range(q)]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient raises
+        theta = conservation_defaults(spec)
+        parts = [[theta[k]] for k in range(q)]
         if order == 3:
             rates = np.array(sigma[1:])
             _, D = _diffusion(spec, rates, theta, what)

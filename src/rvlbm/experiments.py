@@ -18,7 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ExperimentConfig, InitialData, check_refinement_grids, check_u_sweep
+from .config import (ExperimentConfig, InitialData, check_initial, check_refinement_grids,
+                     check_u_sweep)
 from .dispersion import ComparisonReport, compare_with_prediction
 from .equivalent import (
     derive_equivalent_equation,
@@ -140,12 +141,14 @@ def refinement_study(spec: SchemeSpec, box_lengths, grids, initial: InitialData,
 
     `grids` must hold at least 2 distinct values and increase, coarsest
     first: each ratio divides a grid's residual by the next finer grid's.
-    Any other list raises ValidationError before the first run.
+    Any other list, or a uniform sine `initial` (config.check_initial), raises
+    ValidationError before the first run.
 
     Residuals at the rounding floor are reported with slope "floor" instead of
     a meaningless fit.
     """
     check_refinement_grids(grids)
+    check_initial(initial)
     d = len(box_lengths)
     prediction = transition_prediction(spec, 3)
     rows = [_residual_pair(spec, (int(n),) * d, box_lengths, initial, warmup, prediction)

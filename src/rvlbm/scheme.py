@@ -137,6 +137,17 @@ class SchemeSpec:
         k.setflags(write=False)
         return _Collision(matrix.m, k, matrix.m_inv)
 
+    @cached_property
+    def _collision_factor(self) -> np.ndarray:
+        """One collision at the constant shift as a q x q matrix,
+        M(u)^-1 [(I - S) M(u) + S (M(u) E) 1^T], built on first use, read-only."""
+        mm = self.moment_matrix
+        s = np.asarray(self.s)
+        e_moments = mm.m @ np.asarray(self.equilibrium)
+        c = mm.m_inv @ ((1.0 - s)[:, None] * mm.m + (s * e_moments)[:, None])
+        c.setflags(write=False)
+        return c
+
 
 @dataclass(frozen=True)
 class StateField:

@@ -246,6 +246,20 @@ class TestRefinementStudy:
         assert str(err.value) == message
         assert runs == []
 
+    @pytest.mark.parametrize("initial, message", [
+        (InitialData("sine", 1.0, 0.0, (1,)), "amplitude: expected a nonzero amplitude, got 0"),
+        (InitialData("sine", 1.0, 0.01, (0,)), "mode: expected a nonzero mode, got [0]"),
+    ], ids=["amplitude", "mode"])
+    def test_uniform_sine_raises_before_any_run(self, monkeypatch, initial, message):
+        # a uniform "sine" would leave both residuals at the floor, which passes
+        cfg = load_config(reference_config("d1q3"))
+        runs = []
+        monkeypatch.setattr(experiments, "_residual_pair", lambda *args: runs.append(args))
+        with pytest.raises(ValidationError) as err:
+            experiments.refinement_study(cfg.spec, cfg.box_lengths, [64, 128, 256], initial, 40)
+        assert str(err.value) == message
+        assert runs == []
+
     def test_residual_pair_is_a_study_row(self):
         cfg = load_config(reference_config("d1q3"))
         grids = [16, 32]
@@ -868,6 +882,23 @@ class TestCli:
             assert result.stdout == ""
             assert result.stderr == (f"error: wavevector k=({k},) has |k| = {norm} in floating "
                                      "point; the oracle compares only a finite, nonzero |k|\n")
+            assert not out.exists()
+
+    def test_overflowing_equilibrium_exits_two_with_one_error_line(self, runner, tmp_path):
+        # Theta = M (E o v) - (M E) (x) c overflows as it is formed: the derivation and
+        # the transition prediction report their typed error, and no numpy warning
+        doc = json.loads(reference_config("d1q3"))
+        doc["scheme"]["equilibrium"] = [1e300, -1e300, 1.0]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        for command, what in (("verify", "equivalent equation"), ("analyze", "equivalent equation"),
+                              ("dispersion", "equivalent equation"),
+                              ("convergence", "transition prediction")):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(path), "--output", str(out)])
+            assert result.exit_code == 2, (command, result.output)
+            assert result.stderr == (f"error: order-3 {what} has a non-finite coefficient "
+                                     "(largest equilibrium weight |E[0]| = 1e+300)\n")
             assert not out.exists()
 
     @pytest.mark.parametrize("command, target", [("verify", "verify_report"),

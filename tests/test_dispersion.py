@@ -1,5 +1,6 @@
 import json
 import math
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -604,6 +605,47 @@ class TestBatchedOracle:
         with pytest.raises(ValidationError, match=r"^wavevector k=\(0\.0,\) has \|k\| = 0 "):
             compare_with_prediction(d1q2_spec(c=0.3, s1=1.2), [[0.5], [0.0]])
         assert calls == []
+
+
+class TestFixedWork:
+    """The work an oracle call does once: the collision factor per spec, the fit
+    designs per ladder shape."""
+
+    def test_collision_factor_built_once_per_spec(self, monkeypatch):
+        built = []
+        factor = SchemeSpec.__dict__["_collision_factor"]
+        counting = cached_property(lambda spec_: built.append(spec_) or factor.func(spec_))
+        counting.__set_name__(SchemeSpec, "_collision_factor")
+        monkeypatch.setattr(SchemeSpec, "_collision_factor", counting)
+        spec = d1q3_spec(u=0.2)
+        assert compare_with_prediction(spec, default_k_samples(1)).passed
+        assert built == [spec]
+        # warm: the comparison, the matrix, the radius and a walk in k read the same factor
+        compare_with_prediction(spec, default_k_samples(1), dt0=0.02)
+        amplification_matrix(spec, [0.4], 0.01)
+        dispersion.von_neumann_radius(spec)
+        dispersion._walked_eigenvalue(spec, np.array([0.4]), 0.01)
+        assert built == [spec]
+        assert not spec._collision_factor.flags.writeable
+        # a new spec, even an equal one, builds its own
+        compare_with_prediction(d1q3_spec(u=0.2), default_k_samples(1))
+        assert len(built) == 2
+
+    def test_fit_designs_built_once_per_ladder_shape(self):
+        # every halving ladder has t = 2^-m: the shipped configs solve one (1, 10)
+        # ladder per 1D comparison and a (5, 10) stack per d2q5 one
+        dispersion._fit_designs.cache_clear()
+        for _ in range(2):
+            for name in ("d1q2", "d1q3", "d2q5"):
+                cfg = load_config(reference_config(name))
+                for u in cfg.u_sweep:
+                    spec = replace(cfg.spec, u_tilde=VelocityShift.constant((u,) * cfg.spec.dim))
+                    assert compare_with_prediction(spec, cfg.k_samples).passed
+        assert dispersion._fit_designs.cache_info().misses == 2
+        even, odd = dispersion._fit_designs((1, 10), geometric_dt_sequence(1.0, 10).tobytes())
+        assert dispersion._fit_designs.cache_info().misses == 2
+        assert even.shape == (1, 10, 4) and odd.shape == (1, 10, 3)
+        assert not even.flags.writeable and not odd.flags.writeable
 
 
 EPS = float(np.finfo(float).eps)

@@ -925,6 +925,24 @@ class TestNonFiniteCoefficients:
                 NON_FINITE_CHANNELS[channel](spec)
         assert str(err.value) == f"{what} has a non-finite coefficient ({cause})"
 
+    @pytest.mark.parametrize("order, channel", [(2, "equivalent equation"),
+                                                (3, "equivalent equation"),
+                                                (2, "transition prediction"),
+                                                (3, "transition prediction")])
+    def test_overflowing_theta_raises_no_warning(self, order, channel):
+        # Theta is formed inside the derivation's np.errstate, so its overflow
+        # reaches the caller as the typed error alone
+        spec = replace(load_config(reference_config("d1q3")).spec, s=(0.0, 1.2, 1.6),
+                       equilibrium=(1e300, -1e300, 1.0))
+        derive = (derive_equivalent_equation if channel == "equivalent equation"
+                  else transition_prediction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                derive(spec, order)
+        assert str(err.value) == (f"order-{order} {channel} has a non-finite coefficient "
+                                  "(largest equilibrium weight |E[0]| = 1e+300)")
+
     @pytest.mark.parametrize("rate", [1e-200, 5e-324])
     def test_transition_error_names_the_prediction(self, rate):
         # A_1 is read inside the prediction, so its overflow is reported as the
