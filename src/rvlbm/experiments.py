@@ -100,19 +100,28 @@ def residual_pair(spec: SchemeSpec, grid_sizes, box_lengths, initial: InitialDat
 def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction) -> dict:
     """residual_pair given the transition prediction.
 
-    One FFT of rho serves every xi_k.  Each xi_k = xi_k[0] + dt xi_k[1] is
-    one term tuple, with xi_k[1]'s coefficients scaled by dt, so it builds
-    one symbol grid and takes one inverse FFT, and no grid outlives its
-    product with the spectrum.
+    The initial state goes straight into `run`, so the run holds two
+    full-grid arrays, and the final state is let go once its moments are
+    taken.  Both residuals are formed component by component in one reused
+    grid-sized scratch array, with the operands of the whole-array formulas
+    in their order, so they round as those do.  One FFT of rho serves every
+    xi_k.  Each xi_k = xi_k[0] + dt xi_k[1] is one term tuple, with xi_k[1]'s
+    coefficients scaled by dt, so it builds one symbol grid and takes one
+    inverse FFT, and no grid outlives its product with the spectrum.
     """
-    state = initial_state(spec, grid_sizes, box_lengths, initial)
-    state = run(state, spec, warmup)
+    state = run(initial_state(spec, grid_sizes, box_lengths, initial), spec, warmup)
     rho = density(state.f)
-    ew = np.asarray(spec.equilibrium).reshape((spec.q,) + (1,) * rho.ndim)
-    r_eq = float(np.max(np.abs(state.f - ew * rho)))
+    scratch = np.empty_like(rho)
 
+    def max_abs_difference(minuend, subtrahend):
+        np.subtract(minuend, subtrahend, out=scratch)
+        return np.max(np.abs(scratch, out=scratch))
+
+    r_eq = float(np.max([max_abs_difference(f_j, np.multiply(e_j, rho, out=scratch))
+                         for f_j, e_j in zip(state.f, spec.equilibrium)]))
     m = moment_field(state, spec)
-    dt = state.dt
+    dx, dt = state.dx, state.dt
+    del state
     rho_hat = np.fft.fftn(rho)
     ik = _wavenumbers(rho.shape, box_lengths)
     r_tr = 0.0
@@ -120,11 +129,13 @@ def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction) -
         xi = prediction.xi[k]
         terms = xi[0] + tuple((e, dt * c) for e, c in xi[1])
         xi_field = np.fft.ifftn(evaluate_terms(terms, ik) * rho_hat).real
-        predicted = prediction.e[k] * rho + dt * prediction.pre_collision_factor(k) * xi_field
-        r_tr = max(r_tr, float(np.max(np.abs(m[k] - predicted))))
+        # predicted = e_k rho + (dt * pre_collision_factor) xi_field, summed in scratch
+        np.multiply(prediction.e[k], rho, out=scratch)
+        scratch += np.multiply(dt * prediction.pre_collision_factor(k), xi_field, out=xi_field)
+        r_tr = max(r_tr, float(max_abs_difference(m[k], scratch)))
     return {
         "grid": list(grid_sizes),
-        "dx": state.dx,
+        "dx": dx,
         "dt": dt,
         "equilibrium_residual": r_eq,
         "transition_residual": r_tr,
@@ -192,10 +203,14 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     (first- and second-order tensors must not move; the third-order spread is
     recorded), transition_scaling (refinement study of the slaved-moment
     residual), and dhumieres_crosscheck (zero-shift regrouping).  The sweep
-    values are multiples of lambda applied to every component of the shift;
-    a sweep without 2 distinct values raises ValidationError before any work.
+    values are multiples of lambda applied to every component of the shift.
+    A sweep without 2 distinct values, and the refinement study's grid and
+    initial-field rules (refinement_study), raise ValidationError before any
+    work.
     """
     check_u_sweep(cfg.u_sweep)
+    check_refinement_grids(cfg.grids[:3])
+    check_initial(_transition_initial(cfg))
     lam, dim = cfg.spec.vset.lam, cfg.spec.dim
     sweep = [replace(cfg.spec, u_tilde=VelocityShift.zero() if m == 0.0
                      else VelocityShift.constant((float(m) * lam,) * dim))

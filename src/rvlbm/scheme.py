@@ -11,14 +11,16 @@ against the amplification matrix, collides as its real and imaginary parts:
 one collider per `run` or `collide` call applies the real operators to the
 state's float view, and the per-step loop makes one call into it.  A small
 state's two (q, q) x (q, n) products go through np.dot, a large one's through
-np.matmul: both reach the same BLAS gemm, and np.dot dispatches faster.
+np.matmul, one block of BLOCK_CELLS cells at a time: every product reaches the
+same BLAS gemm and forms each output element alike, and np.dot dispatches
+faster.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +33,9 @@ SPACING_RTOL = 1e-9
 # largest real (q, n) operand the collision multiplies through np.dot; above
 # it np.matmul runs the same gemm faster (d2q5 breaks even near 32^2 = 5,120)
 DOT_MAX_ELEMENTS = 4096
+# cells per collision block: a larger state runs both products and the add one
+# block of columns at a time, through one block-sized K f buffer (README table)
+BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -305,9 +310,9 @@ class _Collider:
     It binds the real K and M(u)^-1 of _shift_matrices as they are and three
     C-contiguous buffers: `f` in the state's dtype (promoted to at least
     float64), into which the caller's state.f is copied once here, whatever
-    its order; the collided f `out` in that dtype; and a real one for K f.
-    A field shift adds a real buffer for the per-cell products.  Nothing
-    writes into state.f.
+    its order; the collided f `out` in that dtype; and a real one for K f of
+    at most BLOCK_CELLS cells.  A field shift adds a real buffer of that size
+    for the per-cell products.  Nothing writes into state.f.
 
     A real operator maps the real and imaginary parts of a complex state each
     on their own, so a complex f is collided as its float view: (q, 2 cells)
@@ -315,12 +320,17 @@ class _Collider:
     covers the pair axis.  Neither K nor a per-cell stack is cast or copied
     to complex, and each step pays a real product, not a complex one.
 
-    The two (q, q) x (q, n) products K f and M(u)^-1 (K f) go through np.dot
-    when the real (q, n) view has at most DOT_MAX_ELEMENTS elements, and
-    through np.matmul above that, picked once here.  Both call the same
-    dgemm on these C-contiguous float64 operands, so the choice changes no
-    bit of the result; it only trades np.matmul's gufunc dispatch, about
-    0.7 us per call, against np.dot's slower handling of large operands.
+    A state of more than BLOCK_CELLS cells collides block by block: each
+    block of BLOCK_CELLS cells (the last one shorter) runs both products and
+    the add on its own columns, through the one block-sized K f buffer.  A
+    state of at most one block is one block with the whole K f buffer: its
+    two (q, q) x (q, n) products go through np.dot when the real (q, n) view
+    has at most DOT_MAX_ELEMENTS elements, and through np.matmul above that,
+    picked once here.  Every product calls the same dgemm, and each output
+    element is the same q-term dot product whichever columns share the call,
+    so neither the blocks nor the choice changes a bit of the result; np.dot
+    only saves np.matmul's gufunc dispatch, about 0.7 us per call, and the
+    blocks keep each block's operands in cache between the three calls.
     + f is its own add after the second product, so a run rounds exactly as
     a plain np.matmul loop does on whichever BLAS kernel runs it.
 
@@ -339,31 +349,45 @@ class _Collider:
         np.copyto(self.f, state.f)
         self.out = np.empty_like(self.f)
         real = self.f.real.dtype
-        pair = () if real == self.f.dtype else (2,)
+        per = 1 if real == self.f.dtype else 2  # real columns per cell
         f, out = (a.view(real).reshape(spec.q, -1) for a in (self.f, self.out))
-        kf = np.empty_like(out)
+        cells = self.f[0].size
+        block = min(cells, BLOCK_CELLS)
+        kf = np.empty((spec.q, per * block), real)
         k, m_inv = ops.k, ops.m_inv
         # a positional out parses faster than out=, a saving a 64-cell step notices
-        product = np.dot if out.size <= DOT_MAX_ELEMENTS else np.matmul
+        product = np.dot if cells == block and out.size <= DOT_MAX_ELEMENTS else np.matmul
         add = np.add
+        spans = [(c, min(c + block, cells)) for c in range(0, cells, block)]
+        blocks = [(f[:, per * c0:per * c1], kf[:, :per * (c1 - c0)], out[:, per * c0:per * c1])
+                  for c0, c1 in spans]
         if ops.dk is None:
-            def apply():
+            def collide_block(f, kf, out):
                 product(k, f, kf)
                 product(m_inv, kf, out)
                 add(out, f, out)
         else:
             dk, dm_inv, einsum = ops.dk, ops.dm_inv, np.einsum
-            cells = (spec.q, -1) + pair
-            f_cells, kf_cells, out_cells = f.reshape(cells), kf.reshape(cells), out.reshape(cells)
-            products = np.empty_like(out_cells)
+            shape = (spec.q, -1) + ((per,) if per == 2 else ())
+            f_cells, kf_cells, out_cells = f.reshape(shape), kf.reshape(shape), out.reshape(shape)
+            products = np.empty_like(kf_cells)
+            blocks = [views + (f_cells[:, c0:c1], kf_cells[:, :c1 - c0], out_cells[:, c0:c1],
+                               dk[:, :, c0:c1], dm_inv[:, :, c0:c1], products[:, :c1 - c0])
+                      for views, (c0, c1) in zip(blocks, spans)]
 
-            def apply():
+            def collide_block(f, kf, out, f_cells, kf_cells, out_cells, dk, dm_inv, products):
                 product(k, f, kf)
                 add(kf_cells, einsum("kjc,jc...->kc...", dk, f_cells, out=products), kf_cells)
                 product(m_inv, kf, out)
                 add(out_cells, einsum("kjc,jc...->kc...", dm_inv, kf_cells, out=products), out_cells)
                 add(out, f, out)
-        self.apply = apply
+        if len(blocks) == 1:
+            self.apply = partial(collide_block, *blocks[0])
+        else:
+            def apply():
+                for args in blocks:
+                    collide_block(*args)
+            self.apply = apply
 
 
 def collide(state: StateField, spec: SchemeSpec) -> StateField:
@@ -408,14 +432,21 @@ def stream(state: StateField, vset: VelocitySet) -> StateField:
     return replace(state, f=out)
 
 
-def _step_count(steps) -> int:
-    """`steps` as an int; a negative or non-integral count raises ValidationError."""
+def _step_count(state: StateField, spec: SchemeSpec, steps) -> int:
+    """`steps` as an int, for a state whose dx/dt is the scheme's lam.
+
+    A negative or non-integral count, or another spacing, raises ValidationError.
+    """
     try:
         n = int(steps)
     except (TypeError, ValueError, OverflowError):
         n = -1
     if n < 0 or n != steps:
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
+    if abs(state.dx / state.dt - spec.vset.lam) > 1e-9 * spec.vset.lam:
+        raise ValidationError(
+            f"state spacing dx/dt = {state.dx / state.dt!r} does not match lam = {spec.vset.lam!r}"
+        )
     return n
 
 
@@ -425,31 +456,37 @@ def step(state: StateField, spec: SchemeSpec) -> StateField:
 
 
 def run(state: StateField, spec: SchemeSpec, steps: int) -> StateField:
-    """Apply `steps` updates and return the final state; the input state is not modified."""
-    f = None
-    for f in _advance(state, spec, steps):
+    """Apply `steps` updates and return the final state; the input state is not modified.
+
+    Past the checks run keeps only the input's grid, and _advance lets go of
+    the input once the collider has copied it: an input array that the caller
+    does not hold is freed before the first update, so a run holds two
+    full-grid arrays, not three.
+    """
+    if _step_count(state, spec, steps) == 0:
+        return state
+    updates = _advance(state, spec, steps)
+    state = replace(state, f=None)
+    for f in updates:
         pass
-    return state if f is None else replace(state, f=f)
+    return replace(state, f=f)
 
 
 def _advance(state: StateField, spec: SchemeSpec, steps: int):
     """Yield f after each of `steps` updates of `state`: the one collide-and-stream loop.
 
-    The collider copies state.f into its own f once; the stream plan's view
-    pairs, built once, stream the collided f straight back into it.  So a
-    step is apply() and the plan's copies, allocates nothing and builds no
-    view, and every yielded array is that same f, overwritten by the next
-    step.
+    The collider copies state.f into its own f once, and the loop drops its
+    reference to `state` then; the stream plan's view pairs, built once,
+    stream the collided f straight back into it.  So a step is apply() and
+    the plan's copies, allocates nothing and builds no view, and every
+    yielded array is that same f, overwritten by the next step.
     The step count and dx/dt are checked on the first iteration.
     """
-    steps = _step_count(steps)
-    if abs(state.dx / state.dt - spec.vset.lam) > 1e-9 * spec.vset.lam:
-        raise ValidationError(
-            f"state spacing dx/dt = {state.dx / state.dt!r} does not match lam = {spec.vset.lam!r}"
-        )
+    steps = _step_count(state, spec, steps)
     if steps == 0:
         return
     collider = _Collider(spec, state)
+    del state
     apply, f = collider.apply, collider.f
     plan = _stream_plan(spec.vset, f, collider.out)
     for _ in range(steps):

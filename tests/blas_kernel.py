@@ -28,6 +28,7 @@ BITWISE_TESTS = [
     "TestSignedZeros",
     "TestComplexStates",
     "TestRun",
+    "TestCollisionBlocks",
     "TestStep::test_zero_amplitude_sine_matches_zero_shift",
     "TestStep::test_zero_amplitude_sine_matches_zero_shift_on_shipped_configs",
 ]

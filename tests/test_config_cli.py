@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 from dataclasses import replace
@@ -260,6 +261,23 @@ class TestRefinementStudy:
         assert str(err.value) == message
         assert runs == []
 
+    def test_residual_pair_holds_few_state_arrays(self):
+        # at most the run's input, f and out plus one K f block, or the moments
+        # with the density and its FFT grids: 4.4 state arrays before blocking
+        cfg = load_config(reference_config("d2q5"))
+        n = 128
+        args = (cfg.spec, (n, n), cfg.box_lengths, experiments._transition_initial(cfg), cfg.warmup,
+                experiments.transition_prediction(cfg.spec, 3))
+        experiments._residual_pair(*args)  # fills the lazy operator caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            experiments._residual_pair(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / (cfg.spec.q * n * n * 8) < 3.5
+
     def test_residual_pair_is_a_study_row(self):
         cfg = load_config(reference_config("d1q3"))
         grids = [16, 32]
@@ -347,6 +365,21 @@ class TestVerifyReport:
         cfg = replace(load_config(reference_config("d1q3")), u_sweep=sweep)
         calls = []
         monkeypatch.setattr(experiments, "dispersion_payload", lambda *args: calls.append(args))
+        with pytest.raises(ValidationError) as err:
+            experiments.verify_report(cfg)
+        assert str(err.value) == message
+        assert calls == []
+
+    @pytest.mark.parametrize("change, message", [
+        ({"initial": InitialData("sine", 1.0, 0.0, (1,))}, "amplitude: expected a nonzero amplitude, got 0"),
+        ({"grids": (64,)}, "expected at least 2 distinct values, got [64]"),
+        ({"grids": (128, 64)}, "expected increasing values, got [128, 64]"),
+    ], ids=["zero_amplitude", "one_grid", "decreasing"])
+    def test_refinement_rules_raise_before_any_work(self, monkeypatch, change, message):
+        # load_config rejects these too; a library caller's config bypasses it
+        cfg = replace(load_config(reference_config("d1q3")), **change)
+        calls = []
+        monkeypatch.setattr(experiments, "compare_with_prediction", lambda *args, **kw: calls.append(args))
         with pytest.raises(ValidationError) as err:
             experiments.verify_report(cfg)
         assert str(err.value) == message

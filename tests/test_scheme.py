@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -726,6 +727,77 @@ class TestSignedZeros:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+
+
+def _signed_zero_d1q3(cells):
+    """d1q3 with a zero weight on a Fourier state whose zero populations are -0.0."""
+    spec = d1q3_spec(s=(0.0, 1.0, 1.0), e=(0.5, 0.5, 0.0))
+    return spec, fourier_mode_state(spec, (cells,), (1.0,), (1.0, -0.0, -0.0), (3,))
+
+
+# states of more than one block of cells: (scheme and state, steps); 129^2 = 16,641
+# cells is 4 whole blocks and one of 257, and 5,000 d1q3 cells one whole and one of 904
+BLOCK_CASES = {
+    "d2q5_129": (lambda: _sine_case(_d2q5(VelocityShift.constant((0.1, -0.05))), (129, 129)), 3),
+    "d2q5_fourier_129": (lambda: (_d2q5(), fourier_mode_state(
+        _d2q5(), (129, 129), (1.0, 1.0), np.linspace(0.5, 1.0, 5), (1, 2))), 3),
+    "d2q5_sine_129": (lambda: _sine_case(_d2q5(VelocityShift.sine((0.1, 0.1))), (129, 129)), 3),
+    "d1q3_zero_weight_5000": (lambda: _sine_case(d1q3_spec(e=(0.5, 0.5, 0.0)), (5000,)), 5),
+    "d1q3_signed_zeros_5000": (lambda: _signed_zero_d1q3(5000), 5),
+    "d1q3_sine_signed_zeros_5000": (lambda: (
+        replace(_signed_zero_d1q3(5000)[0], u_tilde=VelocityShift.sine((0.2,))),
+        _signed_zero_d1q3(5000)[1]), 5),
+}
+
+
+class TestCollisionBlocks:
+    """A state of more than BLOCK_CELLS cells collides block by block, and each
+    output element is still the same q-term product: run and collide keep the
+    plain matmul arithmetic bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_run_and_collide_match_a_plain_matmul_loop(self, name, monkeypatch):
+        make_case, steps = BLOCK_CASES[name]
+        spec, state = make_case()
+        cells = state.f[0].size
+        assert cells > scheme.BLOCK_CELLS
+        with monkeypatch.context() as patch:
+            calls = []
+            for chosen in (np.dot, np.matmul):
+                patch.setattr(np, chosen.__name__,
+                              lambda *args, chosen=chosen: calls.append(chosen) or chosen(*args))
+            scheme._Collider(spec, state).apply()
+        # two products per block, the last block shorter
+        assert calls == [np.matmul] * 2 * -(-cells // scheme.BLOCK_CELLS)
+        got, want = run(state, spec, steps).f, _reference_run(spec, state, steps)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        collided = stream(collide(state, spec), spec.vset).f
+        np.testing.assert_array_equal(collided.view(np.uint64), _reference_run(spec, state, 1).view(np.uint64))
+
+    def test_zero_weight_cases_hold_zeros(self):
+        for name in ("d1q3_zero_weight_5000", "d1q3_signed_zeros_5000", "d1q3_sine_signed_zeros_5000"):
+            assert np.any(BLOCK_CASES[name][0]()[1].f == 0)
+
+    def test_size_rule_cases_are_one_block(self):
+        for make_spec, grid, *_ in SIZE_RULE_CASES.values():
+            assert np.prod(grid) <= scheme.BLOCK_CELLS
+
+
+class TestAdvanceReleasesInput:
+    def test_an_input_only_the_loop_holds_is_freed_once_copied(self, monkeypatch):
+        spec, state = _sine_case(_d2q5(), (16, 16))
+        f = state.f.copy()
+        alive = weakref.ref(f)
+        updates = scheme._advance(replace(state, f=f), spec, 3)
+        del f
+        assert alive() is not None  # the unstarted loop still holds its argument
+        seen = []
+        stream_plan = scheme._stream
+        monkeypatch.setattr(scheme, "_stream", lambda plan: seen.append(alive()) or stream_plan(plan))
+        last = list(updates)[-1]
+        assert seen == [None] * 3
+        np.testing.assert_array_equal(last, run(state, spec, 3).f)
 
 class TestStateHelpers:
     def test_density_examples(self):
