@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -143,7 +144,16 @@ def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction) -
 
 
 def _fit_slope(dxs, residuals) -> float:
-    return float(np.polyfit(np.log(dxs), np.log(residuals), 1)[0])
+    """Least-squares slope of log(residual) against log(dx), in closed form.
+
+    math.log and math.fsum round alike on every machine, where np.log follows
+    numpy's SIMD dispatch and np.polyfit the BLAS kernel.
+    """
+    x = [math.log(v) for v in dxs]
+    y = [math.log(v) for v in residuals]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    sxy = math.fsum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+    return sxy / math.fsum((a - x_mean) ** 2 for a in x)
 
 
 def refinement_study(spec: SchemeSpec, box_lengths, grids, initial: InitialData,
@@ -306,7 +316,8 @@ def simulate_payload(cfg: ExperimentConfig) -> tuple[dict, StateField]:
         if mode is not None:
             coeff = mode_coefficient(np.asarray(density(f)), mode)
             record["mode_amplitude"] = abs(coeff)
-            record["mode_phase"] = float(np.angle(coeff))
+            # libm's atan2, not np.angle, whose rounding follows numpy's SIMD dispatch
+            record["mode_phase"] = math.atan2(coeff.imag, coeff.real)
         observables.append(record)
     state = replace(state, f=f)
     drift = abs(observables[-1]["mass"] - mass0) / scale

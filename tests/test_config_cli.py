@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -217,6 +218,16 @@ class TestSimulatePayload:
             assert payload["observables"][n]["mass"] == float(np.sum(run(start, cfg.spec, n).f.real))
         np.testing.assert_array_equal(final.f, run(start, cfg.spec, cfg.steps).f)
 
+    def test_mode_phase_is_libms_atan2_of_the_mode_coefficient(self):
+        cfg = load_config(reference_config("d1q3"))
+        payload, _ = simulate_payload(cfg)
+        start = initial_state(cfg.spec, cfg.grid_sizes, cfg.box_lengths, cfg.initial)
+        for n in (0, 1, 57, cfg.steps):
+            coeff = experiments.mode_coefficient(scheme.density(run(start, cfg.spec, n).f), cfg.initial.mode)
+            record = payload["observables"][n]
+            assert record["mode_phase"] == math.atan2(coeff.imag, coeff.real)
+            assert record["mode_amplitude"] == abs(coeff)
+
 
 class TestRefinementStudy:
     def test_set_up_runs_once(self, monkeypatch):
@@ -277,6 +288,14 @@ class TestRefinementStudy:
         finally:
             tracemalloc.stop()
         assert (peak - before) / (cfg.spec.q * n * n * 8) < 3.5
+
+    def test_fit_slope_is_the_least_squares_slope(self):
+        # exact on a power law, and np.polyfit's line to rounding on scattered data
+        dxs = [1 / 64, 1 / 128, 1 / 256]
+        assert experiments._fit_slope(dxs, [3.0 * dx ** 3 for dx in dxs]) == pytest.approx(3.0, rel=1e-14)
+        residuals = [2.1e-7, 3.3e-8, 3.6e-9]
+        fitted = np.polyfit(np.log(dxs), np.log(residuals), 1)[0]
+        assert experiments._fit_slope(dxs, residuals) == pytest.approx(fitted, rel=1e-14)
 
     def test_residual_pair_is_a_study_row(self):
         cfg = load_config(reference_config("d1q3"))
