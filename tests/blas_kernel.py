@@ -2,13 +2,18 @@
 
     python tests/blas_kernel.py        print the runtime core name, e.g. SkylakeX
     python tests/blas_kernel.py DIR    run the bitwise tests of test_scheme.py,
-                                       simulate the shipped configs into DIR and
-                                       print one JSON line: the core name, the
-                                       pytest exit code and the sha256 of each
-                                       simulate report and snapshot
+                                       simulate the shipped configs and run
+                                       their convergence study into DIR and
+                                       print one JSON line: the core name,
+                                       numpy's AVX-512 targets in use, the
+                                       pytest exit code, the sha256 of each
+                                       simulate report and snapshot, and of
+                                       each convergence report
 
 OPENBLAS_CORETYPE in the environment picks the kernel of a DYNAMIC_ARCH
-OpenBLAS; test_blas_kernels.py runs the second form once per kernel.
+OpenBLAS, and NPY_DISABLE_CPU_FEATURES switches off numpy's own SIMD targets;
+test_blas_kernels.py runs the second form once per kernel, and once more with
+numpy's AVX-512 targets switched off.
 """
 
 from __future__ import annotations
@@ -54,20 +59,30 @@ def core_name(lib: ctypes.CDLL) -> str:
     return corename().decode()
 
 
+def avx512_targets() -> list[str]:
+    """numpy's dispatched AVX-512 targets that run on this CPU, e.g. X86_V4 AVX512_ICL AVX512_SPR."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [t for t in __cpu_dispatch__
+            if (t == "X86_V4" or t.startswith("AVX512")) and __cpu_features__.get(t)]
+
+
 def _sha256(path: pathlib.Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def check(out: pathlib.Path) -> dict:
-    """Run the bitwise tests and simulate the shipped configs into `out`."""
+    """Run the bitwise tests, and simulate and study the shipped configs into `out`."""
     import pytest
     from rvlbm import load_config, reference_config
-    from rvlbm.experiments import save_snapshot, simulate_payload, write_json
+    from rvlbm.experiments import convergence_payload, save_snapshot, simulate_payload, write_json
 
     lib = openblas()
     ids = [f"{TESTS / 'test_scheme.py'}::{test}" for test in BITWISE_TESTS]
     exit_code = pytest.main(["-q", "-p", "no:cacheprovider", *ids])
-    digests = {}
+    digests, convergence = {}, {}
     for name in SHIPPED_CONFIGS:
         cfg = load_config(reference_config(name))
         payload, state = simulate_payload(cfg)
@@ -75,7 +90,10 @@ def check(out: pathlib.Path) -> dict:
         write_json(payload, report)
         save_snapshot(state, cfg.spec, snapshot, out / f"{name}_meta.json", cfg.steps)
         digests[name] = [_sha256(report), _sha256(snapshot)]
-    return {"core": lib and core_name(lib), "pytest_exit": int(exit_code), "sha256": digests}
+        write_json(convergence_payload(cfg), out / f"{name}_convergence.json")
+        convergence[name] = _sha256(out / f"{name}_convergence.json")
+    return {"core": lib and core_name(lib), "avx512": avx512_targets(), "pytest_exit": int(exit_code),
+            "sha256": digests, "convergence_sha256": convergence}
 
 
 if __name__ == "__main__":
