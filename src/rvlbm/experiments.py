@@ -101,9 +101,9 @@ def residual_pair(spec: SchemeSpec, grid_sizes, box_lengths, initial: InitialDat
 def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction) -> dict:
     """residual_pair given the transition prediction.
 
-    The initial state goes straight into `run`, so the run holds two
-    full-grid arrays, and the final state is let go once its moments are
-    taken.  Both residuals are formed component by component in one reused
+    The initial state goes straight into `run`, which frees it once the
+    collider has its copy, and the final state is let go once its moments
+    are taken.  Both residuals are formed component by component in one reused
     grid-sized scratch array, with the operands of the whole-array formulas
     in their order, so they round as those do.  One FFT of rho serves every
     xi_k.  Each xi_k = xi_k[0] + dt xi_k[1] is one term tuple, with xi_k[1]'s

@@ -355,7 +355,8 @@ class _Collider:
         block = min(cells, BLOCK_CELLS)
         kf = np.empty((spec.q, per * block), real)
         k, m_inv = ops.k, ops.m_inv
-        # a positional out parses faster than out=, a saving a 64-cell step notices
+        # a positional out parses faster than out=, a saving a 64-cell step notices;
+        # np.dot takes only a C-contiguous out, so only a single block may use it
         product = np.dot if cells == block and out.size <= DOT_MAX_ELEMENTS else np.matmul
         add = np.add
         spans = [(c, min(c + block, cells)) for c in range(0, cells, block)]

@@ -87,7 +87,7 @@ class TestBlasKernels:
         assert all(d == first for d in digests.values()), digests
 
     def test_convergence_reports_are_equal_across_kernels(self, kernel_reports):
-        # the residuals come from the pinned simulator and the FFT, the slopes from libm
+        # the residuals come from the pinned simulator, gemm moments and the FFT, the slopes from libm
         digests = {k: r["convergence_sha256"] for k, r in kernel_reports.items() if isinstance(r, dict)}
         if len(digests) < 2:
             pytest.skip(f"fewer than two kernels to compare: {sorted(digests)}")
