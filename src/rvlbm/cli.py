@@ -18,7 +18,7 @@ import warnings
 
 from . import experiments
 from .config import ExperimentConfig, load_config
-from .dispersion import STABILITY_TOL, von_neumann_radius
+from .dispersion import DEFAULT_ORDER, STABILITY_TOL, von_neumann_radius
 from .errors import SchemaError, SchemeError
 
 
@@ -196,7 +196,8 @@ def main(argv: list[str] | None = None) -> None:
             sub.add_argument("--format", dest="fmt", choices=["json", "csv"],
                              help="Result file format.")
         if "--order" in options:
-            sub.add_argument("--order", type=int, choices=range(1, 4), help="Expansion order.")
+            sub.add_argument("--order", type=int, choices=range(1, 4), default=DEFAULT_ORDER,
+                             help="Expansion order (default 3).")
     args = vars(parser.parse_args(argv))
     command = args.pop("command")
     try:

@@ -16,12 +16,11 @@ from importlib import resources
 
 import numpy as np
 
-from .dispersion import ABSOLUTE_FLOORS, DEFAULT_LEVELS, RELATIVE_TOLERANCES
+from .dispersion import ABSOLUTE_FLOORS, DEFAULT_LEVELS, DEFAULT_ORDER, RELATIVE_TOLERANCES
 from .errors import SchemaError, ValidationError
 from .lattice import MomentPolynomial, VelocitySet, default_basis
 from .scheme import SchemeSpec, VelocityShift, _grid_spacing
 
-DEFAULT_ORDER = 3
 DEFAULT_WARMUP = 20
 DEFAULT_STEPS = 200
 DEFAULT_GRIDS = (64, 128, 256)
@@ -47,17 +46,16 @@ class ExperimentConfig:
     grid_sizes: tuple[int, ...]
     box_lengths: tuple[float, ...]
     initial: InitialData
-    order: int
     k_samples: tuple[tuple[float, ...], ...]
-    dt0: float | None
-    levels: int
     u_sweep: tuple[float, ...]
     grids: tuple[int, ...]
     warmup: int
     steps: int
     output_path: str
     output_format: str
-    # criterion 1's bounds, fixed in rvlbm.dispersion: class attributes that no config sets
+    # criterion 1's order, dt ladder and bounds, fixed in rvlbm.dispersion: class attributes
+    # that no config sets; order, dt0 and levels go with the next benchmark change
+    order, dt0, levels = DEFAULT_ORDER, None, DEFAULT_LEVELS
     relative_tolerances = RELATIVE_TOLERANCES
     absolute_floors = ABSOLUTE_FLOORS
 
@@ -280,13 +278,8 @@ def load_config(text: str) -> ExperimentConfig:
     initial = root.field("initial", _parse_initial, InitialData("uniform"), nullable=True, dim=dim)
 
     analysis = root.section("analysis")
-    order = analysis.field("order", _expect_int, DEFAULT_ORDER)
-    if order not in (1, 2, 3):
-        raise analysis.error("order", f"expected 1, 2 or 3, got {order}")
-    k_samples = analysis.field("k_samples", _array(_array(_expect_number, dim)), None,
-                               nullable=True)
-    dt0 = analysis.field("dt0", _expect_number, None, nullable=True)
-    levels = analysis.field("refinements", _expect_int, DEFAULT_LEVELS, minimum=5)
+    k_samples = analysis.field("k_samples", _array(_array(_expect_number, dim)),
+                               default_k_samples(dim), nullable=True)
     u_sweep = analysis.field("u_sweep", _array(_expect_number), DEFAULT_U_SWEEP)
     try:
         check_u_sweep(u_sweep)
@@ -308,9 +301,8 @@ def load_config(text: str) -> ExperimentConfig:
     root.close()
 
     return ExperimentConfig(
-        spec=spec, grid_sizes=grid_sizes, box_lengths=box_lengths, initial=initial, order=order,
-        k_samples=default_k_samples(dim) if k_samples is None else k_samples, dt0=dt0,
-        levels=levels, u_sweep=u_sweep, grids=grids, warmup=warmup, steps=steps,
+        spec=spec, grid_sizes=grid_sizes, box_lengths=box_lengths, initial=initial,
+        k_samples=k_samples, u_sweep=u_sweep, grids=grids, warmup=warmup, steps=steps,
         output_path=output_path, output_format=output_format,
     )
 

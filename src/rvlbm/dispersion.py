@@ -34,6 +34,7 @@ POOR_FIT_FACTOR = 1e-8
 AMBIGUITY_GAP = 1e-9
 COINCIDENT_GAP = 1e-13
 MAX_PHASE = 0.1
+DEFAULT_ORDER = 3
 DEFAULT_PHASE = 0.05
 DEFAULT_LEVELS = 10
 WALK_INCREMENTS = 10
@@ -153,9 +154,11 @@ def _walked_eigenvalue(spec: SchemeSpec, k: np.ndarray, dt: float) -> complex:
 def geometric_dt_sequence(dt0, levels: int = DEFAULT_LEVELS) -> np.ndarray:
     """dt0 / 2^m for m = 0..levels-1; a column of dt0 values gives one ladder per row.
 
-    A negative levels, or a positive dt0 whose smallest step would fall below
-    the smallest normal float, raises ValidationError.
+    A levels that is not an integer or is negative, or a positive dt0 whose
+    smallest step would fall below the smallest normal float, raises ValidationError.
     """
+    if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)):
+        raise ValidationError(f"levels must be an integer, got {levels!r}")
     if levels < 0:
         raise ValidationError(f"levels must be >= 0, got {levels}")
     dts = np.ldexp(dt0, -np.arange(levels))  # exact halving, no overflow in 2^m
@@ -354,9 +357,11 @@ def extract_symbol_series(
     instead of on y where it grows like 1/dt.  Coefficients beyond mu2 are
     absorbed, not reported.  A fit residual above 1e-8 |mu0 + 1| (maximum
     deviation on the y scale) raises PoorFit, or flags the result when
-    on_poor_fit="flag".  compare_with_prediction fits the same way (see
-    _symbol_series).
+    on_poor_fit="flag"; an on_poor_fit of neither raises ValidationError.
+    compare_with_prediction fits the same way (see _symbol_series).
     """
+    if on_poor_fit not in ("raise", "flag"):
+        raise ValidationError(f"on_poor_fit must be 'raise' or 'flag', got {on_poor_fit!r}")
     k = np.asarray(k, dtype=float)
     dts = np.asarray(dt_sequence, dtype=float)
     # an overflowing |k| is inf, which _check_ladders rejects, as _symbol_series does a non-finite mu
@@ -414,7 +419,7 @@ def _pairs(z: np.ndarray) -> list:
 def compare_with_prediction(
     spec: SchemeSpec,
     k_samples,
-    order: int = 3,
+    order: int = DEFAULT_ORDER,
     relative=RELATIVE_TOLERANCES,
     floors=ABSOLUTE_FLOORS,
     dt0: float | None = None,
@@ -427,9 +432,10 @@ def compare_with_prediction(
     chosen per wavevector so that |k| lambda dt0 = DEFAULT_PHASE.  Failures,
     including poor oracle fits, are recorded rather than raised.
 
-    No wavevectors raise ValidationError, and so does the first wavevector, in
+    No wavevectors, or a `relative` or `floors` with fewer than `order`
+    entries, raise ValidationError, and so does the first wavevector, in
     norm order, that _check_ladders rejects with its ladder (a zero, NaN or
-    infinite |k| among them); both before the oracle solves anything.  The
+    infinite |k| among them); all before the oracle solves anything.  The
     oracle then solves and fits once per direction and phase ladder (see
     _symbol_series): with the default dt0 every wavevector along one direction
     shares one phase ladder DEFAULT_PHASE / lambda / 2^m, while an explicit dt0
@@ -457,6 +463,9 @@ def compare_with_prediction(
         rows = ks if rows is None else rows[by_norm]
         norms = norms[by_norm]
         equation = derive_equivalent_equation(spec, order)
+        for name, bounds in (("relative", relative), ("floors", floors)):
+            if len(bounds) < order:  # one bound per order compared
+                raise ValidationError(f"{name} needs {order} entries, got {len(bounds)}")
         lam = spec.vset.lam
         base_dts = [dt0] * len(ks) if dt0 is not None else (DEFAULT_PHASE / (norms * lam)).tolist()
         ladders = geometric_dt_sequence(np.array(base_dts)[:, None], levels)

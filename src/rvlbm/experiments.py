@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import (ExperimentConfig, InitialData, check_initial, check_refinement_grids,
                      check_u_sweep)
-from .dispersion import ComparisonReport, compare_with_prediction
+from .dispersion import DEFAULT_ORDER, ComparisonReport, compare_with_prediction
 from .equivalent import (
     derive_equivalent_equation,
     dhumieres_crosscheck,
@@ -234,13 +234,11 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     d = np.stack([eq.D for eq in equations])
     c_rel = float(np.max(np.ptp(c, axis=0))) / max(np.max(np.abs(c)), 1e-300)
     d_rel = float(np.max(np.ptp(d, axis=0))) / max(np.max(np.abs(d)), 1e-300)
-    mu2_spread = 0.0
-    if cfg.order >= 3:
-        # every member's records are sorted alike, by (|k|, k), so position i is one k
-        mu2 = np.array([[rec["mu"][2] for rec in report.records] for report in reports])
-        diff = mu2[:, None] - mu2[None, :]
-        # hypot is abs() on one complex number
-        mu2_spread = float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
+    # every member's records are sorted alike, by (|k|, k), so position i is one k
+    mu2 = np.array([[rec["mu"][2] for rec in report.records] for report in reports])
+    diff = mu2[:, None] - mu2[None, :]
+    # hypot is abs() on one complex number
+    mu2_spread = float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
     invariance_pass = bool(c_rel <= INVARIANCE_RTOL and d_rel <= INVARIANCE_RTOL)
 
     study = refinement_study(
@@ -276,14 +274,13 @@ def _transition_initial(cfg: ExperimentConfig) -> InitialData:
     return InitialData("sine", value=1.0, amplitude=0.01, mode=(1,) * cfg.spec.dim)
 
 
-def analyze_payload(cfg: ExperimentConfig, order: int | None = None) -> dict:
-    equation = derive_equivalent_equation(cfg.spec, cfg.order if order is None else order)
+def analyze_payload(cfg: ExperimentConfig, order: int = DEFAULT_ORDER) -> dict:
+    equation = derive_equivalent_equation(cfg.spec, order)
     return {"equation": equation.to_json_dict(), "pretty": equation.pretty()}
 
 
-def dispersion_payload(cfg: ExperimentConfig, order: int | None = None) -> ComparisonReport:
-    return compare_with_prediction(cfg.spec, cfg.k_samples, cfg.order if order is None else order,
-                                   dt0=cfg.dt0, levels=cfg.levels)
+def dispersion_payload(cfg: ExperimentConfig, order: int = DEFAULT_ORDER) -> ComparisonReport:
+    return compare_with_prediction(cfg.spec, cfg.k_samples, order)
 
 
 def mode_coefficient(rho: np.ndarray, mode) -> complex:

@@ -3,8 +3,8 @@
 Each row edits one key of a fully explicit document (the shipped d1q3 file)
 and pins the exact exception type and message: a key that is missing where
 it is required, null, of the wrong type or out of range.  A JSON `null`
-reads as an absent key for `q`, `polynomials`, `u_tilde`, `grid`, `initial`,
-`k_samples` and `dt0`, and as a wrong type everywhere else.
+reads as an absent key for `q`, `polynomials`, `u_tilde`, `grid`, `initial`
+and `k_samples`, and as a wrong type everywhere else.
 """
 
 import copy
@@ -58,6 +58,12 @@ def key_faults(path, kind, required=False, nullable=False):
     if kind in ("number", "integer"):
         rows.append((path, True, SchemaError, f"{pointer}: expected {kind}, got bool"))
     return rows
+
+
+def unknown_rows(path, values):
+    """One row per value of a key that the experiment file no longer has."""
+    pointer = "/" + "/".join(str(p) for p in path)
+    return [(path, value, SchemaError, f"{pointer}: unknown key") for value in values]
 
 
 S = ("scheme",)
@@ -145,18 +151,16 @@ ROWS = [
     *key_faults(("initial", "base"), "number"),
     # analysis
     *key_faults(A, "object"),
-    *key_faults(A + ("order",), "integer"),
-    (A + ("order",), 4, SchemaError, "/analysis/order: expected 1, 2 or 3, got 4"),
-    (A + ("order",), 0, SchemaError, "/analysis/order: expected 1, 2 or 3, got 0"),
+    # criterion 1's order and dt ladder are fixed: the former keys are unknown, whatever
+    # their value, the shipped 3, null and 10 included
+    *unknown_rows(A + ("order",), [None, 1.0, True, 4, 0, 1, 3]),
     *key_faults(A + ("k_samples",), "array", nullable=True),
     (A + ("k_samples", 1), 0.8, SchemaError, "/analysis/k_samples/1: expected array, got float"),
     (A + ("k_samples", 1), [0.8, 0.0], SchemaError,
      "/analysis/k_samples/1: expected 1 elements, got 2"),
     *key_faults(A + ("k_samples", 1, 0), "number"),
-    *key_faults(A + ("dt0",), "number", nullable=True),
-    (A + ("dt0",), -math.inf, SchemaError, "/analysis/dt0: expected finite number, got -inf"),
-    *key_faults(A + ("refinements",), "integer"),
-    (A + ("refinements",), 4, SchemaError, "/analysis/refinements: expected integer >= 5, got 4"),
+    *unknown_rows(A + ("dt0",), ["1", True, -math.inf, None, 0.02]),
+    *unknown_rows(A + ("refinements",), [None, 1.0, True, 4, 10]),
     # criterion 1's bounds are fixed: the former tolerances section is unknown, null included
     (TOL, None, SchemaError, "/analysis/tolerances: unknown key"),
     (TOL, [], SchemaError, "/analysis/tolerances: unknown key"),
@@ -229,7 +233,7 @@ def test_full_document_loads():
     assert cfg == load_config(reference_config("d1q3"))
 
 
-NULL_AS_ABSENT = [S + ("q",), POLY, SHIFT, ("grid",), ("initial",), A + ("k_samples",), A + ("dt0",)]
+NULL_AS_ABSENT = [S + ("q",), POLY, SHIFT, ("grid",), ("initial",), A + ("k_samples",)]
 
 
 @pytest.mark.parametrize("path", NULL_AS_ABSENT, ids=["/".join(p) for p in NULL_AS_ABSENT])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from functools import cached_property
 from unittest import mock
 
@@ -146,6 +147,22 @@ class TestGeometricSequence:
             compare_with_prediction(d1q2_spec(), [[0.4]], levels=-2)
         assert geometric_dt_sequence(0.05, 0).shape == (0,)
 
+    @pytest.mark.parametrize("levels", [10.0, 7.5, True, "10"])
+    def test_non_integer_levels_rejected(self, levels):
+        message = f"^levels must be an integer, got {re.escape(repr(levels))}$"
+        with pytest.raises(ValidationError, match=message):
+            geometric_dt_sequence(0.05, levels)
+        with pytest.raises(ValidationError, match=message):
+            compare_with_prediction(d1q2_spec(), [[0.4]], levels=levels)
+        assert geometric_dt_sequence(0.05, np.int64(6)).shape == (6,)
+
+    def test_underflowing_ladder_raises_from_the_oracle(self):
+        # the shipped d1q3 wavevectors: the smallest |k| = 0.4 has dt0 = 0.05 / 0.4
+        cfg = load_config(reference_config("d1q3"))
+        with pytest.raises(ValidationError) as err:
+            compare_with_prediction(cfg.spec, cfg.k_samples, levels=2000)
+        assert str(err.value) == "2000 dt levels: dt0 = 0.125 halved 1999 times underflows"
+
 
 class TestExtractSymbolSeries:
     def ladder(self, k=1.0, levels=10):
@@ -223,6 +240,21 @@ class TestExtractSymbolSeries:
         with pytest.raises(ValidationError, match="dt0 = 1e-110 is too small"):
             extract_symbol_series(d1q2_spec(), [1.0], geometric_dt_sequence(1e-110, 10))
 
+    @pytest.mark.parametrize("dt0", [1e-110, 1e-300])
+    def test_dt0_too_small_for_mu_raises_from_the_oracle(self, dt0):
+        # the first wavevector in norm order names the fault
+        cfg = load_config(reference_config("d1q3"))
+        with pytest.raises(ValidationError) as err:
+            compare_with_prediction(cfg.spec, cfg.k_samples, dt0=dt0)
+        assert str(err.value) == (f"dt0 = {dt0:g} is too small: the fitted mu at k=(0.4,) "
+                                  "is not finite")
+
+    @pytest.mark.parametrize("mode", ["bogus", None, "Flag"])
+    def test_unknown_poor_fit_mode_rejected(self, mode):
+        with pytest.raises(ValidationError) as err:
+            extract_symbol_series(d1q2_spec(), [1.0], self.ladder(), on_poor_fit=mode)
+        assert str(err.value) == f"on_poor_fit must be 'raise' or 'flag', got {mode!r}"
+
     @given(st.floats(0.1, 3.0))
     @settings(max_examples=25, deadline=None)
     def test_branch_conjugate_under_wavevector_flip(self, k):
@@ -295,6 +327,17 @@ class TestCompareWithPrediction:
         report = compare_with_prediction(d1q2_spec(c=0.5, s1=1.0), [[1.0]])
         assert not report.passed
         assert report.records[0]["order_pass"] == [True, False, True]
+
+    @pytest.mark.parametrize("name, bounds", [
+        ("relative", (1e-8, 1e-6)), ("relative", (1e-8,)), ("floors", (1e-12, 1e-10)),
+    ])
+    def test_bounds_shorter_than_order_rejected(self, name, bounds):
+        with pytest.raises(ValidationError) as err:
+            compare_with_prediction(d1q2_spec(), [[0.4]], **{name: bounds})
+        assert str(err.value) == f"{name} needs 3 entries, got {len(bounds)}"
+        # one bound per order compared is enough
+        assert compare_with_prediction(d1q2_spec(), [[0.4]], order=len(bounds),
+                                       **{name: bounds}).passed
 
     def test_records_sorted_by_wavevector_norm(self):
         report = compare_with_prediction(d1q2_spec(), [[1.1], [0.3], [-0.7]])
