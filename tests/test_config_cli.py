@@ -149,6 +149,11 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="spacing"):
             load_config(json.dumps(doc))
 
+    def test_order_out_of_range(self):
+        # criterion 1's order is fixed at 3: an out-of-range order is an unknown key
+        with pytest.raises(SchemaError, match=r"^/analysis/order: unknown key$"):
+            load_config(config_text(analysis={**BASE["analysis"], "order": 4}))
+
     def test_output_format_choices(self):
         with pytest.raises(SchemaError, match=r"/output/format"):
             load_config(config_text(output={"format": "yaml"}))
@@ -166,6 +171,11 @@ class TestLoadConfig:
         text = config_text().replace('"k_samples": [[0.4]', f'"k_samples": [[{literal}]')
         with pytest.raises(SchemaError, match="^/analysis/k_samples/0/0: expected finite number"):
             load_config(text)
+
+    def test_refinement_levels_minimum(self):
+        # the dt ladder is fixed at 10 levels: a count below the old minimum is an unknown key
+        with pytest.raises(SchemaError, match=r"^/analysis/refinements: unknown key$"):
+            load_config(config_text(analysis={**BASE["analysis"], "refinements": 3}))
 
 
 class TestReferenceConfigs:
