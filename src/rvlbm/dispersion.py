@@ -21,6 +21,7 @@ schemes whose mu1 is exactly zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -416,6 +417,25 @@ def _pairs(z: np.ndarray) -> list:
     return z.view(float).reshape(z.shape + (2,)).tolist()
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _order_bounds(name: str, bounds, order: int) -> np.ndarray:
+    """The first `order` entries of compare_with_prediction's `relative` or `floors`,
+    as floats; anything but a sequence of at least `order` numbers raises
+    ValidationError naming the argument."""
+    try:
+        entries = list(bounds)
+    except TypeError:
+        entries = None
+    if entries is None or not all(map(_is_number, entries)):
+        raise ValidationError(f"{name} must be a sequence of numbers, got {bounds!r}")
+    if len(entries) < order:  # one bound per order compared
+        raise ValidationError(f"{name} needs {order} entries, got {len(entries)}")
+    return np.array(entries[:order], dtype=float)
+
+
 def compare_with_prediction(
     spec: SchemeSpec,
     k_samples,
@@ -432,8 +452,9 @@ def compare_with_prediction(
     chosen per wavevector so that |k| lambda dt0 = DEFAULT_PHASE.  Failures,
     including poor oracle fits, are recorded rather than raised.
 
-    No wavevectors, or a `relative` or `floors` with fewer than `order`
-    entries, raise ValidationError, and so does the first wavevector, in
+    No wavevectors, a `relative` or `floors` that is not a sequence of at
+    least `order` numbers, or a dt0 that is neither None nor a number, raise
+    ValidationError naming the argument, and so does the first wavevector, in
     norm order, that _check_ladders rejects with its ladder (a zero, NaN or
     infinite |k| among them); all before the oracle solves anything.  The
     oracle then solves and fits once per direction and phase ladder (see
@@ -463,9 +484,10 @@ def compare_with_prediction(
         rows = ks if rows is None else rows[by_norm]
         norms = norms[by_norm]
         equation = derive_equivalent_equation(spec, order)
-        for name, bounds in (("relative", relative), ("floors", floors)):
-            if len(bounds) < order:  # one bound per order compared
-                raise ValidationError(f"{name} needs {order} entries, got {len(bounds)}")
+        relative = _order_bounds("relative", relative, order)
+        floors = _order_bounds("floors", floors, order)
+        if dt0 is not None and not _is_number(dt0):
+            raise ValidationError(f"dt0 must be a number or None, got {dt0!r}")
         lam = spec.vset.lam
         base_dts = [dt0] * len(ks) if dt0 is not None else (DEFAULT_PHASE / (norms * lam)).tolist()
         ladders = geometric_dt_sequence(np.array(base_dts)[:, None], levels)
@@ -482,7 +504,7 @@ def compare_with_prediction(
         abs_err = np.hypot(diff.real, diff.imag)
         scale = np.hypot(measured.real, measured.imag)
         rel_err = abs_err / scale
-        bound = np.maximum(np.asarray(relative[:order], dtype=float) * scale, floors[:order])
+        bound = np.maximum(relative * scale, floors)
     finite = np.isfinite(abs_err).all(axis=-1)
     if not finite.all():
         raise ValidationError(f"order-{order} equivalent equation gives a non-finite "

@@ -92,8 +92,10 @@ def residual_pair(spec: SchemeSpec, grid_sizes, box_lengths, initial: InitialDat
 
     The first residual is max_j ||f_j - E_j rho||_inf.  The second compares
     the pre-collision moments against e_k rho - dt (1/2 + sigma_k) xi_k rho
-    with xi_k evaluated spectrally on the measured density.
+    with xi_k evaluated spectrally on the measured density.  A uniform sine
+    `initial` raises ValidationError before the run, as in refinement_study.
     """
+    check_initial(initial)
     prediction = transition_prediction(spec, 3)
     return _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction)
 
@@ -103,23 +105,22 @@ def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction) -
 
     The initial state goes straight into `run`, which frees it once the
     collider has its copy, and the final state is let go once its moments
-    are taken.  Both residuals are formed component by component in one reused
-    grid-sized scratch array, with the operands of the whole-array formulas
-    in their order, so they round as those do.  One FFT of rho serves every
-    xi_k.  Each xi_k = xi_k[0] + dt xi_k[1] is one term tuple, with xi_k[1]'s
-    coefficients scaled by dt, so it builds one symbol grid and takes one
-    inverse FFT, and no grid outlives its product with the spectrum.
+    are taken.  Each residual is formed component by component, with the
+    operands of the whole-array formulas in their order, so they round as
+    those do: the equilibrium one in a grid-sized scratch array, freed before
+    the moments are taken.  One FFT of rho serves every xi_k.  Each
+    xi_k = xi_k[0] + dt xi_k[1] is one term tuple, with xi_k[1]'s
+    coefficients scaled by dt, so it builds one symbol grid, which then holds
+    the product with the spectrum, its inverse FFT and, in the imaginary
+    half, the predicted moment and its difference from m[k]: besides m, rho
+    and rho_hat, one complex grid is live at a time.
     """
     state = run(initial_state(spec, grid_sizes, box_lengths, initial), spec, warmup)
     rho = density(state.f)
     scratch = np.empty_like(rho)
-
-    def max_abs_difference(minuend, subtrahend):
-        np.subtract(minuend, subtrahend, out=scratch)
-        return np.max(np.abs(scratch, out=scratch))
-
-    r_eq = float(np.max([max_abs_difference(f_j, np.multiply(e_j, rho, out=scratch))
+    r_eq = float(np.max([_max_abs_difference(f_j, np.multiply(e_j, rho, out=scratch), scratch)
                          for f_j, e_j in zip(state.f, spec.equilibrium)]))
+    del scratch
     m = moment_field(state, spec)
     dx, dt = state.dx, state.dt
     del state
@@ -129,11 +130,19 @@ def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction) -
     for k in range(1, spec.q):
         xi = prediction.xi[k]
         terms = xi[0] + tuple((e, dt * c) for e, c in xi[1])
-        xi_field = np.fft.ifftn(evaluate_terms(terms, ik) * rho_hat).real
-        # predicted = e_k rho + (dt * pre_collision_factor) xi_field, summed in scratch
-        np.multiply(prediction.e[k], rho, out=scratch)
-        scratch += np.multiply(dt * prediction.pre_collision_factor(k), xi_field, out=xi_field)
-        r_tr = max(r_tr, float(max_abs_difference(m[k], scratch)))
+        spectrum = evaluate_terms(terms, ik)
+        if np.shape(spectrum) == rho_hat.shape:  # a grid evaluate_terms made, complex
+            spectrum *= rho_hat
+        else:
+            spectrum = spectrum * rho_hat
+        xi_field = np.fft.ifftn(spectrum, out=spectrum).real
+        # predicted = e_k rho + (dt * pre_collision_factor) xi_field, summed in the
+        # imaginary half of the same grid, which nothing reads
+        predicted = spectrum.imag
+        np.multiply(prediction.e[k], rho, out=predicted)
+        predicted += np.multiply(dt * prediction.pre_collision_factor(k), xi_field, out=xi_field)
+        r_tr = max(r_tr, float(_max_abs_difference(m[k], predicted, predicted)))
+        del spectrum, xi_field, predicted  # so the next symbol does not sit beside this grid
     return {
         "grid": list(grid_sizes),
         "dx": dx,
@@ -141,6 +150,12 @@ def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction) -
         "equilibrium_residual": r_eq,
         "transition_residual": r_tr,
     }
+
+
+def _max_abs_difference(minuend, subtrahend, out) -> np.floating:
+    """max |minuend - subtrahend|, formed in `out`."""
+    np.subtract(minuend, subtrahend, out=out)
+    return np.max(np.abs(out, out=out))
 
 
 def _fit_slope(dxs, residuals) -> float:

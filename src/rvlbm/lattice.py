@@ -45,6 +45,9 @@ def evaluate_terms(terms, x):
     as one coordinate per axis, real or complex.
 
     Array coordinates broadcast together; a constant term stays a bare number.
+    Once the running sum is an array of the full shape and dtype, each further
+    term is added into it in place, which rounds as total + term does; the sum
+    is always an array made here, never one of the inputs.
     """
     total = 0.0
     for exponents, coef in terms:
@@ -52,8 +55,18 @@ def evaluate_terms(terms, x):
         for axis, e in enumerate(exponents):
             if e:
                 term = term * x[axis] ** e
-        total = total + term
+        if type(total) is np.ndarray and _holds_sum(total, term):
+            total += term
+        else:
+            total = total + term
     return total
+
+
+def _holds_sum(total: np.ndarray, term) -> bool:
+    """Whether total + term has total's shape and dtype, so fits in total."""
+    shape = np.shape(term)
+    return ((shape == total.shape or np.broadcast_shapes(total.shape, shape) == total.shape)
+            and np.result_type(total, term) == total.dtype)
 
 
 @dataclass(frozen=True)

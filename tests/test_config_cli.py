@@ -274,9 +274,24 @@ class TestRefinementStudy:
         assert str(err.value) == message
         assert runs == []
 
+    @pytest.mark.parametrize("initial, message", [
+        (InitialData("sine", 1.0, 0.0, (1,)), "amplitude: expected a nonzero amplitude, got 0"),
+        (InitialData("sine", 1.0, 0.01, (0,)), "mode: expected a nonzero mode, got [0]"),
+    ], ids=["amplitude", "mode"])
+    def test_residual_pair_rejects_uniform_sine(self, monkeypatch, initial, message):
+        # the public pair applies refinement_study's initial-field rule
+        cfg = load_config(reference_config("d1q3"))
+        runs = []
+        monkeypatch.setattr(experiments, "_residual_pair", lambda *args: runs.append(args))
+        with pytest.raises(ValidationError) as err:
+            experiments.residual_pair(cfg.spec, (64,), cfg.box_lengths, initial, 40)
+        assert str(err.value) == message
+        assert runs == []
+
     def test_residual_pair_holds_few_state_arrays(self):
-        # at most the run's input, f and out plus one K f block, or the moments
-        # with the density and its FFT grids: 4.4 state arrays before blocking
+        # at most the run's input, f and out plus one K f block: 3.26 state arrays;
+        # the moments, the density, its FFT and one complex grid stay below, at 2.82
+        # (3.42 with a fresh product and inverse FFT, 4.4 before blocking)
         cfg = load_config(reference_config("d2q5"))
         n = 128
         args = (cfg.spec, (n, n), cfg.box_lengths, experiments._transition_initial(cfg), cfg.warmup,
@@ -289,7 +304,7 @@ class TestRefinementStudy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - before) / (cfg.spec.q * n * n * 8) < 3.5
+        assert (peak - before) / (cfg.spec.q * n * n * 8) < 3.3
 
     def test_fit_slope_is_the_least_squares_slope(self):
         # exact on a power law, and np.polyfit's line to rounding on scattered data

@@ -339,6 +339,23 @@ class TestCompareWithPrediction:
         assert compare_with_prediction(d1q2_spec(), [[0.4]], order=len(bounds),
                                        **{name: bounds}).passed
 
+    @pytest.mark.parametrize("argument, message", [
+        ({"relative": 1e-6}, "relative must be a sequence of numbers, got 1e-06"),
+        ({"floors": None}, "floors must be a sequence of numbers, got None"),
+        ({"relative": (1e-8, 1e-6, "x")},
+         "relative must be a sequence of numbers, got (1e-08, 1e-06, 'x')"),
+        ({"dt0": "a"}, "dt0 must be a number or None, got 'a'"),
+    ], ids=["scalar_relative", "floors_none", "relative_string_entry", "dt0_string"])
+    def test_malformed_argument_named(self, argument, message):
+        with pytest.raises(ValidationError) as err:
+            compare_with_prediction(d1q2_spec(), [[0.4]], **argument)
+        assert str(err.value) == message
+
+    def test_numpy_numbers_accepted(self):
+        relative = np.array(dispersion.RELATIVE_TOLERANCES)
+        assert compare_with_prediction(d1q2_spec(), [[0.4]], relative=relative,
+                                       dt0=np.float64(0.05)).passed
+
     def test_records_sorted_by_wavevector_norm(self):
         report = compare_with_prediction(d1q2_spec(), [[1.1], [0.3], [-0.7]])
         norms = [abs(r["k"][0]) for r in report.records]

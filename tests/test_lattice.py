@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rvlbm import (
     MomentPolynomial,
@@ -9,6 +10,7 @@ from rvlbm import (
     default_basis,
     validate_basis,
 )
+from rvlbm.lattice import evaluate_terms
 from rvlbm.errors import (
     DimensionMismatch,
     NonLatticeVelocity,
@@ -80,6 +82,74 @@ class TestMomentPolynomial:
         p = MomentPolynomial.from_terms(2, {(0, 2): 1.0, (1, 0): 1.0, (2, 0): 1.0})
         degrees = [sum(e) for e, _ in p.terms]
         assert degrees == sorted(degrees)
+
+
+def plain_sum(terms, x):
+    """evaluate_terms as a plain loop: every sum a fresh total + term."""
+    total = 0.0
+    for exponents, coef in terms:
+        term = coef
+        for axis, e in enumerate(exponents):
+            if e:
+                term = term * x[axis] ** e
+        total = total + term
+    return total
+
+
+@st.composite
+def terms_and_points(draw):
+    """A term tuple and one coordinate per axis: each real or complex, and a Python
+    number, a numpy scalar, an open-grid array along its axis or a full grid."""
+    dim = draw(st.integers(1, 3))
+    grid = tuple(draw(st.integers(1, 4)) for _ in range(dim))
+    exponents = st.tuples(*[st.integers(0, 3)] * dim)
+    terms = tuple(draw(st.lists(st.tuples(exponents, st.floats(-10, 10)), max_size=6)))
+    x = []
+    for axis in range(dim):
+        kind = draw(st.sampled_from(["python", "numpy", "open", "grid"]))
+        if draw(st.booleans()):
+            dtype, elements = float, st.floats(-3, 3)
+        else:
+            dtype, elements = complex, st.complex_numbers(max_magnitude=3)
+        shape = {"open": (grid[axis],) + (1,) * (dim - 1 - axis), "grid": grid}.get(kind, ())
+        values = draw(hnp.arrays(dtype, shape, elements=elements))
+        x.append(dtype(values[()]) if kind == "python" else values[()] if kind == "numpy"
+                 else values)
+    return terms, x
+
+
+def bits(value):
+    return np.atleast_1d(np.asarray(value)).view(np.uint64)
+
+
+class TestEvaluateTerms:
+    @given(terms_and_points())
+    # a real grid sum, then a complex term it cannot hold
+    @example(((((1, 0), 1.0), ((0, 1), 2.0)), [np.ones((2, 2)), 1j]))
+    # an open-grid sum that a later term widens to the full grid
+    @example(((((1, 0), 1.0), ((0, 1), 1.0), ((0, 0), 0.5)),
+              [np.arange(2.0).reshape(2, 1) + 1j, np.arange(3.0) + 1j]))
+    def test_in_place_sum_rounds_as_plain_sum(self, case):
+        terms, x = case
+        before = [np.copy(v) for v in x]
+        value = evaluate_terms(terms, x)
+        expected = plain_sum(terms, x)
+        assert type(value) is type(expected)
+        assert np.shape(value) == np.shape(expected)
+        assert np.asarray(value).dtype == np.asarray(expected).dtype
+        np.testing.assert_array_equal(bits(value), bits(expected))
+        for v, copy in zip(x, before):  # no input written
+            np.testing.assert_array_equal(bits(v), bits(copy))
+        if all(np.ndim(v) == 0 for v in x):  # scalar in, scalar out
+            assert not isinstance(value, np.ndarray)
+
+    def test_sum_is_never_an_input(self):
+        # one term of x alone: the sum is a new array, and adding into it leaves x
+        x = [np.array([1.0, 2.0])]
+        value = evaluate_terms((((1,), 1.0), ((0,), 3.0)), x)
+        assert value is not x[0]
+        np.testing.assert_array_equal(x[0], [1.0, 2.0])
+        np.testing.assert_array_equal(value, [4.0, 5.0])
 
 
 class TestVelocitySet:
