@@ -4,35 +4,23 @@ Simulation of the collide-and-stream dynamics, mechanical derivation of the
 third-order equivalent equation (advection, diffusion and dispersion
 tensors), and independent verification through Fourier amplification
 analysis and direct runs.
+
+The package exports the documented API, the SchemeError tree and the
+payloads behind the CLI; every other name is reached through its module.
 """
 
-from .config import (
-    ExperimentConfig,
-    InitialData,
-    default_k_samples,
-    load_config,
-    reference_config,
-)
+from .config import load_config, reference_config
 from .dispersion import (
-    AmplificationMatrix,
-    ComparisonReport,
-    SymbolSeries,
     amplification_matrix,
     compare_with_prediction,
     dominant_eigenvalue,
     extract_symbol_series,
     geometric_dt_sequence,
-    predicted_symbols,
-    von_neumann_radius,
 )
 from .equivalent import (
-    EquivalentEquation,
-    XiPrediction,
-    advection_vector,
     conservation_defaults,
     derive_equivalent_equation,
     dhumieres_crosscheck,
-    momentum_velocity_tensor,
     transition_prediction,
 )
 from .errors import (
@@ -54,29 +42,17 @@ from .experiments import (
     initial_state,
     refinement_study,
     residual_pair,
-    save_snapshot,
     simulate_payload,
-    spectral_apply,
     verify_report,
 )
-from .lattice import (
-    MomentMatrix,
-    MomentPolynomial,
-    VelocitySet,
-    build_moment_matrix,
-    default_basis,
-    validate_basis,
-)
+from .lattice import MomentPolynomial, VelocitySet, build_moment_matrix
 from .scheme import (
     SchemeSpec,
-    StateField,
     VelocityShift,
     collide,
-    density,
     equilibrium_state,
     fourier_mode_state,
     make_state,
-    moment_field,
     run,
     sine_density,
     step,
@@ -86,14 +62,8 @@ from .scheme import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplificationMatrix",
     "BranchAmbiguity",
-    "ComparisonReport",
     "DimensionMismatch",
-    "EquivalentEquation",
-    "ExperimentConfig",
-    "InitialData",
-    "MomentMatrix",
     "MomentPolynomial",
     "NonConstantShift",
     "NonLatticeVelocity",
@@ -103,13 +73,9 @@ __all__ = [
     "SchemeError",
     "SchemeSpec",
     "SingularMatrix",
-    "StateField",
-    "SymbolSeries",
     "ValidationError",
     "VelocitySet",
     "VelocityShift",
-    "XiPrediction",
-    "advection_vector",
     "amplification_matrix",
     "analyze_payload",
     "build_moment_matrix",
@@ -117,9 +83,6 @@ __all__ = [
     "compare_with_prediction",
     "conservation_defaults",
     "convergence_payload",
-    "default_basis",
-    "default_k_samples",
-    "density",
     "derive_equivalent_equation",
     "dhumieres_crosscheck",
     "dispersion_payload",
@@ -131,21 +94,14 @@ __all__ = [
     "initial_state",
     "load_config",
     "make_state",
-    "moment_field",
-    "momentum_velocity_tensor",
-    "predicted_symbols",
     "reference_config",
     "refinement_study",
     "residual_pair",
     "run",
-    "save_snapshot",
     "simulate_payload",
     "sine_density",
-    "spectral_apply",
     "step",
     "stream",
     "transition_prediction",
-    "validate_basis",
     "verify_report",
-    "von_neumann_radius",
 ]

@@ -27,7 +27,7 @@ from .equivalent import (
     dhumieres_crosscheck,
     transition_prediction,
 )
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .lattice import evaluate_terms
 from .scheme import (
     SchemeSpec,
@@ -48,24 +48,6 @@ TRANSITION_SLOPE_RANGE = (2.7, 3.3)
 TRANSITION_RATIO_RANGE = (6.5, 9.5)
 EQUILIBRIUM_SLOPE_RANGE = (0.85, 1.15)
 INVARIANCE_RTOL = 1e-10
-
-
-def spectral_apply(op, field: np.ndarray, box_lengths) -> np.ndarray:
-    """Apply a constant-coefficient operator on a periodic grid via the FFT.
-
-    op is a term tuple of (multi_index, coefficient) pairs, as the operators of
-    EquivalentEquation.ops and XiPrediction.xi are; the multiplier is its symbol on
-    the open frequency grid: i f_a along axis a.  The field, the box lengths and
-    every multi-index must have one dimension, or DimensionMismatch is raised.
-    """
-    field = np.asarray(field)
-    lengths = {len(exps) for exps, _ in op}
-    if lengths | {len(box_lengths)} != {field.ndim}:
-        raise DimensionMismatch(f"field has {field.ndim} axes, but {len(box_lengths)} box "
-                                f"lengths and multi-indices of length {sorted(lengths)}")
-    symbol = evaluate_terms(op, _wavenumbers(field.shape, box_lengths))
-    out = np.fft.ifftn(symbol * np.fft.fftn(field))
-    return out.real if np.isrealobj(field) else out
 
 
 def _wavenumbers(shape, box_lengths) -> list[np.ndarray]:

@@ -32,11 +32,11 @@ from rvlbm import (
     refinement_study,
     run,
     sine_density,
-    spectral_apply,
     step,
     transition_prediction,
 )
 from rvlbm.config import REFERENCE_NAMES, default_k_samples
+from spectral import spectral_apply
 
 RELATIVE = (1e-8, 1e-6, 1e-4)
 FLOORS = (1e-12, 1e-10, 1e-8)

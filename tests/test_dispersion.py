@@ -16,8 +16,6 @@ from rvlbm import (
     VelocityShift,
     amplification_matrix,
     compare_with_prediction,
-    default_basis,
-    density,
     derive_equivalent_equation,
     dhumieres_crosscheck,
     dominant_eigenvalue,
@@ -28,6 +26,8 @@ from rvlbm import (
     reference_config,
     step,
 )
+from rvlbm.lattice import default_basis
+from rvlbm.scheme import density
 from rvlbm.config import default_k_samples
 from rvlbm.experiments import INVARIANCE_RTOL
 import rvlbm.dispersion as dispersion

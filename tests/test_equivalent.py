@@ -8,28 +8,24 @@ from itertools import permutations
 from hypothesis import event, example, given, settings, strategies as st
 
 from rvlbm import (
-    MomentMatrix,
     MomentPolynomial,
     SchemeSpec,
     VelocitySet,
     VelocityShift,
-    advection_vector,
     compare_with_prediction,
     conservation_defaults,
-    default_basis,
     derive_equivalent_equation,
     dhumieres_crosscheck,
     extract_symbol_series,
     geometric_dt_sequence,
     load_config,
-    momentum_velocity_tensor,
     reference_config,
-    spectral_apply,
     transition_prediction,
     verify_report,
 )
 from rvlbm.config import REFERENCE_NAMES, default_k_samples
-from rvlbm.equivalent import henon_sigma
+from rvlbm.equivalent import advection_vector, henon_sigma, momentum_velocity_tensor
+from rvlbm.lattice import MomentMatrix, default_basis
 import rvlbm.equivalent as equivalent
 from rvlbm.errors import (
     DimensionMismatch,
@@ -38,6 +34,7 @@ from rvlbm.errors import (
     SingularMatrix,
     ValidationError,
 )
+from spectral import spectral_apply
 from test_dispersion import cancelled_d1q2, cancelled_d1q3, random_schemes, rounding_scale
 
 

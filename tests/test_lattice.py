@@ -7,10 +7,8 @@ from rvlbm import (
     MomentPolynomial,
     VelocitySet,
     build_moment_matrix,
-    default_basis,
-    validate_basis,
 )
-from rvlbm.lattice import evaluate_terms
+from rvlbm.lattice import default_basis, evaluate_terms, validate_basis
 from rvlbm.errors import (
     DimensionMismatch,
     NonLatticeVelocity,

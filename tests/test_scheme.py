@@ -13,19 +13,18 @@ from rvlbm import (
     VelocityShift,
     build_moment_matrix,
     collide,
-    default_basis,
-    density,
     equilibrium_state,
     fourier_mode_state,
     load_config,
     make_state,
-    moment_field,
     reference_config,
     run,
     sine_density,
     step,
     stream,
 )
+from rvlbm.lattice import default_basis
+from rvlbm.scheme import density, moment_field
 from rvlbm import scheme
 from rvlbm.errors import DimensionMismatch, NonConstantShift, SingularMatrix, ValidationError
 
@@ -843,7 +842,7 @@ class TestStateHelpers:
 
 class TestSnapshot:
     def test_files_written(self, tmp_path):
-        from rvlbm import save_snapshot
+        from rvlbm.experiments import save_snapshot
 
         spec = d1q2_spec()
         state = equilibrium_state(spec, (4,), (1.0,), 1.0)
