@@ -296,8 +296,8 @@ def _fit(dts: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residual = (np.abs(fitted - z) / dts).max(axis=-1)
     mu = np.empty((len(dts), 3), dtype=complex)
     mu[:, 0] = 1j * (coef_even[:, 0] / dt0)
-    mu[:, 1] = coef_odd[:, 0] / dt0**2
-    mu[:, 2] = 1j * (coef_even[:, 1] / dt0**3)
+    mu[:, 1] = coef_odd[:, 0] / (dt0 * dt0)
+    mu[:, 2] = 1j * (coef_even[:, 1] / (dt0 * dt0 * dt0))
     return mu, residual
 
 
@@ -327,7 +327,8 @@ def _symbol_series(spec: SchemeSpec, ks: np.ndarray, norms: np.ndarray, dts: np.
     solved = dts[first]
     fits, misfit = _fit(solved, np.log(_branch_values(spec, ks[first], solved)))
     ratio = norms / norms[first][owner]  # exactly 1 for a solved row
-    powers = ratio[:, None] ** np.arange(1, 4)
+    square = ratio * ratio  # products, not np.power: its SIMD loops round by machine
+    powers = np.stack([ratio, square, square * ratio], axis=-1)
     # parts apart: keeps the sign of a zero
     mu = (fits.view(float).reshape(-1, 3, 2)[owner] * powers[..., None]).view(complex)[..., 0]
     residual = ratio * misfit[owner]

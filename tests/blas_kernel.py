@@ -2,13 +2,15 @@
 
     python tests/blas_kernel.py        print the runtime core name, e.g. SkylakeX
     python tests/blas_kernel.py DIR    run the bitwise tests of test_scheme.py,
-                                       simulate the shipped configs and run
-                                       their convergence study into DIR and
-                                       print one JSON line: the core name,
-                                       numpy's AVX-512 targets in use, the
-                                       pytest exit code, the sha256 of each
-                                       simulate report and snapshot, and of
-                                       each convergence report
+                                       simulate the shipped configs, run
+                                       their convergence study and write
+                                       their verify and dispersion reports
+                                       into DIR and print one JSON line: the
+                                       core name, numpy's AVX-512 targets in
+                                       use, the pytest exit code, the sha256
+                                       of each simulate report and snapshot,
+                                       of each convergence report, and of
+                                       each verify and dispersion report
 
 OPENBLAS_CORETYPE in the environment picks the kernel of a DYNAMIC_ARCH
 OpenBLAS, and NPY_DISABLE_CPU_FEATURES switches off numpy's own SIMD targets;
@@ -74,15 +76,15 @@ def _sha256(path: pathlib.Path) -> str:
 
 
 def check(out: pathlib.Path) -> dict:
-    """Run the bitwise tests, and simulate and study the shipped configs into `out`."""
+    """Run the bitwise tests, and simulate, study and verify the shipped configs into `out`."""
     import pytest
-    from rvlbm import load_config, reference_config
+    from rvlbm import dispersion_payload, load_config, reference_config, verify_report
     from rvlbm.experiments import convergence_payload, save_snapshot, simulate_payload, write_json
 
     lib = openblas()
     ids = [f"{TESTS / 'test_scheme.py'}::{test}" for test in BITWISE_TESTS]
     exit_code = pytest.main(["-q", "-p", "no:cacheprovider", *ids])
-    digests, convergence = {}, {}
+    digests, convergence, oracle = {}, {}, {}
     for name in SHIPPED_CONFIGS:
         cfg = load_config(reference_config(name))
         payload, state = simulate_payload(cfg)
@@ -92,8 +94,12 @@ def check(out: pathlib.Path) -> dict:
         digests[name] = [_sha256(report), _sha256(snapshot)]
         write_json(convergence_payload(cfg), out / f"{name}_convergence.json")
         convergence[name] = _sha256(out / f"{name}_convergence.json")
+        verify, dispersion = out / f"{name}_verify.json", out / f"{name}_dispersion.json"
+        write_json(verify_report(cfg), verify)
+        write_json(dispersion_payload(cfg).to_json_dict(), dispersion)
+        oracle[name] = [_sha256(verify), _sha256(dispersion)]
     return {"core": lib and core_name(lib), "avx512": avx512_targets(), "pytest_exit": int(exit_code),
-            "sha256": digests, "convergence_sha256": convergence}
+            "sha256": digests, "convergence_sha256": convergence, "oracle_sha256": oracle}
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ bitwise tests of test_scheme.py, which compare against a plain np.matmul loop
 on the same kernel, and simulates and studies the shipped configs.  One more
 child runs the runtime kernel with numpy's AVX-512 loops switched off by
 NPY_DISABLE_CPU_FEATURES, which numpy also reads once, at import; its
-simulate and convergence reports must equal those of the default dispatch.
-verify reports are not compared: the oracle rounds differently on each
-kernel.
+simulate, convergence, verify and dispersion reports must equal those of the
+default dispatch.  verify and dispersion reports are not compared across
+kernels: the oracle's fit rounds differently on each kernel.
 """
 
 import json
@@ -97,8 +97,8 @@ class TestBlasKernels:
 
 class TestNumpyDispatch:
     def test_reports_are_equal_without_avx512_loops(self, kernel_reports, tmp_path):
-        # numpy's AVX-512 atan2, exp and log differ from libm's in the last bit
-        # of some values; on an AVX2-only machine numpy runs the others
+        # numpy's AVX-512 atan2, exp, log and power differ from libm's in the last
+        # bit of some values; on an AVX2-only machine numpy runs the others
         targets = blas_kernel.avx512_targets()
         if not targets:
             pytest.skip("numpy runs no AVX-512 loops on this CPU")
@@ -113,3 +113,4 @@ class TestNumpyDispatch:
         assert default["avx512"] == targets
         assert report["sha256"] == default["sha256"]
         assert report["convergence_sha256"] == default["convergence_sha256"]
+        assert report["oracle_sha256"] == default["oracle_sha256"]
