@@ -412,15 +412,15 @@ RANDOM_SCHEME_SETS = {
 
 
 @st.composite
-def random_schemes(draw):
-    """A standard velocity set with the default basis, random rates in (0, 2),
+def random_schemes(draw, sets=tuple(sorted(RANDOM_SCHEME_SETS))):
+    """A velocity set of `sets` with the default basis, random rates in (0, 2),
     random equilibrium weights summing to 1 and a random constant shift.
 
     Hypothesis favours the ends of a range, and a rate near 0 drives
     sigma = 1/s - 1/2 past the float range, so up to half of the schemes
     would end at the typed non-finite error: one scheme in eight draws its
     rates from all of (0, 2), the others from [0.05, 1.95]."""
-    vectors = RANDOM_SCHEME_SETS[draw(st.sampled_from(sorted(RANDOM_SCHEME_SETS)))]
+    vectors = RANDOM_SCHEME_SETS[draw(st.sampled_from(sets))]
     vset = VelocitySet(len(vectors[0]), 1.0, vectors)
     rate = (st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)
             if draw(st.integers(0, 7)) == 0 else st.floats(0.05, 1.95))
@@ -429,6 +429,25 @@ def random_schemes(draw):
     shift = draw(st.lists(st.floats(-1.0, 1.0), min_size=vset.dim, max_size=vset.dim))
     return SchemeSpec(vset, default_basis(vset), (0.0, *rates), (*weights, 1.0 - sum(weights)),
                       VelocityShift.constant(shift))
+
+
+@st.composite
+def random_basis_schemes(draw):
+    """A scheme of random_schemes, on any set but D1Q2, with its moments above X_d
+    mixed: row k of the default basis, k > d, gains a random integer
+    combination, coefficients in [-3, 3], of the rows before it.
+    The mixing matrix L is unit lower triangular, so M(u) = L M_default(u) is
+    singular only where the default basis is, and M(0) never; rows 1 and X_b
+    stay, as the derivation needs for e_b(0) = c_b."""
+    spec = draw(random_schemes(sets=("d1q3", "d2q5", "d2q9", "d3q7")))
+    rows = spec.basis
+    mixed = list(rows[:spec.dim + 1])
+    for k in range(spec.dim + 1, spec.q):
+        terms = list(rows[k].terms)
+        for coef, row in zip(draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)), rows):
+            terms += [(exps, coef * value) for exps, value in row.terms]
+        mixed.append(MomentPolynomial(spec.dim, tuple(terms)))
+    return replace(spec, basis=tuple(mixed))
 
 
 def rates_near_zero_d2q5():
@@ -1121,6 +1140,13 @@ class TestRandomSchemeDerivation:
             return
         event("checked")
 
+    @given(random_basis_schemes())
+    @settings(max_examples=100, deadline=None)
+    def test_direct_and_regrouped_third_order_agree_at_zero_shift_on_random_bases(self, spec):
+        # Criteria 3 and 8 on mixed bases: the paper's equation holds for any
+        # relative-velocity moments, not only the default monomials
+        self.test_direct_and_regrouped_third_order_agree_at_zero_shift.hypothesis.inner_test(self, spec)
+
     @given(random_schemes())
     @example(cancelled_diffusion_d1q2())
     @settings(max_examples=100, deadline=None)
@@ -1155,3 +1181,10 @@ class TestRandomSchemeDerivation:
                                            diffusion_rounding_scale(zero))
                 outcome = "rounding-bound branch"
         event(outcome)
+
+    @given(random_basis_schemes())
+    @settings(max_examples=100, deadline=None)
+    def test_transport_and_diffusion_shift_invariant_on_random_bases(self, spec):
+        # Criterion 2 on mixed bases: c and D stay shift invariant whatever the
+        # moments above X_d
+        self.test_transport_and_diffusion_shift_invariant.hypothesis.inner_test(self, spec)
