@@ -8,7 +8,8 @@ child runs the runtime kernel with numpy's AVX-512 loops switched off by
 NPY_DISABLE_CPU_FEATURES, which numpy also reads once, at import; its
 simulate, convergence, verify and dispersion reports must equal those of the
 default dispatch.  verify and dispersion reports are not compared across
-kernels: the oracle's fit rounds differently on each kernel.
+kernels: the oracle's fit rounds differently on each kernel.  All the
+children run at the same time.
 """
 
 import json
