@@ -2,15 +2,17 @@
 
     python tests/blas_kernel.py        print the runtime core name, e.g. SkylakeX
     python tests/blas_kernel.py DIR    run the bitwise tests of test_scheme.py,
-                                       simulate the shipped configs, run
-                                       their convergence study and write
-                                       their verify and dispersion reports
-                                       into DIR and print one JSON line: the
-                                       core name, numpy's AVX-512 targets in
-                                       use, the pytest exit code, the sha256
-                                       of each simulate report and snapshot,
-                                       of each convergence report, and of
-                                       each verify and dispersion report
+                                       simulate the shipped configs and two
+                                       sine-shift variants, run their
+                                       convergence study and write their
+                                       verify and dispersion reports into DIR
+                                       and print one JSON line: the core name,
+                                       numpy's AVX-512 targets in use, the
+                                       pytest exit code, the sha256 of each
+                                       simulate report and snapshot, of each
+                                       sine-shift one, of each convergence
+                                       report, and of each verify and
+                                       dispersion report
 
 OPENBLAS_CORETYPE in the environment picks the kernel of a DYNAMIC_ARCH
 OpenBLAS, and NPY_DISABLE_CPU_FEATURES switches off numpy's own SIMD targets;
@@ -40,6 +42,9 @@ BITWISE_TESTS = [
     "TestStep::test_zero_amplitude_sine_matches_zero_shift_on_shipped_configs",
 ]
 SHIPPED_CONFIGS = ("d1q2", "d1q3", "d2q5")
+# shipped config -> the amplitude of the sine shift that replaces its shift;
+# d1q3's is the sine.json that CI simulates from the installed package
+SINE_SHIFTS = {"d1q3": [0.1], "d2q5": [0.1, 0.05]}
 
 
 def openblas() -> ctypes.CDLL | None:
@@ -75,31 +80,43 @@ def _sha256(path: pathlib.Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _simulate(cfg, out: pathlib.Path, name: str) -> list[str]:
+    """Simulate `cfg` into `out` as `name`: the sha256 of its report and of its snapshot."""
+    from rvlbm.experiments import save_snapshot, simulate_payload, write_json
+
+    payload, state = simulate_payload(cfg)
+    report, snapshot = out / f"{name}.json", out / f"{name}.csv"
+    write_json(payload, report)
+    save_snapshot(state, cfg.spec, snapshot, out / f"{name}_meta.json", cfg.steps)
+    return [_sha256(report), _sha256(snapshot)]
+
+
 def check(out: pathlib.Path) -> dict:
     """Run the bitwise tests, and simulate, study and verify the shipped configs into `out`."""
     import pytest
     from rvlbm import dispersion_payload, load_config, reference_config, verify_report
-    from rvlbm.experiments import convergence_payload, save_snapshot, simulate_payload, write_json
+    from rvlbm.experiments import convergence_payload, write_json
 
     lib = openblas()
     ids = [f"{TESTS / 'test_scheme.py'}::{test}" for test in BITWISE_TESTS]
     exit_code = pytest.main(["-q", "-p", "no:cacheprovider", *ids])
-    digests, convergence, oracle = {}, {}, {}
+    digests, sine, convergence, oracle = {}, {}, {}, {}
     for name in SHIPPED_CONFIGS:
         cfg = load_config(reference_config(name))
-        payload, state = simulate_payload(cfg)
-        report, snapshot = out / f"{name}.json", out / f"{name}.csv"
-        write_json(payload, report)
-        save_snapshot(state, cfg.spec, snapshot, out / f"{name}_meta.json", cfg.steps)
-        digests[name] = [_sha256(report), _sha256(snapshot)]
+        digests[name] = _simulate(cfg, out, name)
         write_json(convergence_payload(cfg), out / f"{name}_convergence.json")
         convergence[name] = _sha256(out / f"{name}_convergence.json")
         verify, dispersion = out / f"{name}_verify.json", out / f"{name}_dispersion.json"
         write_json(verify_report(cfg), verify)
         write_json(dispersion_payload(cfg).to_json_dict(), dispersion)
         oracle[name] = [_sha256(verify), _sha256(dispersion)]
+    for name, amplitude in SINE_SHIFTS.items():
+        doc = json.loads(reference_config(name))
+        doc["scheme"]["u_tilde"] = {"mode": "sine", "value": amplitude}
+        sine[name] = _simulate(load_config(json.dumps(doc)), out, f"{name}_sine")
     return {"core": lib and core_name(lib), "avx512": avx512_targets(), "pytest_exit": int(exit_code),
-            "sha256": digests, "convergence_sha256": convergence, "oracle_sha256": oracle}
+            "sha256": digests, "sine_sha256": sine, "convergence_sha256": convergence,
+            "oracle_sha256": oracle}
 
 
 if __name__ == "__main__":

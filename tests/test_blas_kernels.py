@@ -6,10 +6,12 @@ bitwise tests of test_scheme.py, which compare against a plain np.matmul loop
 on the same kernel, and simulates and studies the shipped configs.  One more
 child runs the runtime kernel with numpy's AVX-512 loops switched off by
 NPY_DISABLE_CPU_FEATURES, which numpy also reads once, at import; its
-simulate, convergence, verify and dispersion reports must equal those of the
-default dispatch.  verify and dispersion reports are not compared across
-kernels: the oracle's fit rounds differently on each kernel.  All the
-children run at the same time.
+simulate, sine-shift simulate, convergence, verify and dispersion reports
+must equal those of the default dispatch.  verify and dispersion reports are
+not compared across kernels: the oracle's fit rounds differently on each
+kernel.  Neither are the sine-shift reports: d2q5's differs between the
+SkylakeX and Haswell kernels, for a cause not yet located.  All the children
+run at the same time.
 """
 
 import json
@@ -166,5 +168,6 @@ class TestNumpyDispatch:
         assert report["pytest_exit"] == 0, report["output"]
         assert default["avx512"] == targets
         assert report["sha256"] == default["sha256"]
+        assert report["sine_sha256"] == default["sine_sha256"]
         assert report["convergence_sha256"] == default["convergence_sha256"]
         assert report["oracle_sha256"] == default["oracle_sha256"]
