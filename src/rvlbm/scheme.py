@@ -6,14 +6,19 @@ operator K = S (M(u) E 1^T - M(u)), and streams each f_j by its integer
 lattice vector on the periodic grid.  The density moment is conserved exactly
 because s[0] = 0 makes row 0 of K zero.
 
+A sine shift u(x) is the same update with each cell's own operators: the
+moments follow the local frame, so a cell collides by M(u(x))^-1 and
+K(u(x)) = S (M(u(x)) E 1^T - M(u(x))), built once per grid as per-cell stacks.
+
 K and M(u)^-1 are real, so a complex state, such as a Fourier mode checked
 against the amplification matrix, collides as its real and imaginary parts:
 one collider per `run` or `collide` call applies the real operators to the
-state's float view, and the per-step loop makes one call into it.  A small
-state's two (q, q) x (q, n) products go through np.dot, a large one's through
-np.matmul, one block of BLOCK_CELLS cells at a time: every product reaches the
-same BLAS gemm and forms each output element alike, and np.dot dispatches
-faster.
+state's float view, and the per-step loop makes one call into it.  A constant
+shift's two (q, q) x (q, n) products go through np.dot for a small state and
+through np.matmul for a large one, one block of BLOCK_CELLS cells at a time:
+every product reaches the same BLAS gemm and forms each output element alike,
+and np.dot dispatches faster.  A sine shift's two per-cell einsums run over
+the same blocks and call no BLAS.
 """
 
 from __future__ import annotations
@@ -245,19 +250,16 @@ def density(f) -> float | np.ndarray:
 class _Collision(NamedTuple):
     """The operators of f -> f + M(u)^-1 (K f), with K = S (M(u) E 1^T - M(u)).
 
-    For a constant shift k and m_inv are K and M(u)^-1, and there are no
-    differences.  For a field shift k and m_inv are K_0 and M_0^-1 at the rest
-    frame, and dk, dm_inv are the per-cell stacks K(x) - K_0 and
-    M(x)^-1 - M_0^-1.  m is M(u) itself, for moment_field.  Stacks have shape
-    (q, q, cells), so the cell axis is the fastest: the per-cell einsum runs
-    2-3 times faster on that layout than on a C-ordered (cells, q, q) stack.
+    For a constant shift m, k and m_inv are the (q, q) matrices M(u), K and
+    M(u)^-1.  For a field shift they are the per-cell stacks M(x), K(x) and
+    M(x)^-1 at u(x), of shape (q, q, cells), so the cell axis is the fastest:
+    the per-cell einsum runs 2-3 times faster on that layout than on a
+    C-ordered (cells, q, q) stack.  m is read by moment_field only.
     """
 
     m: np.ndarray
     k: np.ndarray
     m_inv: np.ndarray
-    dk: np.ndarray | None = None
-    dm_inv: np.ndarray | None = None
 
 
 def _relaxation_operator(spec: SchemeSpec, m: np.ndarray) -> np.ndarray:
@@ -273,26 +275,18 @@ def _relaxation_operator(spec: SchemeSpec, m: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _field_matrices(spec: SchemeSpec, grid_sizes, box_lengths) -> _Collision:
-    """A field shift's collision operators split at the rest frame, built once per grid.
+    """A field shift's M(x), K(x) and M(x)^-1 at every cell, built once per grid.
 
-    K_0 and M_0^-1 take the same 2-D products as a constant shift, and the
-    per-cell differences are built from M(x) - M_0, so they are exactly 0
-    wherever the shift is: a zero-amplitude sine collides bit for bit as the
-    zero shift, for every scheme.
+    Each cell's operators are those of a constant shift at that cell's u(x):
+    K(x) is _relaxation_operator of M(x), so its row 0 is exactly 0 as well.
     """
     x = cell_centers(grid_sizes, box_lengths)
     u = np.stack([v * np.sin(2.0 * np.pi * x[a] / box_lengths[a])
                   for a, v in enumerate(spec.u_tilde.value)]).reshape(spec.dim, -1)
     matrix = build_moment_matrix(spec.basis, spec.vset, u)
-    rest = build_moment_matrix(spec.basis, spec.vset, np.zeros(spec.dim))
-    m = np.ascontiguousarray(np.moveaxis(matrix.m, 0, -1))  # (q, q, cells)
-    dm = m - rest.m[:, :, None]
-    # M(x)^-1 - M_0^-1 = -M_0^-1 (M(x) - M_0) M(x)^-1, cell by cell
-    left = np.tensordot(-rest.m_inv, dm, axes=1)
-    dm_inv = np.einsum("kjc,jic->kic", left, np.ascontiguousarray(np.moveaxis(matrix.m_inv, 0, -1)))
-    ops = _Collision(m, _relaxation_operator(spec, rest.m), rest.m_inv,
-                     _relaxation_operator(spec, dm), dm_inv)
-    for a in ops[1:]:
+    m, m_inv = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (matrix.m, matrix.m_inv))
+    ops = _Collision(m, _relaxation_operator(spec, m), m_inv)  # each (q, q, cells)
+    for a in ops:
         a.setflags(write=False)
     return ops
 
@@ -311,8 +305,7 @@ class _Collider:
     C-contiguous buffers: `f` in the state's dtype (promoted to at least
     float64), into which the caller's state.f is copied once here, whatever
     its order; the collided f `out` in that dtype; and a real one for K f of
-    at most BLOCK_CELLS cells.  A field shift adds a real buffer of that size
-    for the per-cell products.  Nothing writes into state.f.
+    at most BLOCK_CELLS cells.  Nothing writes into state.f.
 
     A real operator maps the real and imaginary parts of a complex state each
     on their own, so a complex f is collided as its float view: (q, 2 cells)
@@ -332,15 +325,17 @@ class _Collider:
     only saves np.matmul's gufunc dispatch, about 0.7 us per call, and the
     blocks keep each block's operands in cache between the three calls.
     + f is its own add after the second product, so a run rounds exactly as
-    a plain np.matmul loop does on whichever BLAS kernel runs it.
+    a plain np.matmul loop does on whichever BLAS kernel runs it.  A sine
+    shift's block is einsum(K(x), f) into the K f buffer, einsum(M(x)^-1, K f)
+    into out and the same add, on the block's slice of each stack.
 
     K f = S (M(u) E rho - M(u) f) has row 0 exactly 0 because s_0 = 0, and
     M(u)^-1 stays its own contraction, so the correction carries no mass
     component: its rounding scales with the distance from equilibrium rather
     than with f, and the collision conserves mass to well below 1e-13 over
     long runs.  Multiplying it out to one matrix I + M(u)^-1 K loses that and
-    drifts by about 2e-13 over 10^4 d1q3 steps.  A field shift adds the
-    per-cell difference stacks to the rest-frame products.
+    drifts by about 2e-13 over 10^4 d1q3 steps.  Both hold cell by cell for
+    a sine shift's K(x) and M(x)^-1.
     """
 
     def __init__(self, spec: SchemeSpec, state: StateField):
@@ -354,33 +349,29 @@ class _Collider:
         cells = self.f[0].size
         block = min(cells, BLOCK_CELLS)
         kf = np.empty((spec.q, per * block), real)
-        k, m_inv = ops.k, ops.m_inv
-        # a positional out parses faster than out=, a saving a 64-cell step notices;
-        # np.dot takes only a C-contiguous out, so only a single block may use it
-        product = np.dot if cells == block and out.size <= DOT_MAX_ELEMENTS else np.matmul
-        add = np.add
+        k, m_inv, add = ops.k, ops.m_inv, np.add
         spans = [(c, min(c + block, cells)) for c in range(0, cells, block)]
-        blocks = [(f[:, per * c0:per * c1], kf[:, :per * (c1 - c0)], out[:, per * c0:per * c1])
-                  for c0, c1 in spans]
-        if ops.dk is None:
+        if spec.u_tilde.is_constant:
+            # a positional out parses faster than out=, a saving a 64-cell step notices;
+            # np.dot takes only a C-contiguous out, so only a single block may use it
+            product = np.dot if cells == block and out.size <= DOT_MAX_ELEMENTS else np.matmul
+            blocks = [(f[:, per * c0:per * c1], kf[:, :per * (c1 - c0)], out[:, per * c0:per * c1])
+                      for c0, c1 in spans]
+
             def collide_block(f, kf, out):
                 product(k, f, kf)
                 product(m_inv, kf, out)
                 add(out, f, out)
         else:
-            dk, dm_inv, einsum = ops.dk, ops.dm_inv, np.einsum
+            einsum = np.einsum
             shape = (spec.q, -1) + ((per,) if per == 2 else ())
-            f_cells, kf_cells, out_cells = f.reshape(shape), kf.reshape(shape), out.reshape(shape)
-            products = np.empty_like(kf_cells)
-            blocks = [views + (f_cells[:, c0:c1], kf_cells[:, :c1 - c0], out_cells[:, c0:c1],
-                               dk[:, :, c0:c1], dm_inv[:, :, c0:c1], products[:, :c1 - c0])
-                      for views, (c0, c1) in zip(blocks, spans)]
+            f, kf, out = (a.reshape(shape) for a in (f, kf, out))
+            blocks = [(f[:, c0:c1], kf[:, :c1 - c0], out[:, c0:c1], k[:, :, c0:c1], m_inv[:, :, c0:c1])
+                      for c0, c1 in spans]
 
-            def collide_block(f, kf, out, f_cells, kf_cells, out_cells, dk, dm_inv, products):
-                product(k, f, kf)
-                add(kf_cells, einsum("kjc,jc...->kc...", dk, f_cells, out=products), kf_cells)
-                product(m_inv, kf, out)
-                add(out_cells, einsum("kjc,jc...->kc...", dm_inv, kf_cells, out=products), out_cells)
+            def collide_block(f, kf, out, k, m_inv):
+                einsum("kjc,jc...->kc...", k, f, out=kf)
+                einsum("kjc,jc...->kc...", m_inv, kf, out=out)
                 add(out, f, out)
         if len(blocks) == 1:
             self.apply = partial(collide_block, *blocks[0])

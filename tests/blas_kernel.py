@@ -38,8 +38,6 @@ BITWISE_TESTS = [
     "TestComplexStates",
     "TestRun",
     "TestCollisionBlocks",
-    "TestStep::test_zero_amplitude_sine_matches_zero_shift",
-    "TestStep::test_zero_amplitude_sine_matches_zero_shift_on_shipped_configs",
 ]
 SHIPPED_CONFIGS = ("d1q2", "d1q3", "d2q5")
 # shipped config -> the amplitude of the sine shift that replaces its shift;
