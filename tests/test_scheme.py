@@ -384,6 +384,13 @@ class TestStep:
         out = run(state, spec, 50)
         assert abs(out.f.sum() - total) <= 1e-13 * abs(total)
 
+    def test_d2q5_sine_shift_conserves_mass(self):
+        # the 2-D per-cell path at the bound of the acceptance criterion, as CI's installed-package check
+        spec, state = _sine_case(_d2q5(VelocityShift.sine((0.1, 0.05))), (32, 32))
+        total = state.f.sum()
+        out = run(state, spec, 200)
+        assert abs(out.f.sum() - total) <= 1e-13 * abs(total)
+
     def test_singular_cell_raises_typed_error(self):
         # the sine shift vanishes at cell 0, where M(u) has two equal rows
         spec = cubic_d1q3_spec(0.2)
@@ -536,6 +543,28 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak - before < state.f.nbytes
+
+    def test_sine_operators_hold_few_arrays(self):
+        # the build holds M(x), M(x)^-1 as inverted and in the cell-last layout,
+        # and K(x): 4.36 (q, q, cells) stacks (6.36 with rest-frame differences);
+        # the collider holds f, out and one K f block: 2.26 state arrays (2.51
+        # with a block of per-cell products)
+        n = 128
+        spec, state = _sine_case(_d2q5(VelocityShift.sine((0.1, 0.1))), (n, n))
+        scheme._field_matrices.cache_clear()  # so the build below is measured, not a cache hit
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scheme._field_matrices(spec, state.grid_sizes, state.box_lengths)
+            build = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            scheme._Collider(spec, state)
+            buffers = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert 1 < build / (spec.q * spec.q * n * n * 8) < 5
+        assert buffers / state.f.nbytes < 2.4
 
     @pytest.mark.parametrize("steps", [-3, 2.7, -0.5, float("nan"), "3"])
     def test_bad_step_count_rejected(self, steps):
