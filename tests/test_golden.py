@@ -17,10 +17,9 @@ def want():
 
 @pytest.mark.parametrize("command, config", CASES, ids=[f"{c}-{n}" for c, n in CASES])
 def test_report_matches_its_golden_digest(command, config, want, tmp_path):
-    written = golden.write_reports(command, config, tmp_path)
-    moved = [golden.first_difference(key, golden.file_digests(path), want[key])
-             for key, path in written.items()
-             if golden.file_digests(path)["sha256"] != want[key]["sha256"]]
+    got = {key: golden.file_digests(path) for key, path in golden.write_reports(command, config, tmp_path).items()}
+    moved = [golden.first_difference(key, got[key], want[key])
+             for key in got if got[key]["sha256"] != want[key]["sha256"]]
     assert not moved, "\n".join(moved)
 
 
