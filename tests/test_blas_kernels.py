@@ -9,9 +9,9 @@ NPY_DISABLE_CPU_FEATURES, which numpy also reads once, at import; its
 simulate, sine-shift simulate, convergence, verify and dispersion reports
 must equal those of the default dispatch.  verify and dispersion reports are
 not compared across kernels: the oracle's fit rounds differently on each
-kernel.  Neither are the sine-shift reports: d2q5's differs between the
-SkylakeX and Haswell kernels, for a cause not yet located.  All the children
-run at the same time.
+kernel.  Neither are the sine-shift reports: d2q5's M(x)^-1 stack, from the
+batched np.linalg.inv, differs in its last bits between the SkylakeX and
+Haswell kernels, and so does its run.  All the children run at the same time.
 """
 
 import json
