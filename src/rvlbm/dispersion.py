@@ -4,12 +4,14 @@ This is the verification channel that never touches the derivation.  A
 plane wave exp(i k.x) turns one collide-and-stream update into multiplication
 by the q x q matrix
 
-    G(k, dt) = diag(exp(-i k.v_j dt)) M(u)^-1 [(I - S) M(u) + S (M(u) E) 1^T],
+    G(k, dt) = P (I + M(u)^-1 K),    P = diag(exp(-i k.v_j dt)),
 
-whose dominant eigenvalue branch g(k, dt) is continuous from 1 at k = 0.  The
-growth rate y = log(g)/dt is fitted over a geometric dt sequence to recover
-the series y = mu0 + mu1 dt + mu2 dt^2 + ..., which the equivalent-equation
-operators must reproduce order by order.
+where K = S (M(u) E 1^T - M(u)) and M(u)^-1 are the simulator's own operators
+(SchemeSpec._collision_factor multiplies them out once per spec).  Its
+dominant eigenvalue branch g(k, dt) is continuous from 1 at k = 0.  The growth
+rate y = log(g)/dt is fitted over a geometric dt sequence to recover the series
+y = mu0 + mu1 dt + mu2 dt^2 + ..., which the equivalent-equation operators must
+reproduce order by order.
 
 For a real collision matrix the exact symmetry g(k, -dt) = conj(g(k, dt))
 makes Im(y) even and Re(y) odd in dt, so the two parts are fitted separately

@@ -13,12 +13,13 @@ K(u(x)) = S (M(u(x)) E 1^T - M(u(x))), built once per grid as per-cell stacks.
 K and M(u)^-1 are real, so a complex state, such as a Fourier mode checked
 against the amplification matrix, collides as its real and imaginary parts:
 one collider per `run` or `collide` call applies the real operators to the
-state's float view, and the per-step loop makes one call into it.  A constant
-shift's two (q, q) x (q, n) products go through np.dot for a small state and
-through np.matmul for a large one, one block of BLOCK_CELLS cells at a time:
-every product reaches the same BLAS gemm and forms each output element alike,
-and np.dot dispatches faster.  A sine shift's two per-cell einsums run over
-the same blocks and call no BLAS.
+state's float view, and the per-step loop makes one call into it.  Either
+shift collides through one block body, K f, M^-1 (K f) and + f, one block of
+BLOCK_CELLS cells at a time; only the product differs, picked once: np.dot or
+np.matmul for a constant shift's (q, q) operators, which reach the same BLAS
+gemm, and a per-cell einsum for a sine shift's stacks, which calls no BLAS.
+The simulator keeps this delta form, which conserves mass; only the Fourier
+oracle multiplies it out, to I + M(u)^-1 K (SchemeSpec._collision_factor).
 """
 
 from __future__ import annotations
@@ -149,12 +150,10 @@ class SchemeSpec:
 
     @cached_property
     def _collision_factor(self) -> np.ndarray:
-        """One collision at the constant shift as a q x q matrix,
-        M(u)^-1 [(I - S) M(u) + S (M(u) E) 1^T], built on first use, read-only."""
-        mm = self.moment_matrix
-        s = np.asarray(self.s)
-        e_moments = mm.m @ np.asarray(self.equilibrium)
-        c = mm.m_inv @ ((1.0 - s)[:, None] * mm.m + (s * e_moments)[:, None])
+        """One collision at the constant shift as a q x q matrix, I + M(u)^-1 K,
+        from the simulator's own operators; built on first use, read-only."""
+        ops = self._constant_collision
+        c = np.eye(self.q) + ops.m_inv @ ops.k
         c.setflags(write=False)
         return c
 
@@ -313,29 +312,27 @@ class _Collider:
     covers the pair axis.  Neither K nor a per-cell stack is cast or copied
     to complex, and each step pays a real product, not a complex one.
 
-    A state of more than BLOCK_CELLS cells collides block by block: each
-    block of BLOCK_CELLS cells (the last one shorter) runs both products and
-    the add on its own columns, through the one block-sized K f buffer.  A
-    state of at most one block is one block with the whole K f buffer: its
-    two (q, q) x (q, n) products go through np.dot when the real (q, n) view
-    has at most DOT_MAX_ELEMENTS elements, and through np.matmul above that,
-    picked once here.  Every product calls the same dgemm, and each output
-    element is the same q-term dot product whichever columns share the call,
-    so neither the blocks nor the choice changes a bit of the result; np.dot
-    only saves np.matmul's gufunc dispatch, about 0.7 us per call, and the
-    blocks keep each block's operands in cache between the three calls.
-    + f is its own add after the second product, so a run rounds exactly as
-    a plain np.matmul loop does on whichever BLAS kernel runs it.  A sine
-    shift's block is einsum(K(x), f) into the K f buffer, einsum(M(x)^-1, K f)
-    into out and the same add, on the block's slice of each stack.
+    One block body serves both shifts: product(k, f, kf), product(m_inv, kf,
+    out), add(out, f, out), run on each block of BLOCK_CELLS cells (the last
+    one shorter) through the one block-sized K f buffer.  The product and each
+    block's operators are picked once here.  A constant shift passes the same
+    (q, q) K and M(u)^-1 to every block; its product is np.dot for a single
+    block whose real (q, n) view has at most DOT_MAX_ELEMENTS elements and
+    np.matmul otherwise.  Both call the same dgemm, each output element is
+    the same q-term dot product whichever columns share the call, so neither
+    the blocks nor the choice changes a bit; np.dot saves about 0.7 us of
+    gufunc dispatch per call, and the blocks keep operands in cache.  + f is
+    its own add, so a run rounds exactly as a plain np.matmul loop does on
+    whichever BLAS kernel runs it.  A sine shift passes each block its slice
+    of the K(x) and M(x)^-1 stacks, and its product is a per-cell einsum.
 
     K f = S (M(u) E rho - M(u) f) has row 0 exactly 0 because s_0 = 0, and
     M(u)^-1 stays its own contraction, so the correction carries no mass
     component: its rounding scales with the distance from equilibrium rather
     than with f, and the collision conserves mass to well below 1e-13 over
-    long runs.  Multiplying it out to one matrix I + M(u)^-1 K loses that and
-    drifts by about 2e-13 over 10^4 d1q3 steps.  Both hold cell by cell for
-    a sine shift's K(x) and M(x)^-1.
+    long runs.  Colliding by the oracle's one matrix I + M(u)^-1 K loses
+    that and drifts by about 2e-13 over 10^4 d1q3 steps.  Both hold cell by
+    cell for a sine shift's K(x) and M(x)^-1.
     """
 
     def __init__(self, spec: SchemeSpec, state: StateField):
@@ -355,13 +352,8 @@ class _Collider:
             # a positional out parses faster than out=, a saving a 64-cell step notices;
             # np.dot takes only a C-contiguous out, so only a single block may use it
             product = np.dot if cells == block and out.size <= DOT_MAX_ELEMENTS else np.matmul
-            blocks = [(f[:, per * c0:per * c1], kf[:, :per * (c1 - c0)], out[:, per * c0:per * c1])
+            blocks = [(f[:, per * c0:per * c1], kf[:, :per * (c1 - c0)], out[:, per * c0:per * c1], k, m_inv)
                       for c0, c1 in spans]
-
-            def collide_block(f, kf, out):
-                product(k, f, kf)
-                product(m_inv, kf, out)
-                add(out, f, out)
         else:
             einsum = np.einsum
             shape = (spec.q, -1) + ((per,) if per == 2 else ())
@@ -369,10 +361,13 @@ class _Collider:
             blocks = [(f[:, c0:c1], kf[:, :c1 - c0], out[:, c0:c1], k[:, :, c0:c1], m_inv[:, :, c0:c1])
                       for c0, c1 in spans]
 
-            def collide_block(f, kf, out, k, m_inv):
-                einsum("kjc,jc...->kc...", k, f, out=kf)
-                einsum("kjc,jc...->kc...", m_inv, kf, out=out)
-                add(out, f, out)
+            def product(a, b, out):
+                einsum("kjc,jc...->kc...", a, b, out=out)
+
+        def collide_block(f, kf, out, k, m_inv):
+            product(k, f, kf)
+            product(m_inv, kf, out)
+            add(out, f, out)
         if len(blocks) == 1:
             self.apply = partial(collide_block, *blocks[0])
         else:

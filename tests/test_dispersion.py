@@ -730,6 +730,55 @@ class TestFixedWork:
 EPS = float(np.finfo(float).eps)
 
 
+def assert_collision_factor_matches_algebra(spec) -> str:
+    """The oracle's C = I + M(u)^-1 K, read off the simulator's operators, against
+    C = M^-1 [(I - S) M + S (M E) 1^T], with M built here from the basis terms at
+    v_j - u in plain Python and inverted by np.linalg.inv.
+
+    Both sides sum the q terms of each entry of M^-1 A, A = (I - S) M + S (M E) 1^T,
+    after summing A's own terms, so each rounds at about q eps times the size of
+    those terms, max_ij Sum_k |M^-1_ik| A_kj with A summed in absolute values.
+    Where the two builds of M differ in a last bit, M^-1 moves by up to cond_1(M)
+    ulp, and the bound carries that factor."""
+    u = spec.u_tilde.constant_vector(spec.dim)
+    try:
+        got = spec._collision_factor
+    except SingularMatrix:
+        return "singular M(u)"
+
+    def terms(p, v):
+        return [coef * math.prod((v_a - u_a) ** e for v_a, u_a, e in zip(v, u, exps))
+                for exps, coef in p.terms]
+
+    velocities = spec.vset.velocities.tolist()
+    m = np.array([[sum(terms(p, v)) for v in velocities] for p in spec.basis])
+    size = np.array([[sum(map(abs, terms(p, v))) for v in velocities] for p in spec.basis])
+    s, e = np.array(spec.s), np.array(spec.equilibrium)
+    m_inv = np.linalg.inv(m)
+    want = m_inv @ ((1.0 - s)[:, None] * m + (s * (m @ e))[:, None])
+    a_size = np.abs(1.0 - s)[:, None] * size + (s * (size @ np.abs(e)))[:, None]
+    bound = 4 * spec.q * EPS * float((np.abs(m_inv) @ a_size).max())
+    same_m = np.array_equal(m, spec.moment_matrix.m)
+    if not same_m:
+        bound *= np.linalg.norm(size, 1) * np.linalg.norm(m_inv, 1)
+    assert np.abs(got - want).max() <= bound
+    return "same M" if same_m else "M differs in its last bits"
+
+
+class TestCollisionFactorAgainstAlgebra:
+    """The oracle reads the simulator's K and M(u)^-1; this check shares neither."""
+
+    @given(random_schemes())
+    @settings(max_examples=100, deadline=None)
+    def test_random_schemes(self, spec):
+        event(assert_collision_factor_matches_algebra(spec))
+
+    @given(random_basis_schemes())
+    @settings(max_examples=100, deadline=None)
+    def test_random_basis_schemes(self, spec):
+        event(assert_collision_factor_matches_algebra(spec))
+
+
 def reference_designs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fit's design over t = dt / dt0: odd powers for Im log g, even ones for Re."""
     return np.column_stack([t, t**3, t**5, t**7]), np.column_stack([t**2, t**4, t**6])
