@@ -28,7 +28,7 @@ from .equivalent import (
     transition_prediction,
 )
 from .errors import ValidationError
-from .lattice import evaluate_terms
+from .lattice import _term_values
 from .scheme import (
     SchemeSpec,
     StateField,
@@ -92,10 +92,11 @@ def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction) -
     those do: the equilibrium one in a grid-sized scratch array, freed before
     the moments are taken.  One FFT of rho serves every xi_k.  Each
     xi_k = xi_k[0] + dt xi_k[1] is one term tuple, with xi_k[1]'s
-    coefficients scaled by dt, so it builds one symbol grid, which then holds
-    the product with the spectrum, its inverse FFT and, in the imaginary
-    half, the predicted moment and its difference from m[k]: besides m, rho
-    and rho_hat, one complex grid is live at a time.
+    coefficients scaled by dt, whose terms are added into one zeroed grid,
+    which rounds as evaluate_terms's 0.0 + t_0 + t_1 + ... does.  The grid
+    then holds the product with the spectrum, its inverse FFT and, in the
+    imaginary half, the predicted moment and its difference from m[k]:
+    besides m, rho and rho_hat, one complex grid is live at a time.
     """
     state = run(initial_state(spec, grid_sizes, box_lengths, initial), spec, warmup)
     rho = density(state.f)
@@ -112,11 +113,10 @@ def _residual_pair(spec, grid_sizes, box_lengths, initial, warmup, prediction) -
     for k in range(1, spec.q):
         xi = prediction.xi[k]
         terms = xi[0] + tuple((e, dt * c) for e, c in xi[1])
-        spectrum = evaluate_terms(terms, ik)
-        if np.shape(spectrum) == rho_hat.shape:  # a grid evaluate_terms made, complex
-            spectrum *= rho_hat
-        else:
-            spectrum = spectrum * rho_hat
+        spectrum = np.zeros_like(rho_hat)
+        for term in _term_values(terms, ik):
+            spectrum += term
+        spectrum *= rho_hat
         xi_field = np.fft.ifftn(spectrum, out=spectrum).real
         # predicted = e_k rho + (dt * pre_collision_factor) xi_field, summed in the
         # imaginary half of the same grid, which nothing reads

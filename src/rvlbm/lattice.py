@@ -8,13 +8,14 @@ row 0 is all ones for any shift and the first moment is the density.
 A sparse polynomial is a term tuple of (exponents, coef) pairs in graded
 lexicographic order.  MomentPolynomial wraps one with its dimension and the
 constructor checks; the equivalent equation's operators are bare term tuples,
-read with X_b = d_b, and evaluate_terms gives both polynomial values and, at ik,
-operator symbols and spectral multipliers.
+read with X_b = d_b.  evaluate_terms sums _term_values into polynomial values and,
+at ik, operator symbols; experiments._residual_pair sums them into its own grid.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,28 +46,21 @@ def evaluate_terms(terms, x):
     as one coordinate per axis, real or complex.
 
     Array coordinates broadcast together; a constant term stays a bare number.
-    Once the running sum is an array of the full shape and dtype, each further
-    term is added into it in place, which rounds as total + term does; the sum
-    is always an array made here, never one of the inputs.
     """
     total = 0.0
+    for term in _term_values(terms, x):
+        total = total + term
+    return total
+
+
+def _term_values(terms, x):
+    """Each term's coef * prod_a x[a]**e_a at x, in the order of `terms`."""
     for exponents, coef in terms:
         term = coef
         for axis, e in enumerate(exponents):
             if e:
                 term = term * x[axis] ** e
-        if type(total) is np.ndarray and _holds_sum(total, term):
-            total += term
-        else:
-            total = total + term
-    return total
-
-
-def _holds_sum(total: np.ndarray, term) -> bool:
-    """Whether total + term has total's shape and dtype, so fits in total."""
-    shape = np.shape(term)
-    return ((shape == total.shape or np.broadcast_shapes(total.shape, shape) == total.shape)
-            and np.result_type(total, term) == total.dtype)
+        yield term
 
 
 @dataclass(frozen=True)
@@ -146,6 +140,8 @@ class VelocitySet:
             raise DimensionMismatch(f"dimension must be >= 1, got {self.dim}")
         if not self.lam > 0:
             raise ValidationError(f"lattice speed must be positive, got {self.lam}")
+        if self.lam == math.inf:
+            raise ValidationError(f"lattice speed must be finite, got {self.lam}")
         vecs = []
         for j, n in enumerate(self.lattice_vectors):
             if len(n) != self.dim:

@@ -24,6 +24,7 @@ oracle multiplies it out, to I + M(u)^-1 K (SchemeSpec._collision_factor).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
@@ -61,6 +62,9 @@ class VelocityShift:
         if self.mode not in ("zero", "constant", "sine"):
             raise ValidationError(f"unknown shift mode {self.mode!r}")
         value = () if self.mode == "zero" else tuple(float(v) for v in self.value)
+        for a, v in enumerate(value):
+            if not math.isfinite(v):
+                raise ValidationError(f"shift component value[{a}] = {v} is not finite")
         object.__setattr__(self, "value", value)
 
     @classmethod
@@ -108,6 +112,10 @@ class SchemeSpec:
             raise DimensionMismatch(
                 f"equilibrium vector has length {len(self.equilibrium)}, expected {q}"
             )
+        for name, values in (("relaxation rate s", self.s), ("equilibrium weight E", self.equilibrium)):
+            for k, v in enumerate(values):
+                if not math.isfinite(v):
+                    raise ValidationError(f"{name}[{k}] = {v} is not finite")
         if self.s[0] != 0.0:
             raise ValidationError("s[0] must be 0")
         for k, sk in enumerate(self.s[1:], start=1):

@@ -3,15 +3,18 @@
 Each kernel runs in its own child process with OPENBLAS_CORETYPE set, since
 OpenBLAS picks its kernel once, when numpy loads it.  The child runs the
 bitwise tests of test_scheme.py, which compare against a plain np.matmul loop
-on the same kernel, and simulates and studies the shipped configs.  One more
-child runs the runtime kernel with numpy's AVX-512 loops switched off by
-NPY_DISABLE_CPU_FEATURES, which numpy also reads once, at import; its
-simulate, sine-shift simulate, convergence, verify and dispersion reports
-must equal those of the default dispatch.  verify and dispersion reports are
-not compared across kernels: the oracle's fit rounds differently on each
-kernel.  Neither are the sine-shift reports: d2q5's M(x)^-1 stack, from the
-batched np.linalg.inv, differs in its last bits between the SkylakeX and
-Haswell kernels, and so does its run.  All the children run at the same time.
+on the same kernel, and test_golden.py, which pins the analyze, convergence
+and simulate reports of the shipped configs to golden_digests.json and names
+the first field that moved; every child must equal the committed bytes, so
+the children equal each other.  One more child runs the runtime kernel with
+numpy's AVX-512 loops switched off by NPY_DISABLE_CPU_FEATURES, which numpy
+also reads once, at import; it runs the same tests, and its sine-shift
+simulate, verify and dispersion reports must equal those of the default
+dispatch.  verify and dispersion reports are not compared across kernels:
+the oracle's fit rounds differently on each kernel.  Neither are the
+sine-shift reports: d2q5's M(x)^-1 stack, from the batched np.linalg.inv,
+differs in its last bits between the SkylakeX and Haswell kernels, and so
+does its run.  All the children run at the same time.
 """
 
 import json
@@ -139,21 +142,6 @@ class TestBlasKernels:
         assert report["core"] == kernel
         assert report["pytest_exit"] == 0, report["output"]
 
-    def test_simulate_reports_are_equal_across_kernels(self, kernel_reports):
-        digests = {k: r["sha256"] for k, r in kernel_reports.items() if isinstance(r, dict)}
-        if len(digests) < 2:
-            pytest.skip(f"fewer than two kernels to compare: {sorted(digests)}")
-        first = next(iter(digests.values()))
-        assert all(d == first for d in digests.values()), digests
-
-    def test_convergence_reports_are_equal_across_kernels(self, kernel_reports):
-        # the residuals come from the pinned simulator, gemm moments and the FFT, the slopes from libm
-        digests = {k: r["convergence_sha256"] for k, r in kernel_reports.items() if isinstance(r, dict)}
-        if len(digests) < 2:
-            pytest.skip(f"fewer than two kernels to compare: {sorted(digests)}")
-        first = next(iter(digests.values()))
-        assert all(d == first for d in digests.values()), digests
-
 
 class TestNumpyDispatch:
     def test_reports_are_equal_without_avx512_loops(self, kernel_reports, dispatch_child):
@@ -168,7 +156,5 @@ class TestNumpyDispatch:
         assert report["core"] == core and report["avx512"] == []
         assert report["pytest_exit"] == 0, report["output"]
         assert default["avx512"] == targets
-        assert report["sha256"] == default["sha256"]
         assert report["sine_sha256"] == default["sine_sha256"]
-        assert report["convergence_sha256"] == default["convergence_sha256"]
         assert report["oracle_sha256"] == default["oracle_sha256"]

@@ -28,6 +28,7 @@ from rvlbm.config import InitialData, default_k_samples
 from rvlbm.dispersion import ABSOLUTE_FLOORS, RELATIVE_TOLERANCES
 from rvlbm.errors import OrderUnavailable, SchemaError, ValidationError
 from rvlbm.experiments import initial_state, simulate_payload, write_json
+from rvlbm.lattice import evaluate_terms
 import rvlbm.dispersion as dispersion
 import rvlbm.experiments as experiments
 
@@ -323,6 +324,44 @@ class TestRefinementStudy:
             pair = experiments.residual_pair(cfg.spec, (n,), cfg.box_lengths, cfg.initial,
                                              cfg.warmup)
             assert pair == row
+
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.1, 0.0)], ids=["zero", "x"])
+    @pytest.mark.parametrize("equilibrium, axes", [
+        # at zero shift xi_1, xi_3 and xi_4 span x only and xi_2 is empty
+        ((0.5, 0.25, 0.0, 0.25, 0.0), [[0], [], [0], [0]]),
+        # at zero shift xi_1 spans x only and xi_2 y only
+        ((0.2,) * 5, [[0], [1], [0, 1], [0, 1]]),
+    ], ids=["x-only", "y-only"])
+    def test_residual_pair_matches_whole_array_formulas(self, equilibrium, axes, shift):
+        # symbols in fewer axes than the grid, or none, which no shipped config has
+        cfg = load_config(reference_config("d2q5"))
+        u_tilde = VelocityShift.zero() if shift == (0.0, 0.0) else VelocityShift.constant(shift)
+        spec = replace(cfg.spec, equilibrium=equilibrium, u_tilde=u_tilde)
+        prediction = experiments.transition_prediction(spec, 3)
+        if u_tilde.mode == "zero":
+            assert [sorted({a for e, _ in xi[0] + xi[1] for a, n in enumerate(e) if n})
+                    for xi in prediction.xi[1:]] == axes
+        grid, initial = (32, 32), experiments._transition_initial(cfg)
+        got = experiments._residual_pair(spec, grid, cfg.box_lengths, initial, cfg.warmup,
+                                         prediction)
+        # the same residuals as whole-array formulas, each symbol a plain evaluate_terms sum
+        state = run(initial_state(spec, grid, cfg.box_lengths, initial), spec, cfg.warmup)
+        rho = scheme.density(state.f)
+        e = np.reshape(spec.equilibrium, (-1, 1, 1))
+        m = scheme.moment_field(state, spec)
+        rho_hat = np.fft.fftn(rho)
+        ik = experiments._wavenumbers(rho.shape, cfg.box_lengths)
+        r_tr = 0.0
+        for k in range(1, spec.q):
+            xi = prediction.xi[k]
+            terms = xi[0] + tuple((exps, state.dt * c) for exps, c in xi[1])
+            xi_field = np.fft.ifftn(evaluate_terms(terms, ik) * rho_hat).real
+            predicted = prediction.e[k] * rho + (state.dt * prediction.pre_collision_factor(k)) * xi_field
+            r_tr = max(r_tr, float(np.max(np.abs(m[k] - predicted))))
+        want = {"grid": list(grid), "dx": state.dx, "dt": state.dt,
+                "equilibrium_residual": float(np.max(np.abs(state.f - e * rho))),
+                "transition_residual": r_tr}
+        assert json.dumps(got) == json.dumps(want)
 
 
 def loop_invariance(cfg):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -165,6 +167,14 @@ class TestVelocitySet:
     def test_lambda_scales_velocities(self):
         vset = d1q2_vset(lam=2.0)
         np.testing.assert_allclose(vset.velocities[:, 0], [2.0, -2.0])
+
+    # an infinite speed was once accepted, so that default_basis raised a raw LinAlgError
+    @pytest.mark.parametrize("lam, rule", [(math.inf, "finite"), (-math.inf, "positive"),
+                                           (math.nan, "positive")])
+    def test_non_finite_lattice_speed_rejected(self, lam, rule):
+        with pytest.raises(ValidationError) as err:
+            VelocitySet(1, lam, ((0,), (1,), (-1,)))
+        assert str(err.value) == f"lattice speed must be {rule}, got {lam}"
 
     def test_non_integer_component_rejected(self):
         with pytest.raises(NonLatticeVelocity):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -68,6 +69,29 @@ class TestSpecValidation:
         vset = VelocitySet(1, 1.0, ((1,), (-1,)))
         with pytest.raises(ValidationError):
             SchemeSpec(vset, default_basis(vset), (0.0, 1.5), (0.8, 0.4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_equilibrium_weight_rejected(self, bad):
+        # a NaN weight once passed the sum check, since |nan - 1| > tol is False
+        with pytest.raises(ValidationError) as err:
+            d1q3_spec(s=(0.0, 1.2, 1.5), e=(0.5, 0.5, bad))
+        assert str(err.value) == f"equilibrium weight E[2] = {bad} is not finite"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before the range warning
+            with pytest.raises(ValidationError) as err:
+                d1q3_spec(s=(0.0, bad, 1.5))
+        assert str(err.value) == f"relaxation rate s[1] = {bad} is not finite"
+
+    @pytest.mark.parametrize("make", [VelocityShift.constant, VelocityShift.sine])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_component_rejected(self, make, bad):
+        # a NaN constant shift once surfaced as a SingularMatrix of condition number nan
+        with pytest.raises(ValidationError) as err:
+            make((0.1, bad))
+        assert str(err.value) == f"shift component value[1] = {bad} is not finite"
 
     def test_out_of_range_rate_warns(self):
         with pytest.warns(UserWarning, match="outside"):
